@@ -1,7 +1,6 @@
 """kvertex: exact residues, multiplicative expansions and vertex operations
 on quiver character rings, with the wall-crossing transform on top."""
 
-from ._backend import backend_name
 from .hopf import (NumericalPoly, PhiElement, XiElement, chern_character,
                    coproduct, from_numerical, phi_pair, star, to_numerical,
                    translation_pairing)

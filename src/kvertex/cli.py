@@ -129,7 +129,7 @@ def cmd_pfrac(args) -> int:
 
 
 def cmd_hopf(args) -> int:
-    ints = [int(x) for x in args.args]
+    ints = args.args
     if args.action == "star":
         print(str(star(PhiElement.basis(ints[0]), PhiElement.basis(ints[1]))))
     elif args.action == "pair":
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ph = sub.add_parser("hopf", help="dual Hopf algebra operations")
     ph.add_argument("action", choices=("star", "pair", "coproduct", "chern", "translation"))
-    ph.add_argument("args", nargs="+")
+    ph.add_argument("args", nargs="+", type=int)
     ph.set_defaults(fn=cmd_hopf)
 
     pv = sub.add_parser("vertex", help="vertex operation on quiver states")
@@ -309,7 +309,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (EvalError, ValueError, KeyError, ArithmeticError) as exc:
+    except (EvalError, ValueError, KeyError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

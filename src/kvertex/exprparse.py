@@ -133,7 +133,10 @@ def parse_expr(text: str):
             den = 1
             if peek()[0] == "/":
                 take()
-                den = take("int")[1]
+                tok = take("int")
+                den = tok[1]
+                if not den:
+                    raise ParseError("zero denominator in exponent", tok[2])
             take(")")
             return Fraction(sign * s2 * num, den)
         raise ParseError("expected an integer or (p/q) exponent", peek()[2])
@@ -190,10 +193,6 @@ class FactoredRat:
         self.num = num
         self.zden = dict(zden or {})
         self.cden = cden
-
-    @staticmethod
-    def of_poly(var: str, p: LaurentPoly) -> "FactoredRat":
-        return FactoredRat(var, p)
 
     def _den_poly(self) -> LaurentPoly:
         rf = RationalFunction(self.var, LP_ONE,

@@ -6,16 +6,135 @@ pulled back along an N-fold cover).  A LaurentPoly maps monomials to
 nonzero Fraction/Cyclo coefficients.  PolyFraction is the fraction field,
 needed for partial-fraction coefficients such as 1/(1 - t).
 
+The inner loops of the arithmetic are the term-map kernels below
+(_mono_mul, _terms_add, _terms_mul, _terms_scale, _terms_rename): plain
+Python functions on the raw exponent tuples and {tuple: coefficient} dicts
+that LaurentPoly wraps.
+
 All values are immutable after construction; every operation is pure.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
-from ._backend import kernels as _K
 from .scalars import Cyclo, scalar_inv, scalar_str
+
+
+# -- term-map kernels ------------------------------------------------------
+
+
+def _mono_mul(a, b):
+    """Merge two sorted exponent tuples, adding exponents, dropping zeros."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = 0
+    j = 0
+    na = len(a)
+    nb = len(b)
+    while i < na and j < nb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va == vb:
+            e = ea + eb
+            if e:
+                out.append((va, e))
+            i += 1
+            j += 1
+        elif va < vb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    while i < na:
+        out.append(a[i])
+        i += 1
+    while j < nb:
+        out.append(b[j])
+        j += 1
+    return tuple(out)
+
+
+def _terms_add(A, B):
+    """Sum of two term maps; never mutates its arguments."""
+    if not A:
+        return dict(B)
+    if not B:
+        return dict(A)
+    out = dict(A)
+    for m, c in B.items():
+        acc = out.get(m)
+        if acc is None:
+            out[m] = c
+        else:
+            acc = acc + c
+            if acc:
+                out[m] = acc
+            else:
+                del out[m]
+    return out
+
+
+def _terms_mul(A, B):
+    """Distributive product of two term maps."""
+    if not A or not B:
+        return {}
+    out = {}
+    for ma, ca in A.items():
+        for mb, cb in B.items():
+            m = _mono_mul(ma, mb)
+            c = ca * cb
+            acc = out.get(m)
+            if acc is None:
+                if c:
+                    out[m] = c
+            else:
+                acc = acc + c
+                if acc:
+                    out[m] = acc
+                else:
+                    del out[m]
+    return out
+
+
+def _terms_scale(A, c):
+    """Multiply every coefficient by the scalar c."""
+    if not c:
+        return {}
+    return {m: cc for m, cc in ((m, c * c0) for m, c0 in A.items()) if cc}
+
+
+def _terms_rename(A, ren):
+    """Rename variables via the map ren (missing names pass through).
+
+    Renaming can merge or reorder variables, so monomial keys are rebuilt
+    and collisions are accumulated.
+    """
+    out = {}
+    for m, c in A.items():
+        if m:
+            acc = {}
+            for v, e in m:
+                v2 = ren.get(v, v)
+                e0 = acc.get(v2)
+                acc[v2] = e if e0 is None else e0 + e
+            m2 = tuple(sorted((v, e) for v, e in acc.items() if e))
+        else:
+            m2 = m
+        prev = out.get(m2)
+        if prev is None:
+            out[m2] = c
+        else:
+            prev = prev + c
+            if prev:
+                out[m2] = prev
+            else:
+                del out[m2]
+    return out
 
 
 def _ex(e):
@@ -45,7 +164,7 @@ class Monomial(tuple):
         return Monomial(((name, e),)) if e else MONO_ONE
 
     def __mul__(self, other):
-        return Monomial(_K.mono_mul(self, other))
+        return Monomial(_mono_mul(self, other))
 
     def __pow__(self, k):
         k = _ex(k)
@@ -157,7 +276,7 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return LaurentPoly(_K.terms_add(self.terms, o.terms))
+        return LaurentPoly(_terms_add(self.terms, o.terms))
 
     __radd__ = __add__
 
@@ -175,9 +294,9 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
-            return LaurentPoly(_K.terms_scale(self.terms, _coef(other)))
+            return LaurentPoly(_terms_scale(self.terms, _coef(other)))
         if isinstance(other, LaurentPoly):
-            return LaurentPoly(_K.terms_mul(self.terms, other.terms))
+            return LaurentPoly(_terms_mul(self.terms, other.terms))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -246,7 +365,7 @@ class LaurentPoly:
         return c, Monomial(m)
 
     def rename(self, ren: dict) -> "LaurentPoly":
-        return LaurentPoly(_K.terms_rename(self.terms, ren))
+        return LaurentPoly(_terms_rename(self.terms, ren))
 
     def subs_mono(self, name: str, value: Monomial, coeff=None) -> "LaurentPoly":
         """Substitute a variable by coeff*value (value a monomial)."""
@@ -262,7 +381,7 @@ class LaurentPoly:
             if e:
                 if not isinstance(e, int):
                     raise ValueError(f"non-integer exponent of {name} in substitution")
-                m2 = _K.mono_mul(tuple(rest), value ** e)
+                m2 = _mono_mul(tuple(rest), value ** e)
                 c2 = c * (coeff ** e) if coeff is not None else c
             else:
                 m2, c2 = tuple(rest), c
@@ -285,7 +404,7 @@ class LaurentPoly:
         out: dict = {}
         for m, c in self.terms.items():
             d = sum(e for v, e in m if v in bs)
-            m2 = _K.mono_mul(m, Monomial.var(name, sign * d)) if d else m
+            m2 = _mono_mul(m, Monomial.var(name, sign * d)) if d else m
             acc = out.get(m2)
             if acc is None:
                 out[m2] = c
@@ -391,7 +510,7 @@ def laurent_exact_div(f: LaurentPoly, g: LaurentPoly):
         c, m = unit
         ci = scalar_inv(c)
         mi = m.inv()
-        return LaurentPoly.from_terms((Monomial(_K.mono_mul(mm, mi)), cc * ci)
+        return LaurentPoly.from_terms((Monomial(_mono_mul(mm, mi)), cc * ci)
                                       for mm, cc in f.terms.items())
     vs = sorted(f.variables() | g.variables())
     D = 1
@@ -462,7 +581,7 @@ class PolyFraction:
             c, m = unit
             ci = scalar_inv(c)
             mi = m.inv()
-            num = LaurentPoly.from_terms((Monomial(_K.mono_mul(mm, mi)), cc * ci)
+            num = LaurentPoly.from_terms((Monomial(_mono_mul(mm, mi)), cc * ci)
                                          for mm, cc in num.terms.items())
             den = LP_ONE
         elif len(den.terms) > 1:
@@ -635,7 +754,3 @@ def symmetrize(p: LaurentPoly, blocks, normalization: str = "orbit_sum") -> Laur
         result = result * Fraction(1, group_order)
     return result
 
-
-def shuffle_cosets(part_a: int, part_b: int):
-    """Index subsets realizing S_{a+b} / (S_a x S_b) coset representatives."""
-    return itertools.combinations(range(part_a + part_b), part_a)

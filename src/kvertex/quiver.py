@@ -66,10 +66,6 @@ def dim_add(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def dim_total(a: tuple) -> int:
-    return sum(a)
-
-
 def block_vars(prefix: str, i: int, count: int, start: int = 1):
     """Variable names prefix_{i,a} for slots start..start+count-1 (i 1-based)."""
     return [f"{prefix}_{{{i},{a}}}" for a in range(start, start + count)]

@@ -290,10 +290,6 @@ class FormalSeries:
         self.coeffs = {k: c for k, c in coeffs.items() if not _is_zero(c)}
         self.trunc = trunc
 
-    @property
-    def uniformizer(self) -> str:
-        return {"zero": self.var, "infinity": f"{self.var}^-1", "one": f"1-{self.var}"}[self.point]
-
     def coeff(self, k: int):
         if k >= self.trunc:
             raise ValueError(f"coefficient {k} is at or beyond truncation {self.trunc}")
@@ -342,7 +338,8 @@ class FormalSeries:
         if self.point == "zero":
             return self.var + (f"^{k}" if k != 1 else "")
         if self.point == "infinity":
-            return f"{self.var}^-{k}"
+            # index k is the power of z^-1
+            return self.var + (f"^{-k}" if k != -1 else "")
         return f"(1-{self.var})" + (f"^{k}" if k != 1 else "")
 
     def __str__(self):
@@ -366,7 +363,7 @@ class FormalSeries:
             body = parts[0]
             for p in parts[1:]:
                 body += " - " + p[1:] if p.startswith("-") else " + " + p
-        return f"{body} + O({self._upow(self.trunc) if self.trunc != 0 else '1'})"
+        return f"{body} + O({self._upow(self.trunc)})"
 
     def __repr__(self):
         return f"<FormalSeries {self}>"

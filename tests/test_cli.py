@@ -3,7 +3,7 @@ reruns, and golden files (regenerate with `python tests/test_cli.py`)."""
 import io
 import os
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -94,6 +94,24 @@ def test_exit_codes():
         assert main(["residue", "--kind", "k", "1/(1-x-z)"]) == 1
     # parse error
     assert main(["residue", "--kind", "k", "1/((1-z)"]) == 2
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(["residue", "z^(1/0)"]) == 2
+    assert err.getvalue().startswith("parse error: zero denominator in exponent")
+    # a non-integer hopf argument is rejected by the argument parser
+    with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+        main(["hopf", "star", "x", "y"])
+    assert exc.value.code == 2
+    # a missing input file is an evaluation error, not a traceback
+    for argv in (["vertex", "--quiver", "/nonexistent", "--f", "1@e1", "--g", "1@e2"],
+                 ["wallcross", "invert", "--stability", "/nonexistent",
+                  "--table", os.path.join(DATA, "table.json"), "--k", "k1"],
+                 ["wallcross", "invert", "--stability", os.path.join(DATA, "stability.json"),
+                  "--table", "/nonexistent", "--k", "k1"]):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert main(argv) == 1
+        assert err.getvalue().startswith("error: ")
 
 
 def test_seeded_suite_determinism(monkeypatch):

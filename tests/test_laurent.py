@@ -57,6 +57,10 @@ def test_monomial_canonical_form():
     assert m == Monomial.var("s")
     assert str(Monomial.var("t", Fraction(1, 2))) == "t^(1/2)"
     assert (Monomial.var("s") * Monomial.var("s", -1)).is_one()
+    a = Monomial.make({"s": 2, "t": -1})
+    assert a * Monomial.make({"s": -2, "u": 1}) == Monomial.make({"t": -1, "u": 1})
+    assert MONO_ONE * a == a
+    assert (a * Monomial.make({"s": -2, "t": 1})).is_one()
 
 
 def test_symmetrize_examples():

@@ -25,6 +25,13 @@ def test_expand_at_infinity():
     # 1/(1-z) = -z^-1/(1 - z^-1) = -z^-1 - z^-2 - ...
     assert ser.valuation() == 1
     assert [ser.coeff(k) for k in range(1, 4)] == [-1, -1, -1]
+    # positive powers of z print as z, z^2, ...
+    f = RationalFunction("z", 2 + Z ** 3, [(0, T, 1, 2)])
+    assert str(expand_at(f, "infinity", 5)) == (
+        "t^-2*z + 2*t^-3 + 3*t^-4*z^-1 + (4*t^-5 + 2*t^-2)*z^-2"
+        " + (5*t^-6 + 4*t^-3)*z^-3 + O(z^-4)")
+    assert str(expand_at(f, "infinity", 1)) == "t^-2*z + O(1)"
+    assert str(expand_at(f * Z, "infinity", 1)) == "t^-2*z^2 + O(z)"
 
 
 def test_expand_at_one_of_inverse_z():
