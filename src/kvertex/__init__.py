@@ -13,7 +13,7 @@ from .quiver import (GradedElement, Quiver, VirtualCharacter, a2_quiver,
 from .residues import (K_THEORY, NAIVE, COHOMOLOGICAL, ResidueKind,
                        constraint_suite, residue_coh, residue_k,
                        residue_k_oracle, residue_naive)
-from .scalars import Cyclo, ExactScalar, cyclotomic_poly, generalized_binomial, root_of_unity
+from .scalars import Cyclo, cyclotomic_poly, generalized_binomial, root_of_unity
 from .series import (EquivariantExpansion, FormalSeries, PartialFractions,
                      RationalFunction, expand_at, expand_equivariant,
                      partial_fractions)

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .exprparse import EvalError, ParseError, parse_laurent, parse_rational
 from .hopf import PhiElement, chern_character, coproduct, phi_pair, star, translation_pairing
@@ -70,8 +69,7 @@ def parse_state(q: Quiver, text: str) -> GradedElement:
 def load_stability(path: str) -> StabilityData:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    slope = [Fraction(s) if isinstance(s, str) else Fraction(s) for s in data["slope"]]
-    return StabilityData.make(tuple(data["rank"]), tuple(slope),
+    return StabilityData.make(tuple(data["rank"]), tuple(data["slope"]),
                               {k: tuple(v) for k, v in data["frames"].items()})
 
 
@@ -128,8 +126,19 @@ def cmd_pfrac(args) -> int:
     return 0
 
 
+# the integer arguments of each hopf action, by name
+HOPF_ARGS = {"star": ("A", "B"), "pair": ("K", "N"), "coproduct": ("K",),
+             "chern": ("K",), "translation": ("N", "ORDER")}
+
+
 def cmd_hopf(args) -> int:
     ints = args.args
+    names = HOPF_ARGS[args.action]
+    if len(ints) != len(names):
+        print(f"usage: kvertex hopf {args.action} {' '.join(names)}", file=sys.stderr)
+        print(f"kvertex hopf: error: {args.action} takes {len(names)} integer "
+              f"argument{'s' if len(names) > 1 else ''}, got {len(ints)}", file=sys.stderr)
+        return 2
     if args.action == "star":
         print(str(star(PhiElement.basis(ints[0]), PhiElement.basis(ints[1]))))
     elif args.action == "pair":
@@ -139,10 +148,8 @@ def cmd_hopf(args) -> int:
         print(" + ".join(f"({l}) (x) ({r})" for l, r in pairs))
     elif args.action == "chern":
         print(str(chern_character(PhiElement.basis(ints[0]))))
-    elif args.action == "translation":
+    else:  # translation
         print(str(translation_pairing(ints[0], ints[1])))
-    else:
-        raise EvalError(f"unknown hopf action {args.action!r}")
     return 0
 
 
@@ -254,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ph = sub.add_parser("hopf", help="dual Hopf algebra operations")
     ph.add_argument("action", choices=("star", "pair", "coproduct", "chern", "translation"))
-    ph.add_argument("args", nargs="+", type=int)
+    ph.add_argument("args", nargs="*", type=int)
     ph.set_defaults(fn=cmd_hopf)
 
     pv = sub.add_parser("vertex", help="vertex operation on quiver states")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .laurent import LP_ONE, LaurentPoly, Monomial, PolyFraction
-from .scalars import scalar_inv
+from .scalars import RATIONAL, scalar_inv
 from .series import RationalFunction
 
 
@@ -70,7 +70,7 @@ def _tokenize(text: str):
 
 @dataclass(frozen=True)
 class Num:
-    value: Fraction
+    value: int
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def parse_expr(text: str):
     def parse_atom():
         tok = take()
         if tok[0] == "int":
-            return Num(Fraction(tok[1]))
+            return Num(tok[1])
         if tok[0] == "name":
             return Var(tok[1])
         if tok[0] == "(":
@@ -265,9 +265,9 @@ class FactoredRat:
         e_hi = Monomial(m_hi).exponent(self.var)
         if e_lo == e_hi:
             return None
-        if not isinstance(c_lo, Fraction) or not isinstance(c_hi, Fraction):
+        if not isinstance(c_lo, RATIONAL) or not isinstance(c_hi, RATIONAL):
             return None
-        ratio = -c_hi / c_lo
+        ratio = Fraction(-c_hi, c_lo)
         if ratio == 1:
             angle = Fraction(0)
         elif ratio == -1:

@@ -16,8 +16,9 @@ Trees are nested tuples; a leaf is the generator string itself.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+
+from .scalars import exact
 
 
 def tree_word(t) -> tuple:
@@ -53,7 +54,7 @@ def _right_factor_word(t):
     return tree_word(t[1]) if not isinstance(t, str) else None
 
 
-def _scale(d: dict, c: Fraction) -> dict:
+def _scale(d: dict, c) -> dict:
     if not c:
         return {}
     return {k: v * c for k, v in d.items()}
@@ -62,7 +63,7 @@ def _scale(d: dict, c: Fraction) -> dict:
 def _merge(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, c in b.items():
-        c2 = out.get(k, Fraction(0)) + c
+        c2 = out.get(k, 0) + c
         if c2:
             out[k] = c2
         else:
@@ -73,14 +74,14 @@ def _merge(a: dict, b: dict) -> dict:
 @lru_cache(maxsize=None)
 def bracket_basis(p, q) -> tuple:
     """Normal form of [p, q] for basis trees p, q, as a tuple of
-    (tree, Fraction) pairs."""
+    (tree, int) pairs."""
     u, v = tree_word(p), tree_word(q)
     if u == v:
         return ()
     if u > v:
         return tuple((t, -c) for t, c in bracket_basis(q, p))
     if isinstance(p, str) or _right_factor_word(p) >= v:
-        return ((p, q), Fraction(1)),
+        return ((p, q), 1),
     p1, p2 = p
     out: dict = {}
     for t, c in bracket_basis(p2, q):
@@ -109,11 +110,11 @@ class LieElement:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict):
-        self.coeffs = {t: c for t, c in coeffs.items() if c}
+        self.coeffs = {t: exact(c) for t, c in coeffs.items() if c}
 
     @staticmethod
     def generator(name: str) -> "LieElement":
-        return LieElement({name: Fraction(1)})
+        return LieElement({name: 1})
 
     @staticmethod
     def zero() -> "LieElement":
@@ -123,10 +124,10 @@ class LieElement:
         return LieElement(_merge(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        return LieElement(_merge(self.coeffs, _scale(other.coeffs, Fraction(-1))))
+        return LieElement(_merge(self.coeffs, _scale(other.coeffs, -1)))
 
     def __mul__(self, c):
-        return LieElement(_scale(self.coeffs, Fraction(c)))
+        return LieElement(_scale(self.coeffs, c))
 
     __rmul__ = __mul__
 
@@ -151,7 +152,7 @@ class LieElement:
         out: dict = {}
         for t, c in self.coeffs.items():
             for w, cw in _assoc_expand(t):
-                c2 = out.get(w, Fraction(0)) + c * cw
+                c2 = out.get(w, 0) + c * cw
                 if c2:
                     out[w] = c2
                 else:
@@ -183,7 +184,7 @@ class LieElement:
 @lru_cache(maxsize=None)
 def _assoc_expand(t) -> tuple:
     if isinstance(t, str):
-        return ((t,), Fraction(1)),
+        return ((t,), 1),
     left = _assoc_expand(t[0])
     right = _assoc_expand(t[1])
     out: dict = {}
@@ -202,8 +203,8 @@ def tree_str(t) -> str:
 
 def bracket_word(trees) -> LieElement:
     """Left-nested bracket of a list of generators/trees: [..[[t1,t2],t3]..]."""
-    elems = [LieElement({t: Fraction(1)}) if isinstance(t, str) else t for t in trees]
+    elems = [LieElement({t: 1}) if isinstance(t, str) else t for t in trees]
     out = elems[0]
     for e in elems[1:]:
-        out = out.bracket(e if isinstance(e, LieElement) else LieElement({e: Fraction(1)}))
+        out = out.bracket(e if isinstance(e, LieElement) else LieElement({e: 1}))
     return out

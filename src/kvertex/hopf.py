@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .laurent import LaurentPoly
-from .scalars import generalized_binomial
+from .scalars import exact, generalized_binomial
 from .series import FormalSeries
 
 
@@ -27,7 +27,7 @@ class PhiElement:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict):
-        self.coeffs = _clean({k: Fraction(c) for k, c in coeffs.items()})
+        self.coeffs = _clean({k: exact(c) for k, c in coeffs.items()})
 
     @staticmethod
     def basis(k: int) -> "PhiElement":
@@ -42,13 +42,13 @@ class PhiElement:
     def __add__(self, other):
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out.get(k, 0) + c
         return PhiElement(out)
 
     def __sub__(self, other):
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) - c
+            out[k] = out.get(k, 0) - c
         return PhiElement(out)
 
     def __mul__(self, c):
@@ -88,16 +88,16 @@ class PhiElement:
         return f"<PhiElement {self}>"
 
 
-def phi_pair(a: PhiElement, n: int) -> Fraction:
+def phi_pair(a: PhiElement, n: int):
     """Pairing against the character s^n: sum c_k (-1)^k binom(n, k).
 
     >>> phi_pair(PhiElement.basis(3), 5)
-    Fraction(-10, 1)
+    -10
     """
-    out = Fraction(0)
+    out = 0
     for k, c in a.coeffs.items():
-        out += c * (Fraction(-1) ** k) * generalized_binomial(n, k)
-    return out
+        out += c * (-1) ** k * generalized_binomial(n, k)
+    return exact(out)
 
 
 def star(a: PhiElement, b: PhiElement) -> PhiElement:
@@ -112,10 +112,10 @@ def star(a: PhiElement, b: PhiElement) -> PhiElement:
         for j, cj in b.coeffs.items():
             c = ci * cj
             for k in range(i + j + 1):
-                w = (Fraction(-1) ** k) * generalized_binomial(i + j - k, i) \
+                w = (-1) ** k * generalized_binomial(i + j - k, i) \
                     * generalized_binomial(i, k)
                 if w:
-                    out[i + j - k] = out.get(i + j - k, Fraction(0)) + c * w
+                    out[i + j - k] = out.get(i + j - k, 0) + c * w
     return PhiElement(out)
 
 
@@ -133,9 +133,9 @@ def coproduct(a: PhiElement):
     return out
 
 
-def pair_tensor(pairs, m: int, n: int) -> Fraction:
+def pair_tensor(pairs, m: int, n: int):
     """Evaluate a coproduct-style list of tensor pairs against (s^m, s^n)."""
-    return sum((phi_pair(l, m) * phi_pair(r, n) for l, r in pairs), start=Fraction(0))
+    return exact(sum(phi_pair(l, m) * phi_pair(r, n) for l, r in pairs))
 
 
 class NumericalPoly:
@@ -148,16 +148,16 @@ class NumericalPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [exact(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    def eval(self, n) -> Fraction:
-        out = Fraction(0)
+    def eval(self, n):
+        out = 0
         for c in reversed(self.coeffs):
             out = out * n + c
-        return out
+        return exact(out)
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -165,7 +165,7 @@ class NumericalPoly:
     def __mul__(self, other):
         if not isinstance(other, NumericalPoly):
             return NumericalPoly([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
+        out = [0] * (len(self.coeffs) + len(other.coeffs))
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
@@ -220,10 +220,10 @@ class NumericalPoly:
 
 def _binomial_poly(k: int) -> NumericalPoly:
     # binom(X, k) = X(X-1)...(X-k+1)/k!
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for i in range(k):
         # multiply by (X - i)
-        new = [Fraction(0)] * (len(coeffs) + 1)
+        new = [0] * (len(coeffs) + 1)
         for d, c in enumerate(coeffs):
             new[d + 1] += c
             new[d] -= c * i
@@ -236,7 +236,7 @@ def to_numerical(a: PhiElement) -> NumericalPoly:
     """phi^k -> (-1)^k binom(deg, k) as an honest rational polynomial."""
     out = NumericalPoly([])
     for k, c in a.coeffs.items():
-        out = out + (c * (Fraction(-1) ** k)) * _binomial_poly(k)
+        out = out + (c * (-1) ** k) * _binomial_poly(k)
     return out
 
 
@@ -250,7 +250,7 @@ def from_numerical(p: NumericalPoly) -> PhiElement:
     diffs = p.finite_differences_at_zero()
     if any(d.denominator != 1 for d in diffs):
         raise ValueError("polynomial is not numerical (integer-valued)")
-    out = {k: (Fraction(-1) ** k) * d for k, d in enumerate(diffs)}
+    out = {k: (-1) ** k * d for k, d in enumerate(diffs)}
     elem = PhiElement(out)
     # exactness guard: the two bases span the same space
     assert to_numerical(elem) == p
@@ -264,19 +264,19 @@ class XiElement:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict):
-        self.coeffs = _clean({k: Fraction(c) for k, c in coeffs.items()})
+        self.coeffs = _clean({k: exact(c) for k, c in coeffs.items()})
 
     @staticmethod
     def basis(k: int) -> "XiElement":
         return XiElement({k: 1})
 
-    def eval(self, n) -> Fraction:
-        return sum((c * Fraction(n) ** k for k, c in self.coeffs.items()), start=Fraction(0))
+    def eval(self, n):
+        return exact(sum(c * n ** k for k, c in self.coeffs.items()))
 
     def __add__(self, other):
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out.get(k, 0) + c
         return XiElement(out)
 
     def __mul__(self, other):
@@ -284,7 +284,7 @@ class XiElement:
             out: dict = {}
             for i, a in self.coeffs.items():
                 for j, b in other.coeffs.items():
-                    out[i + j] = out.get(i + j, Fraction(0)) + a * b
+                    out[i + j] = out.get(i + j, 0) + a * b
             return XiElement(out)
         return XiElement({k: c * other for k, c in self.coeffs.items()})
 
@@ -333,7 +333,7 @@ def chern_character(a: PhiElement) -> XiElement:
     out = XiElement({})
     for k, c in a.coeffs.items():
         p = _binomial_poly(k)
-        out = out + (c * (Fraction(-1) ** k)) * XiElement({d: cc for d, cc in enumerate(p.coeffs)})
+        out = out + (c * (-1) ** k) * XiElement({d: cc for d, cc in enumerate(p.coeffs)})
     return out
 
 
@@ -343,7 +343,7 @@ def divided_product(a: dict, b: dict) -> dict:
     for i, ca in a.items():
         for j, cb in b.items():
             w = generalized_binomial(i + j, i)
-            out[i + j] = out.get(i + j, Fraction(0)) + ca * cb * w
+            out[i + j] = out.get(i + j, 0) + ca * cb * w
     return _clean(out)
 
 
@@ -352,7 +352,7 @@ def translation_pairing(n: int, order: int) -> FormalSeries:
     multiplicative expansion of z^n.
 
     >>> translation_pairing(0, 5).coeffs
-    {0: Fraction(1, 1)}
+    {0: 1}
     """
     if order < 1:
         raise ValueError("order must be positive")

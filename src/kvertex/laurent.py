@@ -3,8 +3,11 @@
 A Monomial is a canonical sorted tuple of (variable, exponent) pairs;
 exponents are ints or Fractions (fractional exponents model characters
 pulled back along an N-fold cover).  A LaurentPoly maps monomials to
-nonzero Fraction/Cyclo coefficients.  PolyFraction is the fraction field,
-needed for partial-fraction coefficients such as 1/(1 - t).
+nonzero exact coefficients: int, Fraction or Cyclo (see scalars).  The
+constructors and the scalar product demote integral Fractions to int, so
+integer-coefficient polynomials compute with ints only; the kernels below
+do no demotion of their own.  PolyFraction is the fraction field, needed
+for partial-fraction coefficients such as 1/(1 - t).
 
 The inner loops of the arithmetic are the term-map kernels below
 (_mono_mul, _terms_add, _terms_mul, _terms_scale, _terms_rename): plain
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import Cyclo, scalar_inv, scalar_str
+from .scalars import RATIONAL, Cyclo, exact, scalar_inv, scalar_str
 
 
 # -- term-map kernels ------------------------------------------------------
@@ -184,9 +187,9 @@ class Monomial(tuple):
     def variables(self):
         return [v for v, _ in self]
 
-    def degree_on(self, names) -> Fraction:
+    def degree_on(self, names):
         """Total exponent over the given variable set."""
-        return sum((e for v, e in self if v in names), start=Fraction(0))
+        return sum(e for v, e in self if v in names)
 
     def is_one(self) -> bool:
         return not self
@@ -211,10 +214,6 @@ class Monomial(tuple):
 MONO_ONE = Monomial(())
 
 
-def _coef(c):
-    return Fraction(c) if isinstance(c, int) else c
-
-
 class LaurentPoly:
     """Finite sum of monomials with exact nonzero coefficients."""
 
@@ -232,23 +231,23 @@ class LaurentPoly:
 
     @staticmethod
     def scalar(c) -> "LaurentPoly":
-        c = _coef(c)
+        c = exact(c)
         return LaurentPoly({MONO_ONE: c} if c else {})
 
     @staticmethod
     def var(name: str, exp=1) -> "LaurentPoly":
-        return LaurentPoly({Monomial.var(name, exp): Fraction(1)})
+        return LaurentPoly({Monomial.var(name, exp): 1})
 
     @staticmethod
     def term(c, mono: Monomial) -> "LaurentPoly":
-        c = _coef(c)
+        c = exact(c)
         return LaurentPoly({Monomial(mono): c} if c else {})
 
     @staticmethod
     def from_terms(pairs) -> "LaurentPoly":
         out: dict = {}
         for mono, c in pairs:
-            c = _coef(c)
+            c = exact(c)
             if not c:
                 continue
             key = Monomial(mono)
@@ -268,7 +267,7 @@ class LaurentPoly:
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
             return other
-        if isinstance(other, (int, Fraction, Cyclo)):
+        if isinstance(other, (RATIONAL, Cyclo)):
             return LaurentPoly.scalar(other)
         return None
 
@@ -293,8 +292,8 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            return LaurentPoly(_terms_scale(self.terms, _coef(other)))
+        if isinstance(other, (RATIONAL, Cyclo)):
+            return LaurentPoly(_terms_scale(self.terms, exact(other)))
         if isinstance(other, LaurentPoly):
             return LaurentPoly(_terms_mul(self.terms, other.terms))
         return NotImplemented
@@ -342,10 +341,10 @@ class LaurentPoly:
         return [Monomial(m) for m in self.terms]
 
     def coefficient(self, mono: Monomial):
-        return self.terms.get(Monomial(mono), Fraction(0))
+        return self.terms.get(Monomial(mono), 0)
 
     def constant(self):
-        return self.terms.get(MONO_ONE, Fraction(0))
+        return self.terms.get(MONO_ONE, 0)
 
     def variables(self) -> set:
         out = set()
@@ -643,7 +642,7 @@ class PolyFraction:
         return PolyFraction(self.num ** k, self.den ** k)
 
     def __eq__(self, other):
-        o = PolyFraction.of(other) if isinstance(other, (PolyFraction, LaurentPoly, int, Fraction, Cyclo)) else None
+        o = PolyFraction.of(other) if isinstance(other, (PolyFraction, LaurentPoly, RATIONAL, Cyclo)) else None
         if o is None:
             return NotImplemented
         return self.num * o.den == o.num * self.den

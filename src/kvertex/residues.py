@@ -84,7 +84,7 @@ def residue_k_oracle(f: RationalFunction, order: int) -> LaurentPoly:
     def z0(ser):
         if ser.valuation() <= 0 < ser.trunc:
             return ser.coeff(0)
-        return Fraction(0)
+        return 0
 
     out = z0(expand_at(f, "zero", order)) - z0(expand_at(f, "infinity", order))
     return out if isinstance(out, LaurentPoly) else LaurentPoly.scalar(out)
@@ -123,7 +123,7 @@ def rho_simple_product(var_power: int, poles) -> LaurentPoly:
     plus = convolve(-A, invert=False)
     minus = convolve(A - total_m, invert=True)
     if not minus.is_zero():
-        scale = LaurentPoly.scalar(Fraction(-1) ** total_m)
+        scale = LaurentPoly.scalar((-1) ** total_m)
         for (angle, mono), m in poles:
             scale = scale * unit_value(angle, mono, -m)
         minus = minus * scale
@@ -143,7 +143,7 @@ def residue_naive(f: RationalFunction):
     if depth == 0:
         return LP_ZERO
     ser = expand_at(g, "one", depth + 2)
-    c = ser.coeffs.get(-1, Fraction(0))
+    c = ser.coeffs.get(-1, 0)
     if isinstance(c, PolyFraction):
         p = c.as_poly()
         return p if p is not None else c
@@ -265,7 +265,7 @@ def diagonal_w_side_residue(a_pow: int, s: Monomial, n: int, pivots, w_order: in
                 wpart[j] = LaurentPoly.scalar(c)
     else:
         for j in range(min(w_order, -a_pow + 1)):
-            c = generalized_binomial(-a_pow, j) * (Fraction(-1) ** j)
+            c = generalized_binomial(-a_pow, j) * (-1) ** j
             if c:
                 wpart[j] = LaurentPoly.scalar(c)
 
@@ -295,7 +295,7 @@ def diagonal_w_side_residue(a_pow: int, s: Monomial, n: int, pivots, w_order: in
         zres = rho_simple_product(A, [((Fraction(0), pivots[t]), kvec[t] + 1) for t in range(n)])
         if zres.is_zero():
             return
-        scale = LaurentPoly.scalar(Fraction(-1) ** sum(kvec))
+        scale = LaurentPoly.scalar((-1) ** sum(kvec))
         for t, k in enumerate(kvec):
             if k:
                 scale = scale * LaurentPoly.term(1, pivots[t] ** k)
@@ -357,7 +357,7 @@ def iadic_valuation_at_least(p: LaurentPoly, m: int) -> bool:
                 raise ValueError("integer character exponents required")
             pw = {}
             for j in range(m):
-                cj = generalized_binomial(e, j) * (Fraction(-1) ** j)
+                cj = generalized_binomial(e, j) * (-1) ** j
                 if cj:
                     pw[j] = cj
             new: dict = {}

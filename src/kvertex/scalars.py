@@ -1,29 +1,50 @@
-"""Exact scalars: arbitrary-precision rationals and cyclotomic numbers.
+"""Exact scalars: integers, rationals and cyclotomic numbers.
 
-Rationals are stdlib ``fractions.Fraction`` (already canonical: reduced,
-positive denominator).  Cyclotomic numbers are elements of Q(zeta_N) stored
-in the power basis 1, zeta, ..., zeta^(d-1) reduced modulo the N-th
-cyclotomic polynomial (d = deg Phi_N); any value that reduces to a rational
-is demoted to a plain Fraction, so rationals have a single representation
-everywhere.
+One representation per value.  An integral value is a plain ``int``, a
+non-integral rational is a stdlib ``fractions.Fraction`` (reduced, positive
+denominator), and an element of Q(zeta_N) outside Q is a ``Cyclo``: an
+integer vector in the power basis 1, zeta, ..., zeta^(d-1), reduced modulo
+the N-th cyclotomic polynomial (d = deg Phi_N), over one positive common
+denominator.  Every operation that can land in Q demotes its result to an
+``int`` or a ``Fraction``; ``exact`` is the one demotion of an integral
+``Fraction`` to ``int``, and ``RATIONAL`` the one type test for Q.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-ExactScalar = Fraction
+RATIONAL = (int, Fraction)
 
 
-def generalized_binomial(n, k: int) -> Fraction:
-    """binom(n, k) = n(n-1)...(n-k+1)/k! for any integer (or rational) n.
+def exact(c):
+    """c with an integral Fraction demoted to int; other scalars unchanged.
+
+    >>> exact(Fraction(4, 2)), exact(Fraction(1, 2)), exact(3)
+    (2, Fraction(1, 2), 3)
+    """
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def generalized_binomial(n, k: int):
+    """binom(n, k) = n(n-1)...(n-k+1)/k! for any integer (or rational) n;
+    an int whenever n is integral.
 
     >>> generalized_binomial(5, 2), generalized_binomial(-1, 3)
-    (Fraction(10, 1), Fraction(-1, 1))
+    (10, -1)
     """
     if k < 0:
         raise ValueError("binomial lower index must be nonnegative")
-    out = Fraction(1)
+    n = exact(n)
+    if isinstance(n, int):
+        if n >= 0:
+            return math.comb(n, k)
+        # binom(-m, k) = (-1)^k binom(m + k - 1, k)
+        c = math.comb(k - n - 1, k)
+        return -c if k & 1 else c
+    out = 1
     for i in range(k):
         out *= Fraction(n - i, i + 1)
     return out
@@ -71,113 +92,155 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 
 def _reduce_mod_cyclo(order: int, vec: list) -> list:
-    """Reduce a coefficient list (powers of zeta_order) to degree < deg Phi."""
+    """Reduce an integer coefficient list (powers of zeta_order) to
+    degree < deg Phi; Phi is monic, so the result stays integral."""
     phi = cyclotomic_poly(order)
     d = len(phi) - 1
     # first fold exponents mod order (zeta^order = 1)
     if len(vec) > order:
-        folded = [Fraction(0)] * order
+        folded = [0] * order
         for k, c in enumerate(vec):
             folded[k % order] += c
         vec = folded
-    vec = list(vec) + [Fraction(0)] * max(0, d - len(vec))
+    else:
+        vec = list(vec)
+    if len(vec) <= d:
+        return vec + [0] * (d - len(vec))
+    tail = [(j, p) for j, p in enumerate(phi[:d]) if p]
     for i in range(len(vec) - 1, d - 1, -1):
         c = vec[i]
         if c:
-            for j in range(d + 1):
-                vec[i - d + j] -= c * phi[j]
-    return vec[:d]
+            base = i - d
+            for j, p in tail:
+                vec[base + j] -= c * p
+    del vec[d:]
+    return vec
+
+
+def _cyclo(order: int, num: list, den: int):
+    """The canonical value of (sum num[k] zeta^k) / den, for num already
+    reduced mod Phi_order and den > 0: an int or Fraction when only the
+    constant term survives, else a Cyclo with the content gcd divided out."""
+    if not any(num[1:]):
+        c = num[0] if num else 0
+        return c if den == 1 else exact(Fraction(c, den))
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return Cyclo(order, tuple(num), den)
 
 
 class Cyclo:
-    """An element of Q(zeta_N) in reduced power-basis form.
+    """An element of Q(zeta_N) outside Q: sum num[k] zeta_N^k / den, num reduced
+    mod Phi_N and gcd(den, *num) = 1, so equal values of one order have
+    equal fields.
 
     Arithmetic between different orders lifts both operands to the lcm
-    order; results that land in Q come back as plain Fractions.
+    order; results that land in Q come back as an int or a Fraction.
     """
 
-    __slots__ = ("order", "vec")
+    __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, vec: tuple):
+    def __init__(self, order: int, num: tuple, den: int = 1):
         self.order = order
-        self.vec = vec
+        self.num = num
+        self.den = den
 
     # -- construction ---------------------------------------------------
 
     @staticmethod
-    def make(order: int, coeffs) -> "Cyclo | Fraction":
-        """Build from a {power: coeff} map or coefficient list; demotes."""
+    def make(order: int, coeffs) -> "Cyclo | int | Fraction":
+        """Build from a {power: coeff} map or coefficient list of rationals;
+        demotes."""
         if isinstance(coeffs, dict):
             top = max(coeffs) + 1 if coeffs else 1
-            lst = [Fraction(0)] * top
+            lst = [0] * top
             for k, c in coeffs.items():
-                lst[k] += Fraction(c) if isinstance(c, int) else c
+                lst[k] += c
         else:
-            lst = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
-        vec = _reduce_mod_cyclo(order, lst)
-        if all(c == 0 for c in vec[1:]):
-            return vec[0] if vec else Fraction(0)
-        return Cyclo(order, tuple(vec))
+            lst = list(coeffs)
+        den = math.lcm(*(c.denominator for c in lst))
+        lst = [c.numerator * (den // c.denominator) for c in lst]
+        return _cyclo(order, _reduce_mod_cyclo(order, lst), den)
 
     def lift(self, order: int) -> "Cyclo":
+        """The same value in the power basis of a multiple order.  Z[zeta_n]
+        is saturated in Z[zeta_order], so the content stays coprime to den."""
         if order == self.order:
             return self
         assert order % self.order == 0
         step = order // self.order
-        lst = [Fraction(0)] * (self.order * step)
-        for k, c in enumerate(self.vec):
+        lst = [0] * order
+        for k, c in enumerate(self.num):
             lst[k * step] = c
-        return Cyclo(order, tuple(_reduce_mod_cyclo(order, lst)))
+        return Cyclo(order, tuple(_reduce_mod_cyclo(order, lst)), self.den)
 
     # -- arithmetic ------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Cyclo):
-            if other.order == self.order:
-                return self, other
-            m = math.lcm(self.order, other.order)
-            return self.lift(m), other.lift(m)
-        if isinstance(other, (int, Fraction)):
-            o = Cyclo(self.order, tuple([Fraction(other)] + [Fraction(0)] * (len(self.vec) - 1)))
-            return self, o
-        return self, None
+    def _common(self, other: "Cyclo"):
+        if other.order == self.order:
+            return self, other
+        m = math.lcm(self.order, other.order)
+        return self.lift(m), other.lift(m)
 
     def __add__(self, other):
-        a, b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        return Cyclo.make(a.order, [x + y for x, y in zip(a.vec, b.vec)])
+        if isinstance(other, Cyclo):
+            a, b = self._common(other)
+            if a.den == b.den:
+                return _cyclo(a.order, [x + y for x, y in zip(a.num, b.num)], a.den)
+            ad, bd = a.den, b.den
+            return _cyclo(a.order, [x * bd + y * ad for x, y in zip(a.num, b.num)], ad * bd)
+        if isinstance(other, int):
+            # the content stays coprime to den, and the value stays outside Q
+            num = list(self.num)
+            num[0] += other * self.den
+            return Cyclo(self.order, tuple(num), self.den)
+        if isinstance(other, Fraction):
+            p, q = other.numerator, other.denominator
+            num = [c * q for c in self.num]
+            num[0] += p * self.den
+            return _cyclo(self.order, num, self.den * q)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.order, tuple(-c for c in self.vec))
+        return Cyclo(self.order, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Cyclo) else -Fraction(other) if isinstance(other, int) else -other)
+        if isinstance(other, (Cyclo, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if not other:
-                return Fraction(0)
-            return Cyclo(self.order, tuple(c * other for c in self.vec))
-        a, b = self._coerce(other)
-        if b is None:
+                return 0
+            g = math.gcd(other, self.den)
+            k = other // g
+            return Cyclo(self.order, tuple(c * k for c in self.num), self.den // g)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return _cyclo(self.order, [c * p for c in self.num], self.den * other.denominator)
+        if not isinstance(other, Cyclo):
             return NotImplemented
-        prod = [Fraction(0)] * (2 * len(a.vec))
-        for i, ci in enumerate(a.vec):
+        a, b = self._common(other)
+        bn = b.num
+        prod = [0] * (len(a.num) + len(bn) - 1)
+        for i, ci in enumerate(a.num):
             if ci:
-                for j, cj in enumerate(b.vec):
+                for j, cj in enumerate(bn):
                     if cj:
                         prod[i + j] += ci * cj
-        return Cyclo.make(a.order, prod)
+        return _cyclo(a.order, _reduce_mod_cyclo(a.order, prod), a.den * b.den)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Cyclo | Fraction":
+    def inverse(self) -> "Cyclo":
         """Field inverse via the extended Euclidean algorithm mod Phi_N."""
 
         def trim(p):
@@ -189,17 +252,17 @@ class Cyclo:
             a = list(a)
             db = len(b) - 1
             lead = b[db]
-            q = [Fraction(0)] * max(1, len(a) - db)
+            q = [0] * max(1, len(a) - db)
             for i in range(len(a) - 1, db - 1, -1):
                 if a[i]:
-                    f = a[i] / lead
+                    f = Fraction(a[i], lead)
                     q[i - db] = f
                     for j in range(db + 1):
                         a[i - db + j] -= f * b[j]
             return trim(q), trim(a)
 
         def polymul(a, b):
-            out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+            out = [0] * (len(a) + len(b) - 1) if a and b else []
             for i, ai in enumerate(a):
                 if ai:
                     for j, bj in enumerate(b):
@@ -207,35 +270,34 @@ class Cyclo:
             return trim(out)
 
         def polysub(a, b):
-            out = [Fraction(0)] * max(len(a), len(b))
+            out = [0] * max(len(a), len(b))
             for i, c in enumerate(a):
                 out[i] += c
             for i, c in enumerate(b):
                 out[i] -= c
             return trim(out)
 
-        phi = [Fraction(c) for c in cyclotomic_poly(self.order)]
-        r0, r1 = phi, trim(list(self.vec))
-        s0, s1 = [], [Fraction(1)]
+        # s * num = r (mod Phi) holds for every pair (r, s) of the sequence
+        r0, r1 = list(cyclotomic_poly(self.order)), trim(list(self.num))
+        s0, s1 = [], [1]
         while r1:
             q, r = polydivmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, polysub(s0, polymul(q, s1))
         if len(r0) != 1:
             raise ZeroDivisionError("element is zero modulo the cyclotomic relation")
-        g = r0[0]
-        return Cyclo.make(self.order, [c / g for c in s0])
+        scale = Fraction(self.den, r0[0])
+        return Cyclo.make(self.order, [c * scale for c in s0])
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
+        if isinstance(other, RATIONAL):
+            return self * scalar_inv(other)
         if isinstance(other, Cyclo):
             return self * other.inverse()
         return NotImplemented
 
     def __rtruediv__(self, other):
-        inv = self.inverse()
-        return inv * other if isinstance(inv, Cyclo) else other * inv
+        return self.inverse() * other
 
     def __pow__(self, k: int):
         if k < 0:
@@ -243,10 +305,10 @@ class Cyclo:
             k = -k
         else:
             base = self
-        out = Fraction(1)
+        out = 1
         while k:
             if k & 1:
-                out = out * base if isinstance(out, Cyclo) else base * out
+                out = out * base
             base = base * base
             k >>= 1
         return out
@@ -254,26 +316,27 @@ class Cyclo:
     # -- comparison / display ---------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, RATIONAL):
             return False  # demotion invariant: a Cyclo is never rational
         if isinstance(other, Cyclo):
-            a, b = self._coerce(other)
-            return a.vec == b.vec
+            a, b = self._common(other)
+            return a.num == b.num and a.den == b.den
         return NotImplemented
 
     def __bool__(self):
-        return any(self.vec)
+        return any(self.num)
 
     __hash__ = None  # not hashable: equal values may carry different orders
 
     def __repr__(self):
-        return f"Cyclo({self.order}, {self.vec!r})"
+        return f"Cyclo({self.order}, {self.num!r}, {self.den})"
 
     def __str__(self):
         parts = []
-        for k, c in enumerate(self.vec):
-            if not c:
+        for k, n in enumerate(self.num):
+            if not n:
                 continue
+            c = Fraction(n, self.den)
             if k == 0:
                 parts.append(str(c))
             elif c == 1:
@@ -289,14 +352,16 @@ class Cyclo:
 
 
 def root_of_unity(order: int, j: int):
-    """zeta_order^j in canonical form (a Fraction when it is rational).
+    """zeta_order^j in canonical form (an int when it is rational).
 
     >>> root_of_unity(2, 1)
-    Fraction(-1, 1)
+    -1
     """
     if order < 1:
         raise ValueError("root order must be positive")
-    return Cyclo.make(order, {j % order: Fraction(1)})
+    if order <= 2:
+        return -1 if j % order else 1
+    return Cyclo.make(order, {j % order: 1})
 
 
 def cyclo_root(angle: Fraction):
@@ -306,16 +371,16 @@ def cyclo_root(angle: Fraction):
 
 
 def scalar_inv(c):
-    """Multiplicative inverse of a Fraction or Cyclo scalar."""
+    """Multiplicative inverse of an int, Fraction or Cyclo scalar."""
     if isinstance(c, Cyclo):
         return c.inverse()
-    return Fraction(1) / Fraction(c)
+    return exact(1 / Fraction(c))
 
 
 def scalar_pow(c, k: int):
     if isinstance(c, Cyclo):
         return c ** k
-    return Fraction(c) ** k
+    return exact(Fraction(c) ** k)
 
 
 def scalar_str(c) -> str:

@@ -54,7 +54,7 @@ class RationalFunction:
             if n < 0:
                 # 1/(1 - u z^-n)^e = (-1)^e u^-e z^(ne) / (1 - u^-1 z^n)^e
                 scale = LaurentPoly.term(
-                    scalar_pow(Fraction(-1), e) * scalar_pow(cyclo_root(angle), -e),
+                    (-1) ** e * scalar_pow(cyclo_root(angle), -e),
                     (mono.inv() ** e) * Monomial.var(var, -n * e))
                 extra = scale if extra is None else extra * scale
                 angle, mono, n = (-angle) % 1, mono.inv(), -n
@@ -263,7 +263,7 @@ def _ser_inv(A: dict, count: int) -> dict:
 
 
 def _ser_pow(A: dict, e: int, tbound) -> dict:
-    out = {0: Fraction(1)}
+    out = {0: 1}
     base = A
     while e:
         if e & 1:
@@ -293,7 +293,7 @@ class FormalSeries:
     def coeff(self, k: int):
         if k >= self.trunc:
             raise ValueError(f"coefficient {k} is at or beyond truncation {self.trunc}")
-        return self.coeffs.get(k, Fraction(0))
+        return self.coeffs.get(k, 0)
 
     def valuation(self) -> int:
         return min(self.coeffs) if self.coeffs else self.trunc
@@ -306,7 +306,7 @@ class FormalSeries:
         t = min(self.trunc, other.trunc)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out.get(k, 0) + c
         return FormalSeries(self.point, self.var, {k: c for k, c in out.items() if k < t}, t)
 
     def __mul__(self, other):
@@ -329,7 +329,7 @@ class FormalSeries:
         if order is not None:
             t = min(t, order)
         lo = min(self.valuation(), other.valuation(), 0)
-        return all(_eq_coeff(self.coeffs.get(k, Fraction(0)), other.coeffs.get(k, Fraction(0)))
+        return all(_eq_coeff(self.coeffs.get(k, 0), other.coeffs.get(k, 0))
                    for k in range(lo, t))
 
     def _upow(self, k: int) -> str:
@@ -349,9 +349,9 @@ class FormalSeries:
             if k == 0:
                 parts.append(cs if " " not in cs else f"({cs})")
                 continue
-            if _eq_coeff(c, Fraction(1)):
+            if _eq_coeff(c, 1):
                 parts.append(self._upow(k))
-            elif _eq_coeff(c, Fraction(-1)):
+            elif _eq_coeff(c, -1):
                 parts.append("-" + self._upow(k))
             else:
                 if " " in cs or "/" in cs:
@@ -422,7 +422,7 @@ def _expand_raw(f: RationalFunction, point: str, order: int):
         ser = {-k: p for k, p in num_split.items()}
         for (a, m, n), e in f.den.items():
             # 1/(1-u z^n)^e = (-1)^e u^-e Z^(ne) sum_j binom(e-1+j, e-1) u^-j Z^(nj)
-            sign = Fraction(-1) ** e
+            sign = (-1) ** e
             fac = {}
             j = 0
             while n * (e + j) < tbound - (v0 - n * e):
@@ -440,7 +440,7 @@ def _expand_raw(f: RationalFunction, point: str, order: int):
     for k, p in num_split.items():
         # z^k = (1-u)^k = sum_j binom(k, j) (-u)^j
         for j in range(span):
-            c = generalized_binomial(k, j) * (Fraction(-1) ** j)
+            c = generalized_binomial(k, j) * (-1) ** j
             if not c:
                 continue
             term = PolyFraction.of(p * c)
@@ -451,7 +451,7 @@ def _expand_raw(f: RationalFunction, point: str, order: int):
         # 1 - u_root*m*(1-u)^n as a u-polynomial
         base = {0: PolyFraction.of(LP_ONE - unit_value(a, m))}
         for j in range(1, n + 1):
-            base[j] = PolyFraction.of(unit_value(a, m) * (-generalized_binomial(n, j) * (Fraction(-1) ** j)))
+            base[j] = PolyFraction.of(unit_value(a, m) * (-generalized_binomial(n, j) * (-1) ** j))
         base = {k: c for k, c in base.items() if not _is_zero(c)}
         inv = _ser_inv(base, span + depth)
         fac = _ser_pow(inv, e, tbound + depth + 1)
@@ -704,14 +704,14 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
         Di_deriv = _zpoly_deriv(Di)
         den0 = _zpoly_eval_inv(Di, angle, mono)
         Nj = dict(N)
-        jfact = Fraction(1)
+        jfact = 1
         for j in range(m_tot):
             if j:
                 jfact *= j
             num_eval = _zpoly_eval_inv(Nj, angle, mono)
             if not num_eval.is_zero():
                 scale = unit_value(Fraction(angle * (-j)) % 1, mono ** (-j)) \
-                    * (Fraction(-1) ** j / jfact)
+                    * Fraction((-1) ** j, jfact)
                 A = PolyFraction(num_eval * scale, den0 ** (j + 1))
                 terms.append(PoleTerm(angle, mono, m_tot - j, A.simplified()))
             if j + 1 < m_tot:
@@ -750,7 +750,7 @@ class EquivariantExpansion:
 
     def z_coefficient(self, k: int) -> RationalFunction:
         """(-s z)^k / (1 - s z)^(k+1)."""
-        num = LaurentPoly.term(Fraction(-1) ** k, (self.pivot ** k) * Monomial.var(self.zvar, k))
+        num = LaurentPoly.term((-1) ** k, (self.pivot ** k) * Monomial.var(self.zvar, k))
         return RationalFunction(self.zvar, num, [(0, self.pivot, 1, k + 1)])
 
     def kernel_factor(self) -> LaurentPoly:
@@ -784,7 +784,7 @@ class EquivariantExpansion:
         fac = self.kernel_factor()
         total = PolyFraction.of(LP_ZERO)
         for k in range(self.order):
-            num = LaurentPoly.term(Fraction(-1) ** k, (self.pivot ** k) * Monomial.var(self.zvar, k)) * (fac ** k)
+            num = LaurentPoly.term((-1) ** k, (self.pivot ** k) * Monomial.var(self.zvar, k)) * (fac ** k)
             total = total + PolyFraction(num, szf ** (k + 1))
         tzw = LP_ONE - LaurentPoly.term(1, self.t) * z * w
         return PolyFraction.of(tzw) * total - 1

@@ -63,7 +63,7 @@ class StabilityData:
         r = self.rank(alpha)
         if r == 0:
             raise ValueError("slope of the zero class is undefined")
-        return sum((th * a for th, a in zip(self.slope_weights, alpha)), start=Fraction(0)) / r
+        return Fraction(sum(th * a for th, a in zip(self.slope_weights, alpha)), r)
 
     def frame_dim(self, k, alpha) -> int:
         for name, ws in self.frame_weights:
@@ -124,7 +124,7 @@ class QuiverState:
         return QuiverState(self.element - other.element)
 
     def __mul__(self, c):
-        return QuiverState(self.element * Fraction(c))
+        return QuiverState(self.element * c)
 
     __rmul__ = __mul__
 
@@ -267,15 +267,15 @@ def parse_lie_text(text: str) -> LieElement:
         raise ValueError(f"unexpected token {tok!r}")
 
     def parse_term() -> LieElement:
-        sign = Fraction(1)
+        sign = 1
         while peek() in ("+", "-"):
             if take() == "-":
                 sign = -sign
         if peek() is not None and peek().isdigit():
-            num = Fraction(int(take()))
+            num = int(take())
             if peek() == "/":
                 take()
-                num /= int(take())
+                num = Fraction(num, int(take()))
             take("*")
             return (sign * num) * parse_atom()
         return sign * parse_atom()

@@ -102,6 +102,12 @@ def test_exit_codes():
     with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
         main(["hopf", "star", "x", "y"])
     assert exc.value.code == 2
+    # so is a wrong number of hopf arguments, with a usage line on stderr
+    for argv in (["hopf", "star", "1"], ["hopf", "translation", "3"], ["hopf", "chern"]):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert main(argv) == 2
+        assert err.getvalue().startswith(f"usage: kvertex hopf {argv[1]} ")
     # a missing input file is an evaluation error, not a traceback
     for argv in (["vertex", "--quiver", "/nonexistent", "--f", "1@e1", "--g", "1@e2"],
                  ["wallcross", "invert", "--stability", "/nonexistent",

@@ -94,3 +94,11 @@ def test_zero_and_scalars():
     assert (A - A).is_zero()
     assert str(LieElement.zero()) == "0"
     assert (Fraction(3, 2) * A).coeffs == {"a": Fraction(3, 2)}
+
+
+def test_integral_coefficients_are_ints():
+    # rational scalings that land back in Z leave int coefficients
+    x = (Fraction(1, 6) * A.bracket(B) + Fraction(2, 3) * C) * 3
+    assert x == LieElement({("a", "b"): 1}) * Fraction(1, 2) + C * 2
+    assert [type(c) for c in (x * 2).coeffs.values()] == [int, int]
+    assert all(type(c) is int for c in bracket_word(["a", "b", "a", "c"]).coeffs.values())

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from kvertex.laurent import (LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial,
                              PolyFraction, laurent_exact_div, poly_arith,
                              symmetrize)
+from kvertex.scalars import Cyclo, root_of_unity
 
 s = LaurentPoly.var("s")
 t = LaurentPoly.var("t")
@@ -50,6 +51,27 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + LP_ZERO == a
     assert a * LP_ONE == a
+
+
+def _scalars(p):
+    """Every scalar stored in p, cyclotomic vectors and denominators included."""
+    for c in p.terms.values():
+        if isinstance(c, Cyclo):
+            yield from c.num
+            yield c.den
+        else:
+            yield c
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), coeffs)
+def test_integer_coefficients_stay_int(a, b, k):
+    # polys() feeds integral Fractions: the constructors demote them
+    for p in (a, b, a + b, a - b, a * b, -a, a * k, k * b, a * Fraction(k), b ** 2,
+              a * Fraction(4, 2), LaurentPoly.scalar(Fraction(k)), a * LaurentPoly.var("s")):
+        assert all(type(c) is int for c in p.terms.values())
+    for p in (a * Fraction(1, 2), a * root_of_unity(3, 1) + b, (a + b) * Fraction(k, 3) * b):
+        assert not any(isinstance(c, float) for c in _scalars(p))
 
 
 def test_monomial_canonical_form():

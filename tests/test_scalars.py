@@ -1,9 +1,14 @@
+import cmath
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from kvertex.scalars import (Cyclo, cyclo_root, cyclotomic_poly,
+from kvertex.laurent import MONO_ONE, Monomial
+from kvertex.scalars import (RATIONAL, Cyclo, cyclo_root, cyclotomic_poly,
                              generalized_binomial, root_of_unity)
+from kvertex.series import unit_value
 
 
 def test_generalized_binomial_values():
@@ -67,10 +72,10 @@ def test_mixed_order_arithmetic():
 
 
 def test_rational_demotion():
-    # any cyclotomic expression that lands in Q comes back as a Fraction
+    # any cyclotomic expression that lands in Z comes back as a plain int
     z5 = root_of_unity(5, 1)
     s = z5 + z5 ** 2 + z5 ** 3 + z5 ** 4
-    assert isinstance(s, Fraction) and s == -1
+    assert type(s) is int and s == -1
 
 
 def test_cyclo_root_angles():
@@ -79,3 +84,66 @@ def test_cyclo_root_angles():
     assert cyclo_root(Fraction(7, 2)) == -1
     z = cyclo_root(Fraction(1, 3))
     assert z * z == cyclo_root(Fraction(2, 3))
+
+
+def test_rational_roots_are_ints():
+    # roots of order 1 and 2 never go through Cyclo.make
+    assert type(root_of_unity(2, 1)) is int and root_of_unity(2, 1) == -1
+    assert type(root_of_unity(1, 5)) is int and root_of_unity(1, 5) == 1
+    assert type(root_of_unity(2, -4)) is int and root_of_unity(2, -4) == 1
+    for m in (MONO_ONE, Monomial.var("t", 2)):
+        (c,) = unit_value(Fraction(0), m).terms.values()
+        assert type(c) is int and c == 1
+    (c,) = unit_value(Fraction(1, 2), MONO_ONE, 3).terms.values()
+    assert type(c) is int and c == -1
+
+
+def _embed(x) -> complex:
+    """The complex value of an exact scalar, which must be an int, a
+    Fraction or a canonical Cyclo (never a float)."""
+    if isinstance(x, Cyclo):
+        assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+        assert len(x.num) == len(cyclotomic_poly(x.order)) - 1
+        assert all(type(c) is int for c in x.num) and any(x.num[1:])
+        return sum(c * cmath.exp(2j * cmath.pi * k / x.order)
+                   for k, c in enumerate(x.num)) / x.den
+    assert isinstance(x, RATIONAL) and not isinstance(x, bool)
+    return complex(float(x))
+
+
+def _demoted(x) -> bool:
+    """A result of Cyclo arithmetic: an integral value must be an int."""
+    return not (isinstance(x, Fraction) and x.denominator == 1)
+
+
+def _close(a, b) -> bool:
+    return abs(a - b) <= 1e-9 * max(1.0, abs(b))
+
+
+def _random_cyclo(rnd, order):
+    return Cyclo.make(order, {rnd.randrange(2 * order): Fraction(rnd.randint(-6, 6), rnd.randint(1, 4))
+                              for _ in range(rnd.randint(1, 4))})
+
+
+def test_cyclo_matches_complex_embedding():
+    rnd = random.Random(20221207)
+    ops = [(lambda x, y: x + y, lambda x, y: x + y),
+           (lambda x, y: x - y, lambda x, y: x - y),
+           (lambda x, y: x * y, lambda x, y: x * y),
+           (lambda x, y: x * Fraction(-3, 2) + y, lambda x, y: x * -1.5 + y)]
+    for n in range(1, 31):
+        for _ in range(4):
+            a, b = _random_cyclo(rnd, n), _random_cyclo(rnd, n)
+            c = _random_cyclo(rnd, rnd.randint(1, 30))  # usually another order
+            for x, y in ((a, b), (a, c), (c, b)):
+                for exact_op, float_op in ops:
+                    r = exact_op(x, y)
+                    assert _close(_embed(r), float_op(_embed(x), _embed(y)))
+                    if isinstance(x, Cyclo) or isinstance(y, Cyclo):
+                        assert _demoted(r)
+            if isinstance(a, Cyclo):
+                ea = _embed(a)
+                for r, expect in ((a.inverse(), 1 / ea), (a ** -2, ea ** -2),
+                                  (a ** -3, ea ** -3), (a ** 3, ea ** 3), (7 / a, 7 / ea)):
+                    assert _demoted(r) and _close(_embed(r), expect)
+                assert _close(_embed(a ** -3) * _embed(a ** 3), 1)
