@@ -14,7 +14,7 @@ import sys
 
 from .exprparse import EvalError, ParseError, parse_laurent, parse_rational
 from .hopf import PhiElement, chern_character, coproduct, phi_pair, star, translation_pairing
-from .laurent import LP_ONE, LaurentPoly, PolyFraction
+from .laurent import LP_ONE, PolyFraction
 from .quiver import (GradedElement, Quiver, axiom_check, lie_bracket,
                      vertex_kernel, vertex_shuffle)
 from .residues import COHOMOLOGICAL, K_THEORY, NAIVE, residue, residue_coh
@@ -89,23 +89,17 @@ def dump_table(table: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _print_value(v) -> str:
-    if isinstance(v, (LaurentPoly, PolyFraction)):
-        return str(v)
-    return str(v)
-
-
 def cmd_residue(args) -> int:
     if args.kind == "coh":
         poly = parse_laurent(args.expr, var=args.var or "u")
-        print(_print_value(residue_coh(poly, args.var or "u")))
+        print(residue_coh(poly, args.var or "u"))
         return 0
     f, content = parse_rational(args.expr, args.var or "z")
     kind = K_THEORY if args.kind == "k" else NAIVE
     value = residue(f, kind)
     if not (content == LP_ONE):
         value = PolyFraction.of(value) / PolyFraction.of(content)
-    print(_print_value(value))
+    print(value)
     return 0
 
 

@@ -14,6 +14,16 @@ is permitted when the divisor normalizes to a monomial, to a product of
 (1 - c z^n) factors in the distinguished variable (|c|-part a sign), or to
 expansion-variable-free content, which is carried along as an exact
 coefficient denominator.
+
+An evaluated expression is a pair (f, content): f is a RationalFunction in
+the distinguished variable and content is a Laurent polynomial free of that
+variable, so the value is f / content.  Sums, products and negation are
+those of RationalFunction; division, factor recognition and powers are the
+module functions _divide, _recognize_factor and _power on the pair.
+
+>>> f, content = parse_rational("z/((1-x)*(1-t*z)^2)")
+>>> print(f, "|", content)
+z / (1 - t*z)^2 | 1 - x
 """
 from __future__ import annotations
 
@@ -21,7 +31,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LP_ONE, LaurentPoly, Monomial, PolyFraction
+from .laurent import LP_ONE, LaurentPoly, Monomial
 from .scalars import RATIONAL, scalar_inv
 from .series import RationalFunction
 
@@ -183,186 +193,147 @@ def parse_expr(text: str):
     return out
 
 
-class FactoredRat:
-    """Evaluation value: numerator / (z-factors * z-free content)."""
-
-    __slots__ = ("var", "num", "zden", "cden")
-
-    def __init__(self, var: str, num: LaurentPoly, zden=None, cden: LaurentPoly = LP_ONE):
-        self.var = var
-        self.num = num
-        self.zden = dict(zden or {})
-        self.cden = cden
-
-    def _den_poly(self) -> LaurentPoly:
-        rf = RationalFunction(self.var, LP_ONE,
-                              [(a, m, n, e) for (a, m, n), e in self.zden.items()])
-        return rf.den_poly() * self.cden
-
-    def __neg__(self):
-        return FactoredRat(self.var, -self.num, self.zden, self.cden)
-
-    def add(self, other: "FactoredRat", sign=1) -> "FactoredRat":
-        keys = set(self.zden) | set(other.zden)
-        zden = {k: max(self.zden.get(k, 0), other.zden.get(k, 0)) for k in keys}
-
-        def lift(f: "FactoredRat", other_c: LaurentPoly):
-            extra = other_c
-            for k, e in zden.items():
-                miss = e - f.zden.get(k, 0)
-                if miss:
-                    a, m, n = k
-                    from .series import factor_poly
-                    extra = extra * factor_poly(self.var, a, m, n) ** miss
-            return f.num * extra
-
-        num = lift(self, other.cden) + sign * lift(other, self.cden)
-        return FactoredRat(self.var, num, zden, self.cden * other.cden)
-
-    def mul(self, other: "FactoredRat") -> "FactoredRat":
-        zden = dict(self.zden)
-        for k, e in other.zden.items():
-            zden[k] = zden.get(k, 0) + e
-        return FactoredRat(self.var, self.num * other.num, zden, self.cden * other.cden)
-
-    def divide(self, other: "FactoredRat") -> "FactoredRat":
-        if other.num.is_zero():
-            raise EvalError("division by zero")
-        # self / other: other's denominators move up
-        num = self.num * other._den_poly()
-        out = FactoredRat(self.var, num, self.zden, self.cden)
-        return out._divide_poly(other.num)
-
-    def _divide_poly(self, g: LaurentPoly) -> "FactoredRat":
-        unit = g.as_unit()
-        if unit is not None:
-            c, m = unit
-            num = self.num * LaurentPoly.term(scalar_inv(c), m.inv())
-            return FactoredRat(self.var, num, self.zden, self.cden)
-        zsplit = g.split_var(self.var)
-        if list(zsplit) == [0]:
-            # z-free content denominator
-            return FactoredRat(self.var, self.num, self.zden, self.cden * g)
-        fact = self._recognize_factor(g)
-        if fact is None:
-            raise EvalError(
-                f"denominator {g} is not a monomial, {self.var}-free content, "
-                f"or of the form (1 - c*{self.var}^n)")
-        (angle, mono, n), unit_c, unit_m = fact
-        num = self.num * LaurentPoly.term(scalar_inv(unit_c), unit_m.inv())
-        zden = dict(self.zden)
-        key = (angle, mono, n)
-        zden[key] = zden.get(key, 0) + 1
-        return FactoredRat(self.var, num, zden, self.cden)
-
-    def _recognize_factor(self, g: LaurentPoly):
-        """Match g = unit * (1 - c z^n) with c = (+-1) * monomial, n != 0."""
-        if len(g.terms) != 2:
-            return None
-        items = sorted(g.terms.items(), key=lambda kv: Monomial(kv[0]).exponent(self.var))
-        (m_lo, c_lo), (m_hi, c_hi) = items
-        e_lo = Monomial(m_lo).exponent(self.var)
-        e_hi = Monomial(m_hi).exponent(self.var)
-        if e_lo == e_hi:
-            return None
-        if not isinstance(c_lo, RATIONAL) or not isinstance(c_hi, RATIONAL):
-            return None
-        ratio = Fraction(-c_hi, c_lo)
-        if ratio == 1:
-            angle = Fraction(0)
-        elif ratio == -1:
-            angle = Fraction(1, 2)
-        else:
-            return None
-        n = e_hi - e_lo
-        if not isinstance(n, int):
-            return None
-        cm = Monomial(m_hi) * Monomial(m_lo).inv() * Monomial.var(self.var, -n)
-        return (angle, cm, n), c_lo, Monomial(m_lo)
-
-    def pow(self, e: Fraction) -> "FactoredRat":
-        if e.denominator != 1:
-            unit = self.num.as_unit()
-            if unit is None or self.zden or not (self.cden == LP_ONE):
-                raise EvalError("fractional powers apply to monomials only")
-            c, m = unit
-            if not (c == 1):
-                raise EvalError("fractional powers apply to monomials with coefficient 1")
-            return FactoredRat(self.var, LaurentPoly.term(1, m ** e))
-        k = e.numerator
-        if k >= 0:
-            out = FactoredRat(self.var, self.num ** k,
-                              {key: ee * k for key, ee in self.zden.items()},
-                              self.cden ** k)
-            return out
-        inv = FactoredRat(self.var, self._den_poly())._divide_poly(self.num)
-        return inv.pow(Fraction(-k))
-
-    # conversions ---------------------------------------------------------
-
-    def as_rational_function(self):
-        """(RationalFunction, z-free content denominator)."""
-        rf = RationalFunction(self.var, self.num,
-                              [(a, m, n, e) for (a, m, n), e in self.zden.items()])
-        return rf, self.cden
-
-    def as_laurent(self) -> LaurentPoly:
-        if self.zden:
-            raise EvalError("expression has poles in the expansion variable")
-        if self.cden == LP_ONE:
-            return self.num
-        raise EvalError("expression carries a nontrivial coefficient denominator")
-
-    def as_fraction(self) -> PolyFraction:
-        return PolyFraction(self.num, self._den_poly())
+def _scaled(f, c: LaurentPoly):
+    """f * c, skipping the product for a content of 1."""
+    return f if c == LP_ONE else f * c
 
 
-def evaluate(ast, var: str) -> FactoredRat:
-    """Evaluate an AST with `var` as the distinguished expansion variable."""
+def _mul(val, other):
+    (f, c), (g, d) = val, other
+    return f * g, _scaled(c, d)
+
+
+def _nonzero(val):
+    if val[0].is_zero():
+        raise EvalError("division by zero")
+    return val
+
+
+def _divide(val, g: LaurentPoly):
+    """Divide an evaluated value by a Laurent polynomial g."""
+    f, content = val
+    if g.is_zero():
+        raise EvalError("division by zero")
+    unit = g.as_unit()
+    if unit is not None:
+        c, m = unit
+        return f * LaurentPoly.term(scalar_inv(c), m.inv()), content
+    if list(g.split_var(f.var)) == [0]:
+        return f, _scaled(content, g)
+    fact = _recognize_factor(g, f.var)
+    if fact is None:
+        raise EvalError(
+            f"denominator {g} is not a monomial, {f.var}-free content, "
+            f"or of the form (1 - c*{f.var}^n)")
+    (angle, mono, n), unit_c, unit_m = fact
+    num = f.num * LaurentPoly.term(scalar_inv(unit_c), unit_m.inv())
+    return RationalFunction(f.var, num, f.factors() + [(angle, mono, n, 1)]), content
+
+
+def _recognize_factor(g: LaurentPoly, var: str):
+    """Match g = unit * (1 - c z^n) with c = (+-1) * monomial, n > 0."""
+    if len(g.terms) != 2:
+        return None
+    items = sorted(g.terms.items(), key=lambda kv: Monomial(kv[0]).exponent(var))
+    (m_lo, c_lo), (m_hi, c_hi) = items
+    e_lo = Monomial(m_lo).exponent(var)
+    e_hi = Monomial(m_hi).exponent(var)
+    if e_lo == e_hi:
+        return None
+    if not isinstance(c_lo, RATIONAL) or not isinstance(c_hi, RATIONAL):
+        return None
+    ratio = Fraction(-c_hi, c_lo)
+    if ratio == 1:
+        angle = Fraction(0)
+    elif ratio == -1:
+        angle = Fraction(1, 2)
+    else:
+        return None
+    n = e_hi - e_lo
+    if not isinstance(n, int):
+        return None
+    cm = Monomial(m_hi) * Monomial(m_lo).inv() * Monomial.var(var, -n)
+    return (angle, cm, n), c_lo, Monomial(m_lo)
+
+
+def _power(val, e: Fraction):
+    """An evaluated value to an integer power, or a monomial to a rational one."""
+    f, content = val
+    if e.denominator != 1:
+        unit = f.num.as_unit()
+        if unit is None or f.den or not (content == LP_ONE):
+            raise EvalError("fractional powers apply to monomials only")
+        c, m = unit
+        if not (c == 1):
+            raise EvalError("fractional powers apply to monomials with coefficient 1")
+        return RationalFunction(f.var, LaurentPoly.term(1, m ** e)), LP_ONE
+    k = e.numerator
+    if k >= 0:
+        return (RationalFunction(f.var, f.num ** k,
+                                 [(a, m, n, ee * k) for (a, m, n), ee in f.den.items()]),
+                content ** k)
+    inv = _divide((RationalFunction(f.var, _scaled(f.den_poly(), content)), LP_ONE), f.num)
+    return _power(inv, Fraction(-k))
+
+
+def evaluate(ast, var: str):
+    """Evaluate an AST with `var` as the distinguished expansion variable,
+    to a pair (RationalFunction, z-free content denominator)."""
     if isinstance(ast, Num):
-        return FactoredRat(var, LaurentPoly.scalar(ast.value))
+        return RationalFunction(var, LaurentPoly.scalar(ast.value)), LP_ONE
     if isinstance(ast, Var):
-        return FactoredRat(var, LaurentPoly.var(ast.name))
+        return RationalFunction(var, LaurentPoly.var(ast.name)), LP_ONE
     if isinstance(ast, Neg):
-        return -evaluate(ast.arg, var)
+        f, content = evaluate(ast.arg, var)
+        return -f, content
     if isinstance(ast, Pow):
-        return evaluate(ast.base, var).pow(ast.exp)
+        return _power(evaluate(ast.base, var), ast.exp)
     if isinstance(ast, Bin):
-        left = evaluate(ast.left, var)
-        if ast.op == "+":
-            return left.add(evaluate(ast.right, var))
-        if ast.op == "-":
-            return left.add(evaluate(ast.right, var), sign=-1)
-        if ast.op == "*":
-            return left.mul(evaluate(ast.right, var))
+        f, c = evaluate(ast.left, var)
         if ast.op == "/":
-            return _divide_ast(left, ast.right, var)
+            return _divide_ast((f, c), ast.right, var)
+        g, d = evaluate(ast.right, var)
+        if ast.op == "*":
+            return _mul((f, c), (g, d))
+        if ast.op == "+":
+            return _scaled(f, d) + _scaled(g, c), _scaled(c, d)
+        if ast.op == "-":
+            return _scaled(f, d) - _scaled(g, c), _scaled(c, d)
     raise EvalError(f"cannot evaluate node {ast!r}")
 
 
-def _divide_ast(val: FactoredRat, ast, var: str) -> FactoredRat:
+def _divide_ast(val, ast, var: str):
     """Divide structurally so powers and products of factor-form atoms are
     recognized before anything gets expanded."""
     if isinstance(ast, Pow) and ast.exp.denominator == 1:
         k = ast.exp.numerator
-        if k >= 0:
+        if k > 0:
             for _ in range(k):
                 val = _divide_ast(val, ast.base, var)
             return val
-        return val.mul(evaluate(Pow(ast.base, Fraction(-k)), var))
+        # x / a^-k = x * a^k, also for k = 0 so that a is still evaluated
+        return _mul(val, _nonzero(evaluate(Pow(ast.base, Fraction(-k)), var)))
     if isinstance(ast, Bin) and ast.op == "*":
         return _divide_ast(_divide_ast(val, ast.left, var), ast.right, var)
     if isinstance(ast, Bin) and ast.op == "/":
-        return _divide_ast(val, ast.left, var).mul(evaluate(ast.right, var))
+        # x / (a/b) = (x/a) * b
+        return _mul(_divide_ast(val, ast.left, var), _nonzero(evaluate(ast.right, var)))
     if isinstance(ast, Neg):
-        return -_divide_ast(val, ast.arg, var)
-    return val.divide(evaluate(ast, var))
+        f, c = _divide_ast(val, ast.arg, var)
+        return -f, c
+    g, d = evaluate(ast, var)
+    return _divide((_scaled(val[0], _scaled(g.den_poly(), d)), val[1]), g.num)
 
 
 def parse_rational(text: str, var: str = "z"):
     """Text to (RationalFunction, content denominator)."""
-    return evaluate(parse_expr(text), var).as_rational_function()
+    return evaluate(parse_expr(text), var)
 
 
 def parse_laurent(text: str, var: str = "z") -> LaurentPoly:
-    return evaluate(parse_expr(text), var).as_laurent()
+    f, content = evaluate(parse_expr(text), var)
+    if f.den:
+        raise EvalError("expression has poles in the expansion variable")
+    if content == LP_ONE:
+        return f.num
+    raise EvalError("expression carries a nontrivial coefficient denominator")

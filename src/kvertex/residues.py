@@ -172,7 +172,7 @@ def local_residue_at_root(f: RationalFunction, angle: Fraction):
     span = depth + 2
 
     def gamma_pow(k):
-        return unit_value(Fraction(angle * k) % 1, MONO_ONE)
+        return unit_value(angle, MONO_ONE, k)
 
     # expand z^-1 f in v = z - gamma; (gamma + v)^k = sum_j C(k,j) gamma^(k-j) v^j
     ser: dict = {}
@@ -189,11 +189,11 @@ def local_residue_at_root(f: RationalFunction, angle: Fraction):
     for (a, _m, n), e in f.den.items():
         # 1 - root(a)(gamma + v)^n as a v-polynomial
         base: dict = {}
-        c0 = PolyFraction.of(LP_ONE - unit_value(Fraction(a), MONO_ONE) * gamma_pow(n))
+        c0 = PolyFraction.of(LP_ONE - unit_value(a, MONO_ONE) * gamma_pow(n))
         if not _is_zero(c0):
             base[0] = c0
         for j in range(1, n + 1):
-            base[j] = PolyFraction.of(unit_value(Fraction(a), MONO_ONE) * gamma_pow(n - j)
+            base[j] = PolyFraction.of(unit_value(a, MONO_ONE) * gamma_pow(n - j)
                                       * (-generalized_binomial(n, j)))
         inv = _ser_inv(base, span + depth)
         fac = _ser_pow(inv, e, span)

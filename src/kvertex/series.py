@@ -28,7 +28,7 @@ def factor_poly(var: str, angle: Fraction, mono: Monomial, n: int) -> LaurentPol
 
 def unit_value(angle: Fraction, mono: Monomial, k=1) -> LaurentPoly:
     """(root(angle) * mono)^k as a one-term Laurent polynomial."""
-    return LaurentPoly.term(cyclo_root(Fraction(angle * k) % 1), Monomial(mono) ** k)
+    return LaurentPoly.term(cyclo_root(angle * k), Monomial(mono) ** k)
 
 
 class RationalFunction:
@@ -45,8 +45,10 @@ class RationalFunction:
                 continue
             if e < 0:
                 raise ValueError("factor multiplicity must be positive")
-            angle = Fraction(angle) % 1
-            mono = Monomial(mono)
+            if type(angle) is not Fraction or not 0 <= angle < 1:
+                angle = Fraction(angle) % 1
+            if type(mono) is not Monomial:
+                mono = Monomial(mono)
             if mono.exponent(var):
                 raise ValueError("factor character may not involve the expansion variable")
             if n == 0:
@@ -495,17 +497,6 @@ class PartialFractions:
             out = out + p * LaurentPoly.var(self.var, k)
         return out
 
-    def as_fraction(self) -> PolyFraction:
-        """Recombine into one exact fraction, treating z as an ordinary variable."""
-        z = LaurentPoly.var(self.var)
-        total = PolyFraction.of(LP_ZERO)
-        for k, c in self.poly_part.items():
-            total = total + PolyFraction.of(c) * LaurentPoly.var(self.var, k)
-        for t in self.terms:
-            den = (LP_ONE - unit_value(t.angle, t.mono) * z) ** t.mult
-            total = total + t.coeff * PolyFraction(LP_ONE, den)
-        return total
-
     def recombines_to(self, f: RationalFunction) -> bool:
         """Exact identity L N = L Q D + sum_t n_t (L/d_t) (D / pole_t), where
         L clears the z-free coefficient denominators; everything stays in the
@@ -518,12 +509,7 @@ class PartialFractions:
             L = L * d
         # lhs: L * numerator of f
         lhs = {k: p * L for k, p in f.num.split_var(f.var).items()}
-        # D as a z-split polynomial
-        D: dict = {0: LP_ONE}
-        for (angle, mono) in order:
-            lin = {0: LP_ONE, 1: -unit_value(angle, mono)}
-            for _ in range(poles[(angle, mono)]):
-                D = _zpoly_mul(D, lin)
+        D = _pole_product(poles, order)
         rhs: dict = {}
 
         def acc(zp: dict, scale: LaurentPoly):
@@ -545,14 +531,7 @@ class PartialFractions:
             for t2, d2 in zip(self.terms, dens):
                 if t2 is not t:
                     Lt = Lt * d2
-            cof: dict = {0: LP_ONE}
-            for (angle, mono) in order:
-                mult = poles[(angle, mono)]
-                if (angle, mono) == (t.angle, t.mono):
-                    mult -= t.mult
-                lin = {0: LP_ONE, 1: -unit_value(angle, mono)}
-                for _ in range(mult):
-                    cof = _zpoly_mul(cof, lin)
+            cof = _pole_product(poles, order, {(t.angle, t.mono): t.mult})
             acc(cof, t.coeff.num * Lt)
         diff_keys = set(lhs) | set(rhs)
         return all((lhs.get(k, LP_ZERO) - rhs.get(k, LP_ZERO)).is_zero() for k in diff_keys)
@@ -616,6 +595,18 @@ def _zpoly_mul(A: dict, B: dict) -> dict:
     return {k: c for k, c in out.items() if not c.is_zero()}
 
 
+def _pole_product(poles: dict, order, lower=None) -> dict:
+    """prod (1 - a z)^mult over the cover poles in `order` as a z-split
+    polynomial, each multiplicity lowered by lower.get(pole, 0)."""
+    lower = lower or {}
+    out: dict = {0: LP_ONE}
+    for pole in order:
+        lin = {0: LP_ONE, 1: -unit_value(*pole)}
+        for _ in range(poles[pole] - lower.get(pole, 0)):
+            out = _zpoly_mul(out, lin)
+    return out
+
+
 def _zpoly_deriv(A: dict) -> dict:
     return {k - 1: c * k for k, c in A.items() if k}
 
@@ -624,7 +615,7 @@ def _zpoly_eval_inv(A: dict, angle, mono: Monomial) -> LaurentPoly:
     """Evaluate a z-split polynomial at z = 1/(root(angle)*mono)."""
     out = LP_ZERO
     for k, c in A.items():
-        out = out + c * unit_value(Fraction(angle * (-k)) % 1, mono ** (-k))
+        out = out + c * unit_value(angle, mono, -k)
     return out
 
 
@@ -650,11 +641,7 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
 
     poles = split_poles(f)
     order = sorted(poles, key=lambda km: (_mono_sort_key(km[1]), km[0]))
-    D: dict = {0: LP_ONE}
-    for (angle, mono) in order:
-        lin = {0: LP_ONE, 1: -unit_value(angle, mono)}
-        for _ in range(poles[(angle, mono)]):
-            D = _zpoly_mul(D, lin)
+    D = _pole_product(poles, order)
     M = max(D) if D else 0
     N = dict(f.num.split_var(f.var))
     Q: dict = {}
@@ -694,13 +681,7 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
     terms: list = []
     for (angle, mono) in order:
         m_tot = poles[(angle, mono)]
-        Di: dict = {0: LP_ONE}
-        for (a2, m2) in order:
-            if (a2, m2) == (angle, mono):
-                continue
-            lin = {0: LP_ONE, 1: -unit_value(a2, m2)}
-            for _ in range(poles[(a2, m2)]):
-                Di = _zpoly_mul(Di, lin)
+        Di = _pole_product(poles, order, {(angle, mono): m_tot})
         Di_deriv = _zpoly_deriv(Di)
         den0 = _zpoly_eval_inv(Di, angle, mono)
         Nj = dict(N)
@@ -710,8 +691,7 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
                 jfact *= j
             num_eval = _zpoly_eval_inv(Nj, angle, mono)
             if not num_eval.is_zero():
-                scale = unit_value(Fraction(angle * (-j)) % 1, mono ** (-j)) \
-                    * Fraction((-1) ** j, jfact)
+                scale = unit_value(angle, mono, -j) * Fraction((-1) ** j, jfact)
                 A = PolyFraction(num_eval * scale, den0 ** (j + 1))
                 terms.append(PoleTerm(angle, mono, m_tot - j, A.simplified()))
             if j + 1 < m_tot:

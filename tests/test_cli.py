@@ -98,6 +98,12 @@ def test_exit_codes():
     with redirect_stderr(err):
         assert main(["residue", "z^(1/0)"]) == 2
     assert err.getvalue().startswith("parse error: zero denominator in exponent")
+    # a zero divisor is an evaluation error, also behind a structural rewrite
+    for expr in ("1/(z/0)", "1/(z/(t-t))", "(1-z)/(1/0)", "1/(0^-1)", "0^-1", "1/(1/0)^0"):
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            assert main(["residue", expr]) == 1
+        assert err.getvalue() == "error: division by zero\n"
     # a non-integer hopf argument is rejected by the argument parser
     with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
         main(["hopf", "star", "x", "y"])

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from kvertex.exprparse import (EvalError, ParseError, parse_expr,
-                               parse_laurent, parse_rational)
-from kvertex.laurent import LP_ONE, LaurentPoly, Monomial
+from kvertex.exprparse import (Bin, EvalError, Neg, Num, ParseError, Pow, Var,
+                               parse_expr, parse_laurent, parse_rational)
+from kvertex.laurent import LP_ONE, MONO_ONE, LaurentPoly, Monomial, PolyFraction
 from kvertex.series import RationalFunction
 
 
@@ -23,9 +24,19 @@ def test_power_factor():
 
 
 def test_z_free_denominator_is_content():
+    x = LaurentPoly.var("x")
     f, content = parse_rational("1/(1-x)")
     assert f.is_poly() and f.num == LP_ONE
-    assert content == LP_ONE - LaurentPoly.var("x")
+    assert content == LP_ONE - x
+    f, content = parse_rational("1/(1-x) + 1/(1-z)")
+    assert content == LP_ONE - x
+    assert f == RationalFunction("z", 2 - x - LaurentPoly.var("z"), [(0, MONO_ONE, 1, 1)])
+    f, content = parse_rational("(1/(1-x))^2")
+    assert f.is_poly() and f.num == LP_ONE
+    assert content == (LP_ONE - x) ** 2
+    f, content = parse_rational("(1/(1-x))^-1")
+    assert f.is_poly() and f.num == LP_ONE - x
+    assert content == LP_ONE
 
 
 def test_z_free_content_with_pole():
@@ -99,3 +110,64 @@ def test_parse_print_roundtrip_on_canonical_forms():
                           [(0, Monomial(()), 1, 2), (0, Monomial.var("t"), 1, 1)])
     reparsed, content = parse_rational(str(rf))
     assert content == LP_ONE and reparsed == rf
+
+
+def _oracle(ast):
+    """Evaluate an AST as one PolyFraction, with z an ordinary variable."""
+    if isinstance(ast, Num):
+        return PolyFraction.of(ast.value)
+    if isinstance(ast, Var):
+        return PolyFraction.of(LaurentPoly.var(ast.name))
+    if isinstance(ast, Neg):
+        return -_oracle(ast.arg)
+    if isinstance(ast, Pow):
+        base = _oracle(ast.base)
+        if ast.exp.denominator == 1:
+            return base ** ast.exp.numerator
+        _c, m = base.as_poly().as_unit()  # the atoms raise only variables to (p/q)
+        return PolyFraction.of(LaurentPoly.term(1, m ** ast.exp))
+    left, right = _oracle(ast.left), _oracle(ast.right)
+    if ast.op == "+":
+        return left + right
+    if ast.op == "-":
+        return left - right
+    if ast.op == "*":
+        return left * right
+    return left / right
+
+
+_ATOMS = ["(1-t*z)^2", "(1-x)", "z^-1", "t^(1/2)", "(1-s*z^-1)", "z", "2", "(1+z)",
+          "(1-z^2)", "(1-x*z^3)", "(t-t)", "3/4", "(1+s*z)^3", "(1-x)^-2", "(1-z)^-1"]
+
+
+def _random_expr(rnd, depth):
+    if depth == 0 or rnd.random() < 0.3:
+        return rnd.choice(_ATOMS)
+    text = f"{_random_expr(rnd, depth - 1)}{rnd.choice('+-*/')}{_random_expr(rnd, depth - 1)}"
+    if rnd.random() < 0.2:
+        return f"({text})^{rnd.choice(['2', '-1', '0'])}"
+    return f"({text})" if rnd.random() < 0.5 else text
+
+
+def test_evaluator_matches_polyfraction_oracle():
+    """Every parsed value equals the plain PolyFraction value of its AST, and
+    the parser reports division by zero only where the oracle divides by
+    zero."""
+    rnd = random.Random(5)
+    parsed = 0
+    for _ in range(400):
+        text = _random_expr(rnd, 3)
+        try:
+            expected = _oracle(parse_expr(text))
+        except ZeroDivisionError:
+            expected = None
+        try:
+            f, content = parse_rational(text)
+        except EvalError as exc:
+            if str(exc) == "division by zero":
+                assert expected is None, text
+            continue
+        assert expected is not None, text
+        assert PolyFraction(f.num, f.den_poly() * content) == expected, text
+        parsed += 1
+    assert parsed > 250
