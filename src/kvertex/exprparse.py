@@ -307,10 +307,12 @@ def _divide_ast(val, ast, var: str):
     recognized before anything gets expanded."""
     if isinstance(ast, Pow) and ast.exp.denominator == 1:
         k = ast.exp.numerator
-        if k > 0:
-            for _ in range(k):
-                val = _divide_ast(val, ast.base, var)
-            return val
+        if k == 1:
+            return _divide_ast(val, ast.base, var)
+        if k > 1:
+            # recognise the factors of a once, then x / a^k = x * (1/a)^k
+            q = _divide_ast((RationalFunction(var, LP_ONE), LP_ONE), ast.base, var)
+            return _mul(val, _power(q, Fraction(k)))
         # x / a^-k = x * a^k, also for k = 0 so that a is still evaluated
         return _mul(val, _nonzero(evaluate(Pow(ast.base, Fraction(-k)), var)))
     if isinstance(ast, Bin) and ast.op == "*":

@@ -3,12 +3,18 @@
 Three functionals:
 
 * residue_k      -- z^0 coefficient of (expansion at 0) - (expansion at oo),
-                    computed in closed form on partial-fraction terms;
+                    computed from two series shared by all the numerator's
+                    z-powers: S_+ = prod (1 - a_i z)^(-m_i) over the cover
+                    poles and S_- = prod (1 - a_i^-1 z)^(-m_i), each up to
+                    the largest index the numerator needs, then one dot
+                    product with the numerator's coefficients;
 * residue_naive  -- minus the classical residue at z=1 of z^-1 f(z) dz;
 * residue_coh    -- the classical residue at u=0 (coefficient of 1/u).
 
 residue_k_oracle implements the defining series prescription directly and is
-kept independent of the closed-form path.
+kept independent of the closed-form path.  diagonal_w_side_residue sums its
+k-vectors by Horner in the pivot factors (1 - c_t w^-1), so each k-vector
+costs one z-residue and no product of w-series.
 """
 from __future__ import annotations
 
@@ -40,24 +46,21 @@ COHOMOLOGICAL = ResidueKind("cohomological")
 def residue_k(f: RationalFunction) -> LaurentPoly:
     """Closed-form K-theoretic residue.
 
-    The denominator is linearized over the splitting cover, and the explicit
-    binomial formulas for the z^0 coefficients at z=0 and z=infinity are
-    evaluated on the resulting pole data (linearly over the numerator's
-    z-powers).  Fraction-free: the result is always a Laurent polynomial in
-    the characters.
+    The denominator is linearized over the splitting cover into poles
+    (a_i, m_i) with M = sum m_i.  The z^0 coefficient of z^k / prod (1 - a_i z)^m_i
+    at z=0 is the entry -k of S_+ = prod (1 - a_i z)^(-m_i), and the one at
+    z=infinity is (-1)^M prod a_i^(-m_i) times the entry k - M of
+    S_- = prod (1 - a_i^-1 z)^(-m_i).  Both series are computed once, up to
+    the largest index the numerator's z-powers need, and the residue is one
+    dot product with the numerator's coefficients.  Fraction-free: the result
+    is always a Laurent polynomial in the characters.
 
     >>> str(residue_k(RationalFunction.one_over_factor("z", 0, MONO_ONE)))
     '1'
     """
-    if f.is_poly():
+    if f.is_poly() or f.num.is_zero():
         return LP_ZERO
-    poles = [(pm, mult) for pm, mult in sorted(split_poles(f).items())]
-    out = LP_ZERO
-    for k, p in f.num.split_var(f.var).items():
-        r = rho_simple_product(k, poles)
-        if not r.is_zero():
-            out = out + p * r
-    return out
+    return _rho(f.num.split_var(f.var), sorted(split_poles(f).items()))
 
 
 def residue_k_via_pfrac(f: RationalFunction) -> LaurentPoly:
@@ -91,43 +94,51 @@ def residue_k_oracle(f: RationalFunction, order: int) -> LaurentPoly:
 
 
 def rho_simple_product(var_power: int, poles) -> LaurentPoly:
-    """residue_k of z^A / prod_i (1 - a_i z)^(m_i) via the binomial formulas.
+    """residue_k of z^A / prod_i (1 - a_i z)^(m_i), poles a list of
+    ((angle, mono), m_i); zero at once when 0 < A < sum(m_i)."""
+    if 0 < var_power < sum(m for _p, m in poles):
+        return LP_ZERO
+    return _rho({var_power: LP_ONE}, poles)
 
-    poles: list of ((angle, mono), mult).  The z^0 coefficient at z=0 is the
-    convolution over compositions of -A, the one at z=infinity over
-    compositions of A - sum(m_i); both are finite.
-    """
-    A = var_power
 
-    def convolve(target, invert):
-        if target < 0:
-            return LP_ZERO
-        out = LP_ZERO
+def _pole_series(poles, count: int, invert: bool) -> dict:
+    """The first count coefficients of prod_i (1 - a_i z)^(-m_i), or of
+    prod_i (1 - a_i^-1 z)^(-m_i) when invert: C(m-1+j, m-1) a^(+-j) for one
+    pole, and the truncated product of those series for several."""
+    out = None
+    for (angle, mono), m in poles:
+        ser = {j: unit_value(angle, mono, -j if invert else j)
+               * generalized_binomial(m - 1 + j, m - 1) for j in range(count)}
+        out = ser if out is None else _ser_mul(out, ser, count)
+    return out
 
-        def rec(i, rem, acc):
-            nonlocal out
-            if i == len(poles):
-                if rem == 0:
-                    out = out + acc
-                return
-            (angle, mono), m = poles[i]
-            for j in range(rem + 1):
-                c = generalized_binomial(m - 1 + j, m - 1)
-                u = unit_value(angle, mono, -j if invert else j)
-                rec(i + 1, rem - j, acc * (u * c))
 
-        rec(0, target, LP_ONE)
-        return out
-
+def _rho(num: dict, poles) -> LaurentPoly:
+    """sum_k p_k residue_k(z^k / prod_i (1 - a_i z)^(m_i)) for num = {k: p_k}:
+    sum_k p_k S_+[-k] - (-1)^M prod_i a_i^(-m_i) sum_k p_k S_-[k - M]."""
     total_m = sum(m for _p, m in poles)
-    plus = convolve(-A, invert=False)
-    minus = convolve(A - total_m, invert=True)
-    if not minus.is_zero():
-        scale = LaurentPoly.scalar((-1) ** total_m)
-        for (angle, mono), m in poles:
-            scale = scale * unit_value(angle, mono, -m)
-        minus = minus * scale
-    return plus - minus
+    out = LP_ZERO
+    top = -min(num)
+    if top >= 0:
+        ser = _pole_series(poles, top + 1, invert=False)
+        for k, p in num.items():
+            c = ser.get(-k)
+            if c is not None:
+                out = out + p * c
+    top = max(num) - total_m
+    if top >= 0:
+        ser = _pole_series(poles, top + 1, invert=True)
+        minus = LP_ZERO
+        for k, p in num.items():
+            c = ser.get(k - total_m)
+            if c is not None:
+                minus = minus + p * c
+        if not minus.is_zero():
+            scale = LaurentPoly.scalar((-1) ** total_m)
+            for (angle, mono), m in poles:
+                scale = scale * unit_value(angle, mono, -m)
+            out = out - minus * scale
+    return out
 
 
 def residue_naive(f: RationalFunction):
@@ -269,50 +280,57 @@ def diagonal_w_side_residue(a_pow: int, s: Monomial, n: int, pivots, w_order: in
             if c:
                 wpart[j] = LaurentPoly.scalar(c)
 
-    def one_minus_c_winv(c: Monomial) -> dict:
-        # 1 - c w^-1 = (1 - c) - c(u + u^2 + ...)
+    zero_angle = Fraction(0)
+    cs = [LaurentPoly.term(1, s * p.inv()) for p in pivots]
+
+    def coefficient(kvec) -> LaurentPoly:
+        # the z-residue times (-1)^|k| prod_t p_t^k_t; usually zero, so
+        # the pole list is built only when the residue can be nonzero
+        total_k = sum(kvec)
+        A = a_pow + total_k
+        if 0 < A < total_k + n:
+            return LP_ZERO
+        zres = rho_simple_product(A, [((zero_angle, p), k + 1) for p, k in zip(pivots, kvec)])
+        if zres.is_zero():
+            return zres
+        mono = MONO_ONE
+        for p, k in zip(pivots, kvec):
+            mono = mono * p ** k
+        return zres * LaurentPoly.term(-1 if total_k % 2 else 1, mono)
+
+    def times_factor(ser: dict, c: LaurentPoly) -> dict:
+        # 1 - c w^-1 = (1 - c) - c(u + u^2 + ...), so the u^j coefficient of
+        # the product is A_j - c (A_0 + ... + A_j)
         out = {}
-        head = LP_ONE - LaurentPoly.term(1, c)
-        if not head.is_zero():
-            out[0] = head
-        for j in range(1, w_order):
-            out[j] = LaurentPoly.term(-1, c)
+        prefix = LP_ZERO
+        for j in range(min(ser, default=w_order), w_order):
+            a = ser.get(j, LP_ZERO)
+            prefix = prefix + a
+            r = a - c * prefix
+            if not r.is_zero():
+                out[j] = r
         return out
 
-    factor_series = [one_minus_c_winv(s * p.inv()) for p in pivots]
-    # precompute powers of each factor's w-series once
-    factor_pows = []
-    for fs in factor_series:
-        pows = [{0: LP_ONE}]
-        for _ in range(1, w_order):
-            pows.append(_ser_mul(pows[-1], fs, w_order))
-        factor_pows.append(pows)
-    out: dict = {}
+    def horner(kvec) -> dict:
+        # sum over the k-vectors extending kvec of coefficient(k) times
+        # prod_{t >= len(kvec)} (1 - c_t w^-1)^k_t, by Horner in each factor
+        t = len(kvec)
+        if t == n:
+            c = coefficient(kvec)
+            return {} if c.is_zero() else {0: c}
+        acc: dict = {}
+        for k in reversed(range(w_order)):
+            acc = times_factor(acc, cs[t])
+            for j, c in horner(kvec + [k]).items():
+                c = acc.get(j, LP_ZERO) + c
+                if c.is_zero():
+                    acc.pop(j, None)
+                else:
+                    acc[j] = c
+        return acc
 
-    def emit(kvec):
-        # the z-residue is cheap and usually zero: compute it first
-        A = a_pow + sum(kvec)
-        zres = rho_simple_product(A, [((Fraction(0), pivots[t]), kvec[t] + 1) for t in range(n)])
-        if zres.is_zero():
-            return
-        scale = LaurentPoly.scalar((-1) ** sum(kvec))
-        for t, k in enumerate(kvec):
-            if k:
-                scale = scale * LaurentPoly.term(1, pivots[t] ** k)
-        zres = zres * scale
-        wser = dict(wpart)
-        for t, k in enumerate(kvec):
-            if k:
-                wser = _ser_mul(wser, factor_pows[t][k], w_order)
-        for j, cw in wser.items():
-            term = zres * cw
-            acc = out.get(j)
-            out[j] = term if acc is None else acc + term
-
-    import itertools
-    for kvec in itertools.product(range(w_order), repeat=n):
-        emit(list(kvec))
-    return {j: c for j, c in out.items() if not c.is_zero()}
+    # truncation mod u^w_order is a ring map, so the regrouped sum is exact
+    return _ser_mul(wpart, horner([]), w_order)
 
 
 def diagonal_z_side_residues(a_pow: int, s: Monomial, n: int, pivots, order: int) -> list:

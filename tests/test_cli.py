@@ -85,6 +85,11 @@ def test_spec_example_values():
     assert out.strip().splitlines()[-1] == "PASS 105/105"
 
 
+def test_large_factor_power():
+    # the factor of a^k is recognised once, not k times
+    assert run_cli(["residue", "1/(1-z)^200000"]) == (0, "1\n")
+
+
 def test_exit_codes():
     code, _ = run_cli(["residue", "--kind", "k", "1/(1-z)"])
     assert code == 0

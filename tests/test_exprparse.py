@@ -23,6 +23,22 @@ def test_power_factor():
     assert f == ref
 
 
+def test_factor_recognised_once_per_power(monkeypatch):
+    from kvertex import exprparse
+    calls = []
+    recognize = exprparse._recognize_factor
+
+    def counting(g, var):
+        calls.append(g)
+        return recognize(g, var)
+
+    monkeypatch.setattr(exprparse, "_recognize_factor", counting)
+    f, content = parse_rational("1/(1-z)^50")
+    assert len(calls) == 1
+    assert content == LP_ONE
+    assert f == RationalFunction("z", LP_ONE, [(0, MONO_ONE, 1, 50)])
+
+
 def test_z_free_denominator_is_content():
     x = LaurentPoly.var("x")
     f, content = parse_rational("1/(1-x)")

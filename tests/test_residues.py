@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from kvertex.residues import (K_THEORY, NAIVE, ResidueKind, constraint_suite,
                               residue_coh, residue_k, residue_k_oracle,
                               residue_k_via_pfrac, residue_naive,
                               rho_simple_product)
-from kvertex.series import RationalFunction
+from kvertex.scalars import generalized_binomial
+from kvertex.series import RationalFunction, _ser_mul
 
 T = Monomial.var("t")
 S = Monomial.var("s")
@@ -187,6 +189,39 @@ class TestRhoSimpleProduct:
         # 1/(1 - zeta3 z)^2 has residue 1
         assert rho_simple_product(0, [((Fraction(1, 3), MONO_ONE), 2)]) == LP_ONE
 
+    def test_far_numerators_match_oracle(self, suite_seed):
+        # z-powers out to |A| = 25 on both sides need long S_+ and S_-, and
+        # two or three poles (a root-of-unity angle, characters) multiply
+        # their single-pole series
+        rnd = random.Random(suite_seed + 3)
+        pool = [(Fraction(1, 3), MONO_ONE), (Fraction(0), T), (Fraction(0), S * T.inv()),
+                (Fraction(2, 3), T), (Fraction(1, 2), MONO_ONE)]
+        for _ in range(16):
+            factors = [(a, m, 1, rnd.randint(1, 3)) for a, m in rnd.sample(pool, rnd.randint(2, 3))]
+            lo, hi = rnd.randint(-25, -15), rnd.randint(15, 25)
+            mid = Monomial.var("z", rnd.randint(lo, hi)) * rnd.choice([MONO_ONE, T, S])
+            num = LaurentPoly.from_terms([(Monomial.var("z", lo), 1),
+                                          (Monomial.var("z", hi), rnd.choice([1, -2, 3])),
+                                          (mid, rnd.randint(-3, 3))])
+            f = rf(num, factors)
+            assert residue_k(f) == residue_k_oracle(f, f.total_pole_mult() + max(-lo, hi) + 3)
+
+    def test_unit_values_linear_in_degree(self, monkeypatch):
+        # one pass over each series: about one unit value per numerator
+        # power, not one per composition of every power
+        from kvertex import residues
+        calls = []
+        unit_value = residues.unit_value
+
+        def counting(*args):
+            calls.append(args)
+            return unit_value(*args)
+
+        monkeypatch.setattr(residues, "unit_value", counting)
+        num = LaurentPoly.from_terms((Monomial.var("z", k), k % 7 - 3 or 1) for k in range(-100, 101))
+        residue_k(rf(num, [(0, T, 1, 2)]))
+        assert 0 < len(calls) < 3 * 200
+
 
 class TestDiagonalExpansion:
     def test_z_side_vanishes(self):
@@ -207,8 +242,70 @@ class TestDiagonalExpansion:
             defect = res.get(j, LP_ZERO) - (base if j == 0 else LP_ZERO)
             assert iadic_valuation_at_least(defect, order - j)
 
+    def test_w_side_regrouping_matches_termwise_sum(self):
+        # the Horner regrouping against a sum over k-vectors, one w-series
+        # product per factor and k-vector
+        for n, pivots, order in [(1, [T], 6), (1, [S], 6), (2, [T, T], 6), (2, [S, T], 5),
+                                 (2, [S * T, S], 5), (3, [T, T, T], 4), (3, [S, T, S * T], 4)]:
+            for a in range(-2, 4):
+                assert diagonal_w_side_residue(a, S, n, pivots, order) == \
+                    _w_side_termwise(a, S, n, pivots, order), (a, pivots, order)
+
     def test_iadic_valuation(self):
         p = (LP_ONE - LaurentPoly.term(1, T)) ** 3
         assert iadic_valuation_at_least(p, 3)
         assert not iadic_valuation_at_least(p, 4)
         assert iadic_valuation_at_least(LP_ZERO, 100)
+
+
+def _w_side_termwise(a_pow, s, n, pivots, order):
+    """diagonal_w_side_residue as a plain sum over k-vectors: rho of
+    z^(a + |k|) / prod_t (1 - p_t z)^(k_t + 1), times (-1)^|k| prod_t p_t^k_t,
+    times w^-a prod_t (1 - (s/p_t) w^-1)^k_t as a series in u = 1 - w."""
+    u_series = {j: LaurentPoly.scalar(generalized_binomial(-a_pow, j) * (-1) ** j)
+                for j in range(order)}    # w^-a = (1 - u)^-a
+    factors = []
+    for p in pivots:
+        c = LaurentPoly.term(1, s * p.inv())
+        factors.append({0: LP_ONE - c, **{j: -c for j in range(1, order)}})
+    out = {}
+    for kvec in itertools.product(range(order), repeat=n):
+        poles = [((Fraction(0), p), k + 1) for p, k in zip(pivots, kvec)]
+        zres = rho_simple_product(a_pow + sum(kvec), poles)
+        for p, k in zip(pivots, kvec):
+            zres = zres * LaurentPoly.term((-1) ** k, p ** k)
+        wser = u_series
+        for fs, k in zip(factors, kvec):
+            for _ in range(k):
+                wser = _ser_mul(wser, fs, order)
+        for j, cw in wser.items():
+            out[j] = out.get(j, LP_ZERO) + zres * cw
+    return {j: c for j, c in out.items() if not c.is_zero()}
+
+
+def test_residue_k_against_sympy_series():
+    """[z^0] of sympy's expansion at z = 0 minus [w^0] of its expansion of
+    f(1/w) at w = 0, on seeded f = sum c z^k / prod (1 - c_i z^n_i)^e_i."""
+    sympy = pytest.importorskip("sympy")
+    z, w, s, t = sympy.symbols("z w s t")
+    chars = [(MONO_ONE, 1), (T, t), (S * T.inv(), s / t), (Monomial.var("t", 2), t ** 2)]
+
+    def check(pows, coeffs, factors):
+        num = LaurentPoly.from_terms((Monomial.var("z", k), c) for k, c in zip(pows, coeffs))
+        expr = sum(c * z ** k for k, c in zip(pows, coeffs))
+        for i, n, e in factors:
+            expr = expr / (1 - chars[i][1] * z ** n) ** e
+        at_zero = sympy.expand(sympy.series(expr, z, 0, 1).removeO()).coeff(z, 0)
+        at_inf = sympy.expand(sympy.series(expr.subs(z, 1 / w), w, 0, 1).removeO()).coeff(w, 0)
+        got = residue_k(rf(num, [(0, chars[i][0], n, e) for i, n, e in factors]))
+        assert sympy.expand(at_zero - at_inf - sympy.sympify(str(got).replace("^", "**"))) == 0
+        return got
+
+    got = check([5, -2, 0], [1, 3, -2], [(1, 1, 2), (2, 2, 3)])
+    assert got == LaurentPoly.from_terms([(MONO_ONE, -2), (S * T.inv(), 9), (T ** 2, 9)])
+    rnd = random.Random(1)
+    for _ in range(7):
+        factors = [(i, rnd.randint(1, 2), rnd.randint(1, 3))
+                   for i in rnd.sample(range(len(chars)), rnd.randint(1, 2))]
+        pows = [rnd.randint(-4, -1), rnd.randint(0, 2), rnd.randint(3, 7)]
+        check(pows, [rnd.choice([1, 3, -2]) for _ in pows], factors)
