@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .laurent import (LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial,
-                      PolyFraction)
+                      PolyFraction, _mono_sort_key)
 from .residues import residue_k
-from .series import RationalFunction, expand_at
+from .series import RationalFunction
 
 
 @dataclass(frozen=True)
@@ -343,8 +343,11 @@ def propagator_kernel(q: Quiver, alpha, beta, zvar: str = "z") -> RationalFuncti
     1 over the surviving obstruction-side factors (1 - z^-1 chi^-1) and
     (1 - z chi^-1).  The surviving deformation-side factors of the full
     kernel are polynomial in z; they contribute no poles and are omitted
-    here, which is exactly what makes the residue pairing of vertex_kernel
-    close into a Lie bracket (see lie_bracket)."""
+    here, which is exactly what makes the residue pairing close into a Lie
+    bracket.  lie_bracket takes that residue of the one un-symmetrized
+    product of this kernel with the two states, before the coset sum of
+    vertex_kernel: the cosets only rename block variables, and residue_k is
+    exact and commutes with such renamings, so both orders agree."""
     e_ab = deformation_character(q, alpha, beta)
     e_ba = deformation_character(q, beta, alpha, first="t", second="s")
 
@@ -403,16 +406,29 @@ def lie_bracket(f: GradedElement, g: GradedElement, zvar: str = "z") -> GradedEl
     """[f, g] = residue of the kernel vertex operation; defined on states of
     block degree zero, where the output is again degree zero.
 
+    The residue is taken once, of the un-symmetrized integrand
+    propagator_kernel * (translated f) * (relabelled g), and the result is
+    then renamed once per coset of _coset_renamings (each renaming composed
+    with _union_to_s) and summed.  This equals residue_k(vertex_kernel(f, g))
+    renamed by _union_to_s: every coset renaming is a bijection of the block
+    names that leaves z alone, and residue_k is linear, exact and commutes
+    with such renamings.  No common denominator over the cosets is built.
+
     >>> q = a2_quiver()
     >>> str(lie_bracket(GradedElement.unit(q, (1, 0)), GradedElement.unit(q, (0, 1))))
     '-1 @ (1, 1)'
     """
     if not f.is_degree_zero() or not g.is_degree_zero():
         raise ValueError("the bracket is defined on degree-0 states")
-    Y = vertex_kernel(f, g, zvar)
-    res = residue_k(Y)
-    res = res.rename(_union_to_s(f.alpha, g.alpha))
-    return GradedElement(f.quiver, dim_add(f.alpha, g.alpha), res, check=False)
+    if f.quiver != g.quiver:
+        raise ValueError("states live on different quivers")
+    kernel = propagator_kernel(f.quiver, f.alpha, g.alpha, zvar=zvar)
+    res = residue_k(kernel * (translate(f, zvar).poly * _relabel_second_block(g)))
+    to_s = _union_to_s(f.alpha, g.alpha)
+    total = LP_ZERO
+    for ren in _coset_renamings(f.alpha, g.alpha):
+        total = total + res.rename({v: to_s.get(u, u) for v, u in ren.items()})
+    return GradedElement(f.quiver, dim_add(f.alpha, g.alpha), total, check=False)
 
 
 def axiom_check(q: Quiver, which: str, f: GradedElement, g: GradedElement,
@@ -467,7 +483,7 @@ def axiom_check(q: Quiver, which: str, f: GradedElement, g: GradedElement,
 
 def _witness(lhs: LaurentPoly, rhs: LaurentPoly):
     diff = lhs - rhs
-    mono = min(diff.terms, key=lambda m: tuple((v, Fraction(e)) for v, e in m))
+    mono = min(diff.terms, key=_mono_sort_key)
     return {"lhs": lhs, "rhs": rhs, "monomial": Monomial(mono),
             "coefficient": diff.terms[mono]}
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from kvertex.quiver import (GradedElement, Quiver, VirtualCharacter, a2_quiver,
                             jordan_quiver, lie_bracket, reduced_pole_shape,
                             symmetrized_wedge, theta_kernel, translate,
                             vertex_kernel, vertex_shuffle, wedge_minus_one)
+from kvertex.residues import residue_k
 from kvertex.series import RationalFunction
 
 Q1 = Quiver(("1",), ())
@@ -190,6 +192,82 @@ class TestLieBracket:
         assert s.is_zero()
 
 
+def _bracket_oracle(f, g):
+    """The bracket by the symmetrize-first route: one residue of the whole
+    coset-symmetrized kernel vertex operation."""
+    from kvertex.quiver import _union_to_s
+    return residue_k(vertex_kernel(f, g)).rename(_union_to_s(f.alpha, g.alpha))
+
+
+def _random_degree_zero_state(rnd, q, alpha):
+    """Symmetrized monomial of total block degree zero with a character twist."""
+    from kvertex.laurent import symmetrize
+    from kvertex.quiver import block_vars
+    names = [v for i, c in enumerate(alpha) for v in block_vars("s", i + 1, c)]
+    exps = [rnd.randint(-1, 2) for _ in names]
+    exps[-1] -= sum(exps)
+    mono = dict(zip(names, exps))
+    mono["t"] = rnd.randint(-1, 1)
+    p = LaurentPoly.term(rnd.choice([1, 2, -1]), Monomial.make(mono))
+    blocks = [block_vars("s", i + 1, c) for i, c in enumerate(alpha) if c]
+    return GradedElement(q, alpha, symmetrize(p, blocks), check=False)
+
+
+class TestBracketResidueFirst:
+    """lie_bracket takes the residue before the coset sum; the symmetrize-first
+    route of _bracket_oracle must give the same text."""
+
+    def test_suite_state_pairs(self):
+        from kvertex.suites import _degree_zero_states
+        for q in (QA2, QJ):
+            states = _degree_zero_states(q)
+            for x, y in itertools.product(states, states):
+                assert str(lie_bracket(x, y).poly) == str(_bracket_oracle(x, y)), (x, y)
+
+    def test_nested_jacobi_brackets(self):
+        from kvertex.suites import _degree_zero_states
+        for q in (QA2, QJ):
+            for x, y, z in itertools.combinations(_degree_zero_states(q), 3):
+                for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+                    inner = lie_bracket(b, c)
+                    assert str(lie_bracket(a, inner).poly) == str(_bracket_oracle(a, inner))
+
+    def test_seeded_states_on_two_edge_quivers(self, suite_seed):
+        from kvertex.suites import small_quivers
+        rnd = random.Random(suite_seed)
+        quivers = [q for q in small_quivers() if len(q.edges) == 2]
+        assert len(quivers) == 11
+        for q in quivers:
+            grades = [g for g in itertools.product(range(3), repeat=q.n) if 0 < sum(g) <= 2]
+            for _ in range(6):
+                alpha, beta = rnd.choice(grades), rnd.choice(grades)
+                f = _random_degree_zero_state(rnd, q, alpha)
+                g = _random_degree_zero_state(rnd, q, beta)
+                assert f.is_degree_zero() and g.is_degree_zero()
+                assert str(lie_bracket(f, g).poly) == str(_bracket_oracle(f, g)), (q, f, g)
+
+    @pytest.mark.parametrize("alpha,beta", [((2, 0), (0, 2)), ((1, 1), (1, 1))])
+    def test_one_residue_and_no_rational_sum(self, monkeypatch, alpha, beta):
+        from kvertex import quiver
+        residues, adds = [], []
+        real_residue, real_add = quiver.residue_k, RationalFunction.__add__
+
+        def counting_residue(f):
+            residues.append(f)
+            return real_residue(f)
+
+        def counting_add(self, other):
+            adds.append(other)
+            return real_add(self, other)
+
+        monkeypatch.setattr(quiver, "residue_k", counting_residue)
+        monkeypatch.setattr(RationalFunction, "__add__", counting_add)
+        f, g = GradedElement.unit(QA2, alpha), GradedElement.unit(QA2, beta)
+        lie_bracket(f, g)
+        assert len(residues) == 1
+        assert adds == []
+
+
 class TestAxioms:
     def test_spec_examples(self):
         f = GradedElement(Q1, (1,), sv(1, 1))
@@ -224,6 +302,17 @@ class TestAxioms:
             for w in ("vacuum", "skew", "weak_assoc", "locality"):
                 ok, witness = axiom_check(q, w, f, g, h)
                 assert ok, (q, w, witness)
+
+
+def test_witness_names_the_first_differing_monomial():
+    from kvertex.quiver import _witness
+    lhs = sv(1, 1) + 3 * sv(1, 2) + LaurentPoly.var("t", Fraction(1, 2))
+    rhs = sv(1, 1) + LaurentPoly.var("t", Fraction(1, 2)) * 2
+    w = _witness(lhs, rhs)
+    assert (w["lhs"], w["rhs"]) == (lhs, rhs)
+    assert str(w["monomial"]) == "s_{1,2}" and w["coefficient"] == 3
+    w = _witness(rhs, lhs + sv(1, 1, -1))
+    assert str(w["monomial"]) == "s_{1,1}^-1" and w["coefficient"] == -1
 
 
 class TestConnerFloyd:

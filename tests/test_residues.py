@@ -309,3 +309,52 @@ def test_residue_k_against_sympy_series():
                    for i in rnd.sample(range(len(chars)), rnd.randint(1, 2))]
         pows = [rnd.randint(-4, -1), rnd.randint(0, 2), rnd.randint(3, 7)]
         check(pows, [rnd.choice([1, 3, -2]) for _ in pows], factors)
+
+
+CHAR_NAMES = ["t", "s", "s_{1,1}", "s_{1,2}", "t_{1,1}", "t_{2,1}"]
+
+
+def _random_character(rnd):
+    exps = {v: rnd.randint(-1, 1) for v in rnd.sample(CHAR_NAMES, rnd.randint(1, 3))}
+    return Monomial.make(exps)
+
+
+def test_residue_k_commutes_with_character_permutations(suite_seed):
+    # lie_bracket takes the residue before the coset renamings; that rests
+    # on residue_k(f.rename_chars(sigma)) == residue_k(f).rename(sigma)
+    rnd = random.Random(suite_seed)
+    checked = 0
+    for _ in range(40):
+        factors = [(rnd.choice([0, 0, Fraction(1, 2), Fraction(1, 3)]), _random_character(rnd),
+                    rnd.choice([1, 1, -1, 2]), rnd.randint(1, 2))
+                   for _ in range(rnd.randint(1, 3))]
+        num = LaurentPoly.from_terms(
+            (Monomial.var("z", rnd.randint(-3, 4)) * _random_character(rnd), rnd.choice([1, -1, 2, 3]))
+            for _ in range(rnd.randint(1, 4)))
+        f = rf(num, factors)
+        base = residue_k(f)
+        for _ in range(3):
+            image = rnd.sample(CHAR_NAMES, len(CHAR_NAMES))
+            sigma = dict(zip(CHAR_NAMES, image))
+            assert residue_k(f.rename_chars(sigma)) == base.rename(sigma), (f, sigma)
+            checked += not base.is_zero()
+    assert checked > 30
+
+
+def test_coset_renamings_are_bijections_of_the_union_names():
+    from kvertex.quiver import _coset_renamings, block_vars
+    for n in (1, 2, 3):
+        for grades in itertools.product(range(5), repeat=2 * n):
+            alpha, beta = grades[:n], grades[n:]
+            if sum(grades) > 4:
+                continue
+            union = {v for i, (a, b) in enumerate(zip(alpha, beta))
+                     for v in block_vars("s", i + 1, a) + block_vars("t", i + 1, b)}
+            seen = set()
+            for ren in _coset_renamings(alpha, beta):
+                assert set(ren) == union and set(ren.values()) == union
+                seen.add(tuple(sorted(ren.items())))
+            count = 1
+            for a, b in zip(alpha, beta):
+                count *= generalized_binomial(a + b, a)
+            assert len(seen) == count, (alpha, beta)
