@@ -5,7 +5,7 @@ from .hopf import (NumericalPoly, PhiElement, XiElement, chern_character,
                    coproduct, from_numerical, phi_pair, star, to_numerical,
                    translation_pairing)
 from .laurent import (LaurentPoly, Monomial, PolyFraction, laurent_exact_div,
-                      poly_arith, symmetrize)
+                      symmetrize)
 from .quiver import (GradedElement, Quiver, VirtualCharacter, a2_quiver,
                      axiom_check, conner_floyd, deformation_character,
                      jordan_quiver, lie_bracket, symmetrized_wedge,

@@ -479,17 +479,6 @@ LP_ONE = LaurentPoly.scalar(1)
 LP_ZERO = LaurentPoly.zero()
 
 
-def poly_arith(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:
-    """Dispatch add/mul/sub; exists as the canonical ring entry point."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "sub":
-        return a - b
-    raise ValueError(f"unknown op {op!r}")
-
-
 # -- exact division ------------------------------------------------------
 
 

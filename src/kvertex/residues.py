@@ -11,6 +11,12 @@ Three functionals:
 * residue_naive  -- minus the classical residue at z=1 of z^-1 f(z) dz;
 * residue_coh    -- the classical residue at u=0 (coefficient of 1/u).
 
+By the residue theorem on P^1, residue_k = residue_naive minus the local
+residues Res_{z=gamma}(z^-1 f dz) at the other roots of unity.
+local_residue_at_root takes each from the same (1-z)-adic expansion as
+residue_naive: the rotation z -> gamma z leaves z^-1 dz unchanged, so
+Res_{z=gamma}(z^-1 f(z) dz) = Res_{z=1}(z^-1 f(gamma z) dz).
+
 residue_k_oracle implements the defining series prescription directly and is
 kept independent of the closed-form path.  diagonal_w_side_residue sums its
 k-vectors by Horner in the pivot factors (1 - c_t w^-1), so each k-vector
@@ -23,8 +29,8 @@ from fractions import Fraction
 
 from .laurent import LP_ONE, LP_ZERO, LaurentPoly, Monomial, PolyFraction
 from .scalars import generalized_binomial
-from .series import (RationalFunction, _is_zero, _ser_inv, _ser_mul, _ser_pow,
-                     expand_at, partial_fractions, split_poles, unit_value)
+from .series import (RationalFunction, _expand_raw, _ser_mul, expand_at,
+                     partial_fractions, split_poles, unit_value)
 
 MONO_ONE = Monomial(())
 
@@ -148,17 +154,22 @@ def residue_naive(f: RationalFunction):
 
     Returns a LaurentPoly when polynomial in the characters, else the exact
     PolyFraction.
+
+    >>> str(residue_naive(RationalFunction("z", LP_ONE, [(0, MONO_ONE, 2, 1)])))
+    '1/2'
+    >>> str(residue_naive(RationalFunction("z", LP_ONE, [(0, Monomial.var("t"), 1, 1)])))
+    '0'
     """
     g = f.shift(-1)
     depth = g.unit_pole_depth()
     if depth == 0:
         return LP_ZERO
-    ser = expand_at(g, "one", depth + 2)
-    c = ser.coeffs.get(-1, 0)
-    if isinstance(c, PolyFraction):
-        p = c.as_poly()
-        return p if p is not None else c
-    return c if isinstance(c, LaurentPoly) else LaurentPoly.scalar(c)
+    # the z=1 expansion with `depth` places is exact below u^0
+    c = _expand_raw(g, "one", depth)[0].get(-1)
+    if c is None:
+        return LP_ZERO
+    p = c.as_poly()
+    return p if p is not None else c
 
 
 def residue_coh(f: LaurentPoly, var: str = "u") -> LaurentPoly:
@@ -169,51 +180,28 @@ def residue_coh(f: LaurentPoly, var: str = "u") -> LaurentPoly:
 
 def local_residue_at_root(f: RationalFunction, angle: Fraction):
     """Res_{z=gamma}(z^-1 f dz) at gamma = root(angle); f may only have
-    root-of-unity poles (trivial character parts), and the residue is
-    computed from the (z - gamma)-adic expansion with cyclotomic
-    coefficients."""
+    root-of-unity poles (trivial character parts).
+
+    The rotation z -> gamma z leaves z^-1 dz unchanged, so
+    Res_{z=gamma}(z^-1 f(z) dz) = Res_{z=1}(z^-1 f(gamma z) dz), which is
+    -residue_naive of the rotated function: its z^k coefficient is
+    multiplied by gamma^k, and each factor 1 - root(a) z^n becomes
+    1 - root(a + n angle) z^n.
+
+    >>> f = RationalFunction("z", LP_ONE, [(0, MONO_ONE, 2, 1)])
+    >>> str(local_residue_at_root(f, Fraction(1, 2)))
+    '-1/2'
+    """
     for (_a, m, _n), _e in f.den.items():
         if not m.is_one():
             raise ValueError("local residues are computed only at root-of-unity poles")
-    angle = Fraction(angle) % 1
-    depth = sum(e for (a, _m, n), e in f.den.items()
-                if (Fraction(a) + n * angle) % 1 == 0)
-    if depth == 0:
-        return LP_ZERO
-    span = depth + 2
-
-    def gamma_pow(k):
-        return unit_value(angle, MONO_ONE, k)
-
-    # expand z^-1 f in v = z - gamma; (gamma + v)^k = sum_j C(k,j) gamma^(k-j) v^j
-    ser: dict = {}
+    z = Monomial.var(f.var)
+    num = LP_ZERO
     for k, p in f.num.split_var(f.var).items():
-        k1 = k - 1  # the z^-1 measure factor
-        for j in range(span + depth):
-            c = generalized_binomial(k1, j)
-            if not c:
-                continue
-            term = PolyFraction.of(p * (gamma_pow(k1 - j) * c))
-            acc = ser.get(j)
-            ser[j] = term if acc is None else acc + term
-    ser = {k: c for k, c in ser.items() if not _is_zero(c)}
-    for (a, _m, n), e in f.den.items():
-        # 1 - root(a)(gamma + v)^n as a v-polynomial
-        base: dict = {}
-        c0 = PolyFraction.of(LP_ONE - unit_value(a, MONO_ONE) * gamma_pow(n))
-        if not _is_zero(c0):
-            base[0] = c0
-        for j in range(1, n + 1):
-            base[j] = PolyFraction.of(unit_value(a, MONO_ONE) * gamma_pow(n - j)
-                                      * (-generalized_binomial(n, j)))
-        inv = _ser_inv(base, span + depth)
-        fac = _ser_pow(inv, e, span)
-        ser = _ser_mul(ser, fac, span)
-    c = ser.get(-1, PolyFraction.of(LP_ZERO))
-    if isinstance(c, PolyFraction):
-        p = c.as_poly()
-        return p if p is not None else c
-    return c if isinstance(c, LaurentPoly) else LaurentPoly.scalar(c)
+        num = num + p * unit_value(angle, z, k)
+    rotated = RationalFunction(f.var, num, [(a + n * angle, m, n, e)
+                                            for (a, m, n), e in f.den.items()])
+    return -residue_naive(rotated)
 
 
 def residue(f: RationalFunction, kind: ResidueKind = K_THEORY):

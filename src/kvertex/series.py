@@ -11,6 +11,7 @@ Truncation orders are explicit arguments everywhere; no ambient state.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -207,61 +208,42 @@ class RationalFunction:
 # -- formal series -------------------------------------------------------------
 
 
-def _is_zero(c):
-    if isinstance(c, (LaurentPoly, PolyFraction)):
-        return c.is_zero()
-    return not c
-
-
-def _eq_coeff(a, b):
-    if isinstance(a, PolyFraction) or isinstance(b, PolyFraction):
-        return PolyFraction.of(a) == PolyFraction.of(b)
-    if isinstance(a, LaurentPoly) or isinstance(b, LaurentPoly):
-        a = a if isinstance(a, LaurentPoly) else LaurentPoly.scalar(a)
-        return a == b
-    return a == b
-
-
-def _smul(a, b):
-    if isinstance(a, PolyFraction) or isinstance(b, PolyFraction):
-        return PolyFraction.of(a) * PolyFraction.of(b)
-    return a * b
-
-
-def _ser_mul(A: dict, B: dict, tbound) -> dict:
+def _ser_mul(A: dict, B: dict, tbound=math.inf) -> dict:
+    """The product of two {index: coefficient} series or z-split
+    polynomials, without the indices at or beyond tbound."""
     out: dict = {}
     for i, ci in A.items():
         for j, cj in B.items():
             k = i + j
             if k >= tbound:
                 continue
-            c = _smul(ci, cj)
+            c = ci * cj
             acc = out.get(k)
             out[k] = c if acc is None else acc + c
-    return {k: c for k, c in out.items() if not _is_zero(c)}
+    return {k: c for k, c in out.items() if c}
 
 
 def _ser_inv(A: dict, count: int) -> dict:
     """count coefficients of 1/A starting at the valuation; A must be exact
     over the consumed range and have an invertible leading coefficient."""
-    v = min(k for k, c in A.items() if not _is_zero(c))
+    v = min(k for k, c in A.items() if c)
     inv0 = PolyFraction.of(A[v]).inv()
     out = {-v: inv0}
     for k in range(1, count):
         s = None
         for j in range(1, k + 1):
             aj = A.get(v + j)
-            if aj is None or _is_zero(aj):
+            if not aj:
                 continue
             prev = out.get(-v + k - j)
             if prev is None:
                 continue
-            term = _smul(aj, prev)
+            term = aj * prev
             s = term if s is None else s + term
-        if s is None or _is_zero(s):
+        if not s:
             continue
-        out[-v + k] = -_smul(inv0, s)
-    return {k: c for k, c in out.items() if not _is_zero(c)}
+        out[-v + k] = -(inv0 * s)
+    return {k: c for k, c in out.items() if c}
 
 
 def _ser_pow(A: dict, e: int, tbound) -> dict:
@@ -289,7 +271,7 @@ class FormalSeries:
             raise ValueError(f"unknown expansion point {point!r}")
         self.point = point
         self.var = var
-        self.coeffs = {k: c for k, c in coeffs.items() if not _is_zero(c)}
+        self.coeffs = {k: c for k, c in coeffs.items() if c}
         self.trunc = trunc
 
     def coeff(self, k: int):
@@ -317,7 +299,7 @@ class FormalSeries:
             t = min(self.trunc + other.valuation(), other.trunc + self.valuation())
             return FormalSeries(self.point, self.var, _ser_mul(self.coeffs, other.coeffs, t), t)
         return FormalSeries(self.point, self.var,
-                            {k: _smul(c, other) for k, c in self.coeffs.items()}, self.trunc)
+                            {k: c * other for k, c in self.coeffs.items()}, self.trunc)
 
     __rmul__ = __mul__
 
@@ -331,7 +313,7 @@ class FormalSeries:
         if order is not None:
             t = min(t, order)
         lo = min(self.valuation(), other.valuation(), 0)
-        return all(_eq_coeff(self.coeffs.get(k, 0), other.coeffs.get(k, 0))
+        return all(self.coeffs.get(k, 0) == other.coeffs.get(k, 0)
                    for k in range(lo, t))
 
     def _upow(self, k: int) -> str:
@@ -351,9 +333,9 @@ class FormalSeries:
             if k == 0:
                 parts.append(cs if " " not in cs else f"({cs})")
                 continue
-            if _eq_coeff(c, 1):
+            if c == 1:
                 parts.append(self._upow(k))
-            elif _eq_coeff(c, -1):
+            elif c == -1:
                 parts.append("-" + self._upow(k))
             else:
                 if " " in cs or "/" in cs:
@@ -378,6 +360,13 @@ def expand_at(f: RationalFunction, point: str, order: int) -> FormalSeries:
     """Expand f at z=0, z=infinity or z=1 with `order` exact coefficients
     counted from the leading term.
 
+    _expand_raw(f, point, n) is exact below its bound, n places above the
+    valuation of the denominator's expansion.  So one call gives `order`
+    coefficients unless the numerator vanishes at the point, which only
+    happens at z=1; then the call is repeated with more places.  The
+    numerator vanishes there to an order no larger than its z-degree span,
+    so the retries end.
+
     >>> f = RationalFunction.one_over_factor("z", 0, MONO_ONE)
     >>> str(expand_at(f, "zero", 3))
     '1 + z + z^2 + O(z^3)'
@@ -388,20 +377,21 @@ def expand_at(f: RationalFunction, point: str, order: int) -> FormalSeries:
         raise ValueError(f"unknown expansion point {point!r}")
     if f.is_zero():
         return FormalSeries(point, f.var, {}, order)
-    slack = 2
-    for _ in range(8):
+    zdegs = [dict(m).get(f.var, 0) for m in f.num.terms]
+    span = max(zdegs) - min(zdegs)
+    slack = 0
+    while True:
         coeffs, tbound = _expand_raw(f, point, order + slack)
-        coeffs = {k: c for k, c in coeffs.items() if not _is_zero(c)}
-        if coeffs:
-            va = min(coeffs)
-            if tbound - va >= order:
-                t = va + order
-                return FormalSeries(point, f.var, {k: c for k, c in coeffs.items() if k < t}, t)
-        slack = slack * 2 + order
-    raise RuntimeError("expansion did not stabilize")
+        if coeffs and tbound - min(coeffs) >= order:
+            t = min(coeffs) + order
+            return FormalSeries(point, f.var, {k: c for k, c in coeffs.items() if k < t}, t)
+        slack = min(slack * 2 + order, span)
 
 
 def _expand_raw(f: RationalFunction, point: str, order: int):
+    """The expansion of f at the point as ({index: coefficient}, tbound):
+    exact below tbound, which is `order` above the valuation of the
+    expansion of the denominator alone."""
     num_split = f.num.split_var(f.var)
     if point == "zero":
         v0 = min(num_split)
@@ -434,30 +424,28 @@ def _expand_raw(f: RationalFunction, point: str, order: int):
         return ser, tbound
 
     # point == "one": series in u = 1-z; coefficients live in the fraction field
-    depth = f.unit_pole_depth()
-    v0 = -depth
-    tbound = v0 + order
-    span = order + 1
+    rest = f.unit_pole_depth()
+    tbound = order - rest
     ser: dict = {}
     for k, p in num_split.items():
-        # z^k = (1-u)^k = sum_j binom(k, j) (-u)^j
-        for j in range(span):
-            c = generalized_binomial(k, j) * (-1) ** j
-            if not c:
-                continue
-            term = PolyFraction.of(p * c)
+        # z^k = (1-u)^k = sum_j binom(k, j) (-u)^j, which ends at j = k if k >= 0
+        for j in range(order if k < 0 else min(order, k + 1)):
+            term = p * (generalized_binomial(k, j) * (-1) ** j)
             acc = ser.get(j)
             ser[j] = term if acc is None else acc + term
-    ser = {k: c for k, c in ser.items() if not _is_zero(c)}
+    ser = {j: PolyFraction(c) for j, c in ser.items() if c}
     for (a, m, n), e in f.den.items():
         # 1 - u_root*m*(1-u)^n as a u-polynomial
         base = {0: PolyFraction.of(LP_ONE - unit_value(a, m))}
         for j in range(1, n + 1):
             base[j] = PolyFraction.of(unit_value(a, m) * (-generalized_binomial(n, j) * (-1) ** j))
-        base = {k: c for k, c in base.items() if not _is_zero(c)}
-        inv = _ser_inv(base, span + depth)
-        fac = _ser_pow(inv, e, tbound + depth + 1)
-        ser = _ser_mul(ser, fac, tbound)
+        base = {k: c for k, c in base.items() if c}
+        fac = _ser_pow(_ser_inv(base, order), e, order)
+        if a == 0 and m.is_one():
+            rest -= e
+        # the vanishing factors still to come lower the valuation by rest,
+        # so the coefficients below tbound + rest must stay exact
+        ser = _ser_mul(ser, fac, tbound + rest)
     return ser, tbound
 
 
@@ -584,17 +572,6 @@ def split_poles(f: RationalFunction) -> dict:
     return poles
 
 
-def _zpoly_mul(A: dict, B: dict) -> dict:
-    out: dict = {}
-    for i, ci in A.items():
-        for j, cj in B.items():
-            k = i + j
-            c = ci * cj
-            acc = out.get(k)
-            out[k] = c if acc is None else acc + c
-    return {k: c for k, c in out.items() if not c.is_zero()}
-
-
 def _pole_product(poles: dict, order, lower=None) -> dict:
     """prod (1 - a z)^mult over the cover poles in `order` as a z-split
     polynomial, each multiplicity lowered by lower.get(pole, 0)."""
@@ -603,7 +580,7 @@ def _pole_product(poles: dict, order, lower=None) -> dict:
     for pole in order:
         lin = {0: LP_ONE, 1: -unit_value(*pole)}
         for _ in range(poles[pole] - lower.get(pole, 0)):
-            out = _zpoly_mul(out, lin)
+            out = _ser_mul(out, lin)
     return out
 
 
@@ -695,8 +672,8 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
                 A = PolyFraction(num_eval * scale, den0 ** (j + 1))
                 terms.append(PoleTerm(angle, mono, m_tot - j, A.simplified()))
             if j + 1 < m_tot:
-                t1 = _zpoly_mul(_zpoly_deriv(Nj), Di)
-                t2 = _zpoly_mul(Nj, Di_deriv)
+                t1 = _ser_mul(_zpoly_deriv(Nj), Di)
+                t2 = _ser_mul(Nj, Di_deriv)
                 Nj = {kk: t1.get(kk, LP_ZERO) - (j + 1) * t2.get(kk, LP_ZERO)
                       for kk in set(t1) | set(t2)}
                 Nj = {kk: c for kk, c in Nj.items() if not c.is_zero()}

@@ -113,13 +113,15 @@ class TestComparison:
     def test_residue_theorem_decomposition(self, suite_seed):
         rnd = random.Random(suite_seed)
         for _ in range(20):
-            nf = rnd.randint(1, 2)
             factors = []
-            for _i in range(nf):
-                n = rnd.randint(1, 6)
-                factors.append((Fraction(rnd.randint(0, n - 1), n), MONO_ONE,
-                                rnd.randint(1, 2), rnd.randint(1, 2)))
-            f = rf(LaurentPoly.var("z", rnd.randint(0, 2)), factors)
+            for _i in range(rnd.randint(1, 3)):
+                q = rnd.randint(1, 6)
+                factors.append((Fraction(rnd.randint(0, q - 1), q), MONO_ONE,
+                                rnd.randint(1, 3), rnd.randint(1, 3)))
+            num = LP_ZERO
+            for _i in range(rnd.randint(1, 3)):
+                num = num + rnd.randint(1, 3) * LaurentPoly.var("z", rnd.randint(-2, 4))
+            f = rf(num, factors)
             total = residue_naive(f)
             pole_angles = set()
             for (a, _m, n), _e in f.den.items():

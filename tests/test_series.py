@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,43 @@ def test_expand_at_one_of_inverse_z():
     f = RationalFunction.from_poly(LaurentPoly.var("z", -1))
     ser = expand_at(f, "one", 3)
     assert [ser.coeff(k) for k in range(3)] == [1, 1, 1]
+
+
+def test_expand_at_one_numerator_vanishing_to_high_order():
+    # the retries at z=1 end once the slack reaches the numerator's z-degree span
+    f = RationalFunction.from_poly((1 - Z) ** 390)
+    assert str(expand_at(f, "one", 1)) == "(1-z)^390 + O((1-z)^391)"
+
+
+def test_expand_at_one_against_sympy(suite_seed):
+    sympy = pytest.importorskip("sympy")
+    z, u = sympy.symbols("z u")
+    rnd = random.Random(suite_seed)
+    # z^-2/((1-z)^2 (1-z^2) (1-z^3)^2): three vanishing factors after the first
+    cases = [(Z ** -2, [(0, MONO_ONE, 1, 2), (0, MONO_ONE, 2, 1), (0, MONO_ONE, 3, 2)], 4)]
+    for _ in range(10):
+        factors = [(0, MONO_ONE, rnd.randint(1, 3), rnd.randint(1, 3))
+                   for _i in range(rnd.randint(2, 4))]
+        num = LaurentPoly.scalar(rnd.randint(1, 3))
+        for _i in range(rnd.randint(0, 2)):
+            num = num + rnd.randint(-3, 3) * LaurentPoly.var("z", rnd.randint(-2, 3))
+        # make the numerator vanish at z=1, to order 1 to 3 when it is nonzero
+        num = num * (1 - Z) ** rnd.randint(1, 3)
+        if not num.is_zero():
+            cases.append((num, factors, rnd.randint(1, 5)))
+    for num, factors, order in cases:
+        f = RationalFunction("z", num, factors)
+        ser = expand_at(f, "one", order)
+        depth = f.unit_pole_depth()
+        expr = sympy.sympify(str(num).replace("^", "**"))
+        for _a, _m, n, e in factors:
+            expr = expr / (1 - z ** n) ** e
+        # u^depth f(1 - u) is regular at u = 0; its u^j coefficient is the
+        # kvertex coefficient of index j - depth
+        taylor = sympy.series(u ** depth * expr.subs(z, 1 - u), u, 0, ser.trunc + depth).removeO()
+        for j in range(ser.trunc + depth):
+            c = sympy.Rational(taylor.coeff(u, j))
+            assert ser.coeff(j - depth) == Fraction(int(c.p), int(c.q)), (str(f), j - depth)
 
 
 def test_remultiplying_reproduces_numerator():
@@ -129,7 +167,6 @@ def test_partial_fractions_distinct_output_poles():
 
 
 def test_partial_fractions_roundtrip_random(suite_seed):
-    import random
     rnd = random.Random(suite_seed)
     chars = [MONO_ONE, T, Monomial.var("t", 2), Monomial.var("s") * T.inv()]
     done = 0
