@@ -201,8 +201,9 @@ class Monomial(tuple):
         for v, e in self:
             if e == 1:
                 parts.append(v)
-            elif isinstance(e, int):
-                parts.append(f"{v}^{e}")
+            elif e.denominator == 1:
+                # an int, or an integral Fraction that _mono_mul left as a sum
+                parts.append(f"{v}^{e.numerator}")
             else:
                 parts.append(f"{v}^({e})")
         return "*".join(parts)

@@ -70,6 +70,8 @@ def _int_polydiv_exact(num, den):
 
 
 _CYCLO_CACHE: dict[int, tuple[int, ...]] = {}
+# the nonzero (power, coefficient) pairs of Phi_n below its leading term
+_CYCLO_TAILS: dict[int, list] = {}
 
 
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
@@ -97,16 +99,16 @@ def _reduce_mod_cyclo(order: int, vec: list) -> list:
     phi = cyclotomic_poly(order)
     d = len(phi) - 1
     # first fold exponents mod order (zeta^order = 1)
-    if len(vec) > order:
-        folded = [0] * order
-        for k, c in enumerate(vec):
-            folded[k % order] += c
-        vec = folded
-    else:
-        vec = list(vec)
+    folded = list(vec[:order])
+    for start in range(order, len(vec), order):
+        chunk = vec[start:start + order]
+        folded[:len(chunk)] = [x + y for x, y in zip(folded, chunk)]
+    vec = folded
     if len(vec) <= d:
         return vec + [0] * (d - len(vec))
-    tail = [(j, p) for j, p in enumerate(phi[:d]) if p]
+    tail = _CYCLO_TAILS.get(order)
+    if tail is None:
+        tail = _CYCLO_TAILS[order] = [(j, p) for j, p in enumerate(phi[:d]) if p]
     for i in range(len(vec) - 1, d - 1, -1):
         c = vec[i]
         if c:
@@ -229,13 +231,16 @@ class Cyclo:
         if not isinstance(other, Cyclo):
             return NotImplemented
         a, b = self._common(other)
-        bn = b.num
-        prod = [0] * (len(a.num) + len(bn) - 1)
-        for i, ci in enumerate(a.num):
+        an, bn = a.num, b.num
+        # the sparser operand outside: a root of unity times a dense value is O(phi)
+        if an.count(0) < bn.count(0):
+            an, bn = bn, an
+        inner = [(j, cj) for j, cj in enumerate(bn) if cj]
+        prod = [0] * (len(an) + len(bn) - 1)
+        for i, ci in enumerate(an):
             if ci:
-                for j, cj in enumerate(bn):
-                    if cj:
-                        prod[i + j] += ci * cj
+                for j, cj in inner:
+                    prod[i + j] += ci * cj
         return _cyclo(a.order, _reduce_mod_cyclo(a.order, prod), a.den * b.den)
 
     __rmul__ = __mul__

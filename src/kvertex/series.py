@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .laurent import (LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial,
                       PolyFraction, _mono_sort_key)
-from .scalars import cyclo_root, generalized_binomial, scalar_pow
+from .scalars import Cyclo, cyclo_root, generalized_binomial, scalar_pow
 
 POINTS = ("zero", "infinity", "one")
 
@@ -489,15 +489,13 @@ class PartialFractions:
         """Exact identity L N = L Q D + sum_t n_t (L/d_t) (D / pole_t), where
         L clears the z-free coefficient denominators; everything stays in the
         polynomial ring."""
-        poles = split_poles(f)
-        order = sorted(poles, key=lambda km: (_mono_sort_key(km[1]), km[0]))
+        _poles, roots, D = _cover(f)
         dens = [t.coeff.den for t in self.terms]
         L = LP_ONE
         for d in dens:
             L = L * d
         # lhs: L * numerator of f
         lhs = {k: p * L for k, p in f.num.split_var(f.var).items()}
-        D = _pole_product(poles, order)
         rhs: dict = {}
 
         def acc(zp: dict, scale: LaurentPoly):
@@ -519,7 +517,7 @@ class PartialFractions:
             for t2, d2 in zip(self.terms, dens):
                 if t2 is not t:
                     Lt = Lt * d2
-            cof = _pole_product(poles, order, {(t.angle, t.mono): t.mult})
+            cof = _divide_out(D, roots[(t.angle, t.mono)], t.mult)
             acc(cof, t.coeff.num * Lt)
         diff_keys = set(lhs) | set(rhs)
         return all((lhs.get(k, LP_ZERO) - rhs.get(k, LP_ZERO)).is_zero() for k in diff_keys)
@@ -572,53 +570,98 @@ def split_poles(f: RationalFunction) -> dict:
     return poles
 
 
-def _pole_product(poles: dict, order, lower=None) -> dict:
-    """prod (1 - a z)^mult over the cover poles in `order` as a z-split
-    polynomial, each multiplicity lowered by lower.get(pole, 0)."""
-    lower = lower or {}
-    out: dict = {0: LP_ONE}
-    for pole in order:
-        lin = {0: LP_ONE, 1: -unit_value(*pole)}
-        for _ in range(poles[pole] - lower.get(pole, 0)):
-            out = _ser_mul(out, lin)
-    return out
+def _cover(f: RationalFunction):
+    """The cover poles of f as {pole: mult}, each pole's root
+    a = root(angle) * mono as a one-term Laurent polynomial (in display
+    order), and the denominator D = prod (1 - a z)^mult split by z.
+
+    D is f.den_poly(), whose coefficients are those of the original factors
+    (1 - c z^n)^e.  Every irrational scalar of the roots and of D is lifted
+    to the order L, the lcm of the root orders above 2 (+-1 are ints and
+    never lift).  Then the cofactors of _divide_out print the cyclotomic
+    orders that a product of the other linear factors would give them when
+    every c is +- a character and at most one factor has irrational roots;
+    otherwise only their values are sure to agree with that product."""
+    poles = split_poles(f)
+    L = math.lcm(1, *(a.denominator for a, _m in poles if a.denominator > 2))
+
+    def lift(c):
+        return c.lift(L) if isinstance(c, Cyclo) else c
+
+    roots = {(angle, mono): LaurentPoly.term(lift(cyclo_root(angle)), mono)
+             for angle, mono in sorted(poles, key=lambda km: (_mono_sort_key(km[1]), km[0]))}
+    D = {k: LaurentPoly({m: lift(c) for m, c in p.terms.items()})
+         for k, p in f.den_poly().split_var(f.var).items()}
+    return poles, roots, D
+
+
+def _divide_out(D: dict, a: LaurentPoly, mult: int) -> dict:
+    """D / (1 - a z)^mult for a z-split polynomial D from z^0 that the
+    power divides: mult synthetic divisions q_k = d_k + a q_{k-1}."""
+    for _ in range(mult):
+        q: dict = {}
+        prev = LP_ZERO
+        for k in range(max(D)):
+            prev = D.get(k, LP_ZERO) + prev * a
+            if prev:
+                q[k] = prev
+        D = q
+    return D
 
 
 def _zpoly_deriv(A: dict) -> dict:
     return {k - 1: c * k for k, c in A.items() if k}
 
 
-def _zpoly_eval_inv(A: dict, angle, mono: Monomial) -> LaurentPoly:
-    """Evaluate a z-split polynomial at z = 1/(root(angle)*mono)."""
+def _zpoly_eval_inv(A: dict, angle, mono: Monomial, pw: list) -> LaurentPoly:
+    """Evaluate a z-split polynomial at z = 1/(root(angle)*mono).  pw holds
+    the powers (root(angle)*mono)^-k built so far and gets the missing ones
+    appended, so that all the evaluations at one root share them."""
     out = LP_ZERO
     for k, c in A.items():
-        out = out + c * unit_value(angle, mono, -k)
+        while len(pw) <= k:
+            pw.append(unit_value(angle, mono, -len(pw)))
+        out = out + c * pw[k]
     return out
 
 
 def partial_fractions(f: RationalFunction) -> PartialFractions:
     """Exact decomposition; recombining the output reproduces f.
 
-    The Laurent-polynomial part is extracted by exact long division in the
-    character ring (the cover denominator has unit constant and leading
-    terms), and the pole coefficients come from the derivative formula
+    The denominator D = prod (1 - a_i z)^(m_i) over the cover poles is
+    f.den_poly(), the product of the original factors (1 - c z^n)^e.  The
+    Laurent-polynomial part is extracted by exact long division in the
+    character ring (D has unit constant and leading terms).  Each pole's
+    cofactor D_i = D / (1 - a_i z)^(m_i) comes from m_i synthetic divisions
+    q_k = d_k + a_i q_(k-1), and the pole coefficients from the derivative
+    formula
 
         A_{m_i - j} = (-1/a_i)^j / j! * (d/dz)^j [f (1 - a_i z)^{m_i}]
                       evaluated at z = 1/a_i,
 
-    so every output coefficient is a single fraction of Laurent polynomials.
+    with the powers a_i^-k built once per pole.  So every output coefficient
+    is a single fraction of Laurent polynomials.  Before dividing, the root
+    a_i and the coefficients of D are lifted to the cyclotomic order L, the
+    lcm of the orders above 2 of all the cover roots.  A cyclotomic number
+    prints in the order that the multiplication of its operands gives, so
+    this fixes the printed labels: the coefficient of z/((1-z^6)*(1-t*z))
+    at the pole zeta3^1 has the denominator 1 + zeta6^1*t.
 
     >>> f = RationalFunction("z", LP_ONE, [(0, MONO_ONE, 2, 1)])
     >>> print(partial_fractions(f))
     polynomial part: 0
     + (1/2) / (1 - z)
     + (1/2) / (1 + z)
+    >>> z = LaurentPoly.var("z")
+    >>> print(partial_fractions(RationalFunction("z", z, [(0, MONO_ONE, 3, 1)])))
+    polynomial part: 0
+    + (1/3) / (1 - z)
+    + ((-1/3 - 1/3*zeta3^1)) / (1 - zeta3^1*z)
+    + (1/3*zeta3^1) / (1 - (-1 - zeta3^1)*z)
     """
     from .scalars import scalar_inv
 
-    poles = split_poles(f)
-    order = sorted(poles, key=lambda km: (_mono_sort_key(km[1]), km[0]))
-    D = _pole_product(poles, order)
+    poles, roots, D = _cover(f)
     M = max(D) if D else 0
     N = dict(f.num.split_var(f.var))
     Q: dict = {}
@@ -656,17 +699,18 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
         N = {}
 
     terms: list = []
-    for (angle, mono) in order:
+    for (angle, mono), a in roots.items():
         m_tot = poles[(angle, mono)]
-        Di = _pole_product(poles, order, {(angle, mono): m_tot})
-        Di_deriv = _zpoly_deriv(Di)
-        den0 = _zpoly_eval_inv(Di, angle, mono)
+        Di = _divide_out(D, a, m_tot)
+        Di_deriv = _zpoly_deriv(Di) if m_tot > 1 else None
+        pw: list = []
+        den0 = _zpoly_eval_inv(Di, angle, mono, pw)
         Nj = dict(N)
         jfact = 1
         for j in range(m_tot):
             if j:
                 jfact *= j
-            num_eval = _zpoly_eval_inv(Nj, angle, mono)
+            num_eval = _zpoly_eval_inv(Nj, angle, mono, pw)
             if not num_eval.is_zero():
                 scale = unit_value(angle, mono, -j) * Fraction((-1) ** j, jfact)
                 A = PolyFraction(num_eval * scale, den0 ** (j + 1))

@@ -85,6 +85,13 @@ def test_spec_example_values():
     assert out.strip().splitlines()[-1] == "PASS 105/105"
 
 
+def test_integral_fraction_exponent_prints_as_int():
+    # t^(1/2)*t^(3/2) leaves the exponent Fraction(2); it prints as t^2
+    assert run_cli(["residue", "t^(1/2)*t^(3/2)/(1-z)"]) == (0, "t^2\n")
+    code, out = run_cli(["pfrac", "1/((1-z^3)*(1-t^2*z^6))"])
+    assert code == 0 and "(1 - t^2)" in out and "t^(2)" not in out
+
+
 def test_large_factor_power():
     # the factor of a^k is recognised once, not k times
     assert run_cli(["residue", "1/(1-z)^200000"]) == (0, "1\n")

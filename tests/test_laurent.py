@@ -80,6 +80,9 @@ def test_monomial_canonical_form():
     m = Monomial.make({"s": Fraction(2, 2), "t": 0})
     assert m == Monomial.var("s")
     assert str(Monomial.var("t", Fraction(1, 2))) == "t^(1/2)"
+    # a product of fractional exponents can leave an integral Fraction
+    assert str(Monomial.var("t", Fraction(1, 2)) * Monomial.var("t", Fraction(3, 2))) == "t^2"
+    assert str(Monomial.var("t", Fraction(1, 2)) * Monomial.var("t", Fraction(-3, 2))) == "t^-1"
     assert (Monomial.var("s") * Monomial.var("s", -1)).is_one()
     a = Monomial.make({"s": 2, "t": -1})
     assert a * Monomial.make({"s": -2, "u": 1}) == Monomial.make({"t": -1, "u": 1})

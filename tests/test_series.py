@@ -1,9 +1,12 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+from kvertex.exprparse import parse_rational
 from kvertex.laurent import LP_ONE, MONO_ONE, LaurentPoly, Monomial, PolyFraction
+from kvertex.residues import residue_k
 from kvertex.series import (RationalFunction, expand_at, expand_equivariant,
                             partial_fractions, series_of_poly)
 
@@ -181,6 +184,89 @@ def test_partial_fractions_roundtrip_random(suite_seed):
         done += 1
         f = RationalFunction("z", LaurentPoly.var("z", rnd.randint(-2, 2)), factors)
         assert partial_fractions(f).recombines_to(f)
+
+
+def _pinned_pfrac_text():
+    path = os.path.join(os.path.dirname(__file__), "data", "pfrac_labels.txt")
+    with open(path, encoding="utf-8") as fh:
+        blocks = fh.read().split("\n\n")
+    return [tuple(b.strip("\n")[2:].split("\n", 1)) for b in blocks]
+
+
+@pytest.mark.parametrize("expr,text", _pinned_pfrac_text(),
+                         ids=[expr for expr, _text in _pinned_pfrac_text()])
+def test_partial_fractions_text_is_pinned(expr, text):
+    # the printed cyclotomic labels (zeta6^1 next to zeta3^1) depend on the
+    # order in which coefficients are multiplied, so they are pinned here
+    f, content = parse_rational(expr, "z")
+    assert content == LP_ONE
+    assert str(partial_fractions(f)) == text
+
+
+def _sympy_of(p, sympy, point):
+    """A LaurentPoly or PolyFraction with rational coefficients in sympy,
+    with the variables in `point` set to its values."""
+    if isinstance(p, PolyFraction):
+        return _sympy_of(p.num, sympy, point) / _sympy_of(p.den, sympy, point)
+    out = sympy.Integer(0)
+    for m, c in p.terms.items():
+        assert isinstance(c, (int, Fraction)), "only rational coefficients expected"
+        term = sympy.Rational(c.numerator, c.denominator)
+        for v, e in m:
+            term *= point.get(v, sympy.Symbol(v)) ** sympy.Rational(e.numerator, e.denominator)
+        out += term
+    return out
+
+
+def test_partial_fractions_against_sympy(suite_seed):
+    """sympy rebuilds poly part + sum coeff / (1 - a z)^mult and cancels it
+    against f.  The poles are +-1 and +-characters (factors 1 - c z, 1 + c z
+    and 1 - c^2 z^2), so every coefficient is rational.  The characters s, t
+    are set to random rationals, which keeps sympy's cancellation in z alone
+    fast; with s, t symbolic the unreduced coefficient denominators make it
+    take minutes."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    rnd = random.Random(suite_seed)
+    chars = [MONO_ONE, T, Monomial.var("s") * T.inv(), Monomial.var("t", 2)]
+    for _ in range(12):
+        factors = []
+        for c in rnd.sample(chars, rnd.randint(1, 3)):
+            shape = rnd.choice(["minus", "plus", "square"])
+            e = rnd.randint(1, 2)
+            if shape == "square":
+                factors.append((0, c ** 2, 2, e))
+            else:
+                factors.append((Fraction(0 if shape == "minus" else 1, 2), c, 1, e))
+        num = LaurentPoly.scalar(rnd.randint(1, 3))
+        for _i in range(rnd.randint(0, 2)):
+            num = num + rnd.randint(-3, 3) * LaurentPoly.var("z", rnd.randint(-2, 6))
+        f = RationalFunction("z", num, factors)
+        pf = partial_fractions(f)
+        for _point in range(2):
+            # four distinct primes: no monomial s^a t^b but 1 takes the value 1,
+            # so no factor 1 - c of a denominator vanishes
+            p = rnd.sample([2, 3, 5, 7, 11, 13, 17, 19], 4)
+            point = {"s": sympy.Rational(p[0], p[1]), "t": sympy.Rational(p[2], p[3])}
+            rebuilt = sum((_sympy_of(c, sympy, point) * z ** k for k, c in pf.poly_part.items()),
+                          sympy.Integer(0))
+            for term in pf.terms:
+                root = _sympy_of(LaurentPoly.term(-1 if term.angle else 1, term.mono), sympy, point)
+                rebuilt += _sympy_of(term.coeff, sympy, point) / (1 - root * z) ** term.mult
+            expr = _sympy_of(f.num, sympy, point)
+            for angle, mono, n, e in f.factors():
+                c = _sympy_of(LaurentPoly.term(-1 if angle else 1, mono), sympy, point)
+                expr = expr / (1 - c * z ** n) ** e
+            assert sympy.cancel(rebuilt - expr) == 0, (str(f), point)
+
+
+@pytest.mark.parametrize("n", [17, 31])
+def test_partial_fractions_large_cover(n):
+    f = RationalFunction("z", LP_ONE, [(0, MONO_ONE, n, 1), (0, T, 1, 1)])
+    pf = partial_fractions(f)
+    assert len(pf.terms) == n + 1
+    assert pf.coefficient_sum() == PolyFraction.of(residue_k(f))
+    assert pf.recombines_to(f)
 
 
 def test_equivariant_expansion_defining_property():
