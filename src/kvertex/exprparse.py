@@ -234,10 +234,10 @@ def _recognize_factor(g: LaurentPoly, var: str):
     """Match g = unit * (1 - c z^n) with c = (+-1) * monomial, n > 0."""
     if len(g.terms) != 2:
         return None
-    items = sorted(g.terms.items(), key=lambda kv: Monomial(kv[0]).exponent(var))
-    (m_lo, c_lo), (m_hi, c_hi) = items
-    e_lo = Monomial(m_lo).exponent(var)
-    e_hi = Monomial(m_hi).exponent(var)
+    (m_lo, c_lo), (m_hi, c_hi) = sorted(zip(g.monomials(), g.terms.values()),
+                                        key=lambda mc: mc[0].exponent(var))
+    e_lo = m_lo.exponent(var)
+    e_hi = m_hi.exponent(var)
     if e_lo == e_hi:
         return None
     if not isinstance(c_lo, RATIONAL) or not isinstance(c_hi, RATIONAL):
@@ -252,8 +252,8 @@ def _recognize_factor(g: LaurentPoly, var: str):
     n = e_hi - e_lo
     if not isinstance(n, int):
         return None
-    cm = Monomial(m_hi) * Monomial(m_lo).inv() * Monomial.var(var, -n)
-    return (angle, cm, n), c_lo, Monomial(m_lo)
+    cm = m_hi * m_lo.inv() * Monomial.var(var, -n)
+    return (angle, cm, n), c_lo, m_lo
 
 
 def _power(val, e: Fraction):

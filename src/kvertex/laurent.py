@@ -1,65 +1,166 @@
 """Multivariate Laurent monomials and polynomials with exact coefficients.
 
-A Monomial is a canonical sorted tuple of (variable, exponent) pairs;
-exponents are ints or Fractions (fractional exponents model characters
-pulled back along an N-fold cover).  A LaurentPoly maps monomials to
-nonzero exact coefficients: int, Fraction or Cyclo (see scalars).  The
-constructors and the scalar product demote integral Fractions to int, so
-integer-coefficient polynomials compute with ints only; the kernels below
-do no demotion of their own.  PolyFraction is the fraction field, needed
-for partial-fraction coefficients such as 1/(1 - t).
+A monomial is one Python int, its key.  Each variable name gets a slot in
+a process-wide registry when first seen, and the key holds the exponent
+of the variable in slot i as a signed 32-bit field: key = sum_i e_i 2^(32 i).
+The packing is linear, so a monomial product is the sum of two keys, the
+unit is 0 and a renaming moves fields between slots.  Keys are meaningful
+only in the process whose registry made them.
 
-The inner loops of the arithmetic are the term-map kernels below
-(_mono_mul, _terms_add, _terms_mul, _terms_scale, _terms_rename): plain
-Python functions on the raw exponent tuples and {tuple: coefficient} dicts
-that LaurentPoly wraps.
+Fractional exponents use one scheme: a LaurentPoly has an exponent
+denominator exp_den (1 when integral, n for a cover root t^(1/n)) and its
+keys hold the exponents times exp_den.  Values with different
+denominators are lifted to the lcm by multiplying their keys by one
+integer.  A Monomial is the typed view (key, den) of a key with den
+reduced, so t^(1/2) * t^(1/2) is t.  Overflow is never silent: stored
+fields lie in [-2^30, 2^30), so the sum of two keys is exact and one bit
+test shows a field that left the range; then OverflowError is raised
+(exit code 1 in the CLI).  MAX_EXPONENT = 2^30 - 1 counts units of 1/exp_den.
 
-All values are immutable after construction; every operation is pure.
+Coefficients are nonzero exact scalars (int, Fraction or Cyclo); the
+constructors and the scalar product demote integral Fractions to int, the
+kernels do no demotion of their own.  PolyFraction is the fraction field.
+All values are immutable; every operation is pure.
+
+>>> s, t = Monomial.var("s"), Monomial.var("t")
+>>> (s * s * t.inv()).key == 2 * s.key - t.key
+True
+>>> half = LaurentPoly.var("t", Fraction(1, 2))
+>>> half.exp_den, half.terms == {t.key: 1}, str(half * half)
+(2, True, 't')
+>>> LaurentPoly.var("t", MAX_EXPONENT) * LaurentPoly.var("t")
+Traceback (most recent call last):
+  ...
+OverflowError: exponent out of range: exponents times their denominator must lie in [-2^30, 2^30)
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
-from .scalars import RATIONAL, Cyclo, exact, scalar_inv, scalar_str
+from .scalars import RATIONAL, Cyclo, exact, scalar_inv, scalar_pow, scalar_str
+
+
+# -- the variable registry and the packed keys -------------------------------
+
+_W = 32                     # bits per exponent field
+_MASK = (1 << _W) - 1
+_HALF = 1 << (_W - 1)
+_Q = 1 << (_W - 2)          # stored fields lie in [-_Q, _Q)
+MAX_EXPONENT = _Q - 1
+
+_SHIFT: dict = {}           # variable name -> bit offset of its field (32 * slot)
+_NAMES: list = []           # slot index -> variable name
+# _HALF and _Q in every registered field.  key + _HALVES has the fields
+# e + 2^31 in [0, 2^32), each read off by a shift and a mask.  For an exact
+# sum of stored keys, key + _QUARTERS has a bit 31 set iff a field left [-_Q, _Q).
+_HALVES = 0
+_QUARTERS = 0
+
+
+def _shift(name: str) -> int:
+    """The bit offset of the field of `name`, registering the name."""
+    global _HALVES, _QUARTERS
+    s = _SHIFT.get(name)
+    if s is None:
+        s = _SHIFT[name] = _W * len(_NAMES)
+        _NAMES.append(name)
+        _HALVES += _HALF << s
+        _QUARTERS += _Q << s
+    return s
+
+
+def _overflow() -> OverflowError:
+    return OverflowError("exponent out of range: exponents times their "
+                         "denominator must lie in [-2^30, 2^30)")
+
+
+def _field(e) -> int:
+    """A field value (an integral int or Fraction), range-checked."""
+    e = int(e)
+    if not -_Q <= e < _Q:
+        raise _overflow()
+    return e
+
+
+def _check_keys(keys):
+    """Raise OverflowError when a field of these keys, exact sums of stored
+    keys, has left [-_Q, _Q)."""
+    q = _QUARTERS
+    acc = 0
+    for m in keys:
+        acc |= m + q
+    if acc & _HALVES:
+        raise _overflow()
+
+
+def _fields(key):
+    """[(slot index, field)] of the nonzero fields of a key."""
+    out = []
+    i = 0
+    while key:
+        e = ((key + _HALF) & _MASK) - _HALF
+        if e:
+            out.append((i, e))
+            key -= e
+        key >>= _W
+        i += 1
+    return out
+
+
+def _scaled(key, f: int) -> int:
+    """The key with every field multiplied by f, range-checked."""
+    if f == 1:
+        return key
+    for _, e in _fields(key):
+        if not -_Q <= e * f < _Q:
+            raise _overflow()
+    return key * f
+
+
+def _common(p: "LaurentPoly", q: "LaurentPoly"):
+    """The term maps of p and q over the lcm d of their exponent denominators."""
+    d = math.lcm(p.exp_den, q.exp_den)
+    A, B = (x.terms if x.exp_den == d else
+            {_scaled(m, d // x.exp_den): c for m, c in x.terms.items()} for x in (p, q))
+    return A, B, d
+
+
+def _exponent(e: int, den: int):
+    """The exponent of a field over den: an int when integral."""
+    if den == 1 or not e % den:
+        return e // den
+    return Fraction(e, den)
+
+
+@functools.lru_cache(maxsize=4096)
+def _pairs(key, den) -> tuple:
+    """The sorted (name, exponent) pairs of a key: the display order."""
+    return tuple(sorted((_NAMES[i], _exponent(e, den)) for i, e in _fields(key)))
+
+
+def _mono_text(pairs) -> str:
+    if not pairs:
+        return "1"
+    return "*".join(v if e == 1 else f"{v}^{e}" if type(e) is int else f"{v}^({e})"
+                    for v, e in pairs)
 
 
 # -- term-map kernels ------------------------------------------------------
 
 
-def _mono_mul(a, b):
-    """Merge two sorted exponent tuples, adding exponents, dropping zeros."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = 0
-    j = 0
-    na = len(a)
-    nb = len(b)
-    while i < na and j < nb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            e = ea + eb
-            if e:
-                out.append((va, e))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
+def _acc(out: dict, m, c):
+    """out[m] += c, dropping a zero sum."""
+    acc = out.get(m)
+    if acc is None:
+        out[m] = c
+    else:
+        acc = acc + c
+        if acc:
+            out[m] = acc
         else:
-            out.append(b[j])
-            j += 1
-    while i < na:
-        out.append(a[i])
-        i += 1
-    while j < nb:
-        out.append(b[j])
-        j += 1
-    return tuple(out)
+            del out[m]
 
 
 def _terms_add(A, B):
@@ -83,24 +184,30 @@ def _terms_add(A, B):
 
 
 def _terms_mul(A, B):
-    """Distributive product of two term maps."""
+    """Distributive product of two term maps: a monomial product is the sum
+    of two keys."""
     if not A or not B:
         return {}
     out = {}
+    q = _QUARTERS
+    chk = 0
     for ma, ca in A.items():
         for mb, cb in B.items():
-            m = _mono_mul(ma, mb)
+            m = ma + mb
             c = ca * cb
             acc = out.get(m)
             if acc is None:
                 if c:
                     out[m] = c
+                    chk |= m + q
             else:
                 acc = acc + c
                 if acc:
                     out[m] = acc
                 else:
                     del out[m]
+    if chk & _HALVES:
+        raise _overflow()
     return out
 
 
@@ -111,118 +218,160 @@ def _terms_scale(A, c):
     return {m: cc for m, cc in ((m, c * c0) for m, c0 in A.items()) if cc}
 
 
-def _terms_rename(A, ren):
+def _rename_key(key, ren: dict) -> int:
+    """One key with its variables renamed; renamed fields add up."""
+    exps: dict = {}
+    for i, e in _fields(key):
+        v = ren.get(_NAMES[i], _NAMES[i])
+        exps[v] = exps.get(v, 0) + e
+    return sum(_field(e) << _shift(v) for v, e in exps.items())
+
+
+def _terms_rename(A, ren: dict):
     """Rename variables via the map ren (missing names pass through).
 
-    Renaming can merge or reorder variables, so monomial keys are rebuilt
-    and collisions are accumulated.
+    Fields move to their new slots and add up.  When no two renamed names
+    share a target, at most two fields meet, the result is exact and one
+    range check suffices; otherwise each key is decoded and checked.
     """
-    out = {}
+    moves = []
+    for v, w in ren.items():
+        s = _SHIFT.get(v)
+        if s is not None and v != w:
+            d = _SHIFT.get(w)
+            moves.append((s, _shift(w) if d is None else d))
+    if not moves:
+        return dict(A)
+    out: dict = {}
+    if len({d for _, d in moves}) < len(moves):
+        for m, c in A.items():
+            _acc(out, _rename_key(m, ren), c)
+        return out
+    h = _HALVES
     for m, c in A.items():
-        if m:
-            acc = {}
-            for v, e in m:
-                v2 = ren.get(v, v)
-                e0 = acc.get(v2)
-                acc[v2] = e if e0 is None else e0 + e
-            m2 = tuple(sorted((v, e) for v, e in acc.items() if e))
-        else:
-            m2 = m
-        prev = out.get(m2)
-        if prev is None:
-            out[m2] = c
-        else:
-            prev = prev + c
-            if prev:
-                out[m2] = prev
-            else:
-                del out[m2]
+        u = m + h
+        for s, d in moves:
+            e = ((u >> s) & _MASK) - _HALF
+            if e:
+                m += (e << d) - (e << s)
+        _acc(out, m, c)
+    _check_keys(out)
     return out
 
 
-def _ex(e):
-    """Normalize an exponent: plain int when integral."""
-    if isinstance(e, int):
-        return e
-    e = Fraction(e)
-    return e.numerator if e.denominator == 1 else e
+# -- monomials ---------------------------------------------------------------
 
 
-class Monomial(tuple):
-    """Product of variable powers; the empty tuple is the unit.
+def _mono(key: int, den: int) -> "Monomial":
+    """The Monomial of a key over den, with den reduced."""
+    if den != 1:
+        g = math.gcd(den, *(e for _, e in _fields(key)))
+        key, den = key // g, den // g
+    m = object.__new__(Monomial)
+    m.key, m.den = key, den
+    return m
+
+
+@functools.total_ordering
+class Monomial:
+    """Product of variable powers, built from (name, exponent) pairs: a view
+    of one packed key over its reduced exponent denominator den.
 
     >>> Monomial.var("s") * Monomial.var("t", -1)
     Monomial s*t^-1
     """
 
-    __slots__ = ()
+    __slots__ = ("key", "den")
+
+    def __init__(self, pairs=()):
+        m = Monomial.make(dict(pairs))
+        self.key, self.den = m.key, m.den
 
     @staticmethod
     def make(exps: dict) -> "Monomial":
-        return Monomial(sorted((v, _ex(e)) for v, e in exps.items() if e))
+        exps = {v: e if type(e) is int else Fraction(e) for v, e in exps.items() if e}
+        den = math.lcm(1, *(e.denominator for e in exps.values()))
+        return _mono(sum(_field(e * den) << _shift(v) for v, e in exps.items()), den)
 
     @staticmethod
     def var(name: str, exp=1) -> "Monomial":
-        e = _ex(exp)
-        return Monomial(((name, e),)) if e else MONO_ONE
+        if type(exp) is int:
+            return _mono(_field(exp) << _shift(name), 1)
+        return Monomial.make({name: exp})
 
     def __mul__(self, other):
-        return Monomial(_mono_mul(self, other))
+        if self.den == other.den:
+            key, d = self.key + other.key, self.den
+        else:
+            d = math.lcm(self.den, other.den)
+            key = _scaled(self.key, d // self.den) + _scaled(other.key, d // other.den)
+        _check_keys((key,))
+        return _mono(key, d)
 
     def __pow__(self, k):
-        k = _ex(k)
-        if not k:
-            return MONO_ONE
-        return Monomial((v, _ex(e * k)) for v, e in self)
+        if type(k) is int:
+            return _mono(_scaled(self.key, k), self.den)
+        k = Fraction(k)
+        return _mono(_scaled(self.key, k.numerator), self.den * k.denominator)
 
     def inv(self) -> "Monomial":
-        return Monomial((v, -e) for v, e in self)
+        _check_keys((-self.key,))
+        return _mono(-self.key, self.den)
 
     def exponent(self, name: str):
-        for v, e in self:
-            if v == name:
-                return e
-        return 0
+        s = _SHIFT.get(name)
+        if s is None:
+            return 0
+        return _exponent((((self.key + _HALVES) >> s) & _MASK) - _HALF, self.den)
+
+    def items(self) -> tuple:
+        """The sorted (name, exponent) pairs."""
+        return _pairs(self.key, self.den)
 
     def variables(self):
-        return [v for v, _ in self]
+        return [v for v, _ in self.items()]
 
     def degree_on(self, names):
         """Total exponent over the given variable set."""
-        return sum(e for v, e in self if v in names)
+        return _exponent(sum(e for i, e in _fields(self.key) if _NAMES[i] in names), self.den)
+
+    def rename(self, ren: dict) -> "Monomial":
+        return _mono(_rename_key(self.key, ren), self.den)
 
     def is_one(self) -> bool:
-        return not self
+        return not self.key
+
+    def __eq__(self, other):
+        if not isinstance(other, Monomial):
+            return NotImplemented
+        return self.key == other.key and self.den == other.den
+
+    def __lt__(self, other):
+        return self.items() < other.items()
+
+    def __hash__(self):
+        return hash((self.key, self.den))
 
     def __str__(self):
-        if not self:
-            return "1"
-        parts = []
-        for v, e in self:
-            if e == 1:
-                parts.append(v)
-            elif e.denominator == 1:
-                # an int, or an integral Fraction that _mono_mul left as a sum
-                parts.append(f"{v}^{e.numerator}")
-            else:
-                parts.append(f"{v}^({e})")
-        return "*".join(parts)
+        return _mono_text(self.items())
 
     def __repr__(self):
         return f"Monomial {self}"
 
 
-MONO_ONE = Monomial(())
+MONO_ONE = _mono(0, 1)
 
 
 class LaurentPoly:
-    """Finite sum of monomials with exact nonzero coefficients."""
+    """Finite sum of monomials with exact nonzero coefficients: terms maps
+    packed keys over the exponent denominator exp_den to coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "exp_den")
 
-    def __init__(self, terms: dict):
-        # terms: {raw exponent tuple or Monomial: coeff}; owned by this object
+    def __init__(self, terms: dict, exp_den: int = 1):
+        # terms: {packed key: coeff}; owned by this object
         self.terms = terms
+        self.exp_den = exp_den
 
     # -- constructors ----------------------------------------------------
 
@@ -233,35 +382,26 @@ class LaurentPoly:
     @staticmethod
     def scalar(c) -> "LaurentPoly":
         c = exact(c)
-        return LaurentPoly({MONO_ONE: c} if c else {})
+        return LaurentPoly({0: c} if c else {})
 
     @staticmethod
     def var(name: str, exp=1) -> "LaurentPoly":
-        return LaurentPoly({Monomial.var(name, exp): 1})
+        return LaurentPoly.term(1, Monomial.var(name, exp))
 
     @staticmethod
     def term(c, mono: Monomial) -> "LaurentPoly":
         c = exact(c)
-        return LaurentPoly({Monomial(mono): c} if c else {})
+        return LaurentPoly({mono.key: c} if c else {}, mono.den)
 
     @staticmethod
     def from_terms(pairs) -> "LaurentPoly":
+        pairs = [(mono, exact(c)) for mono, c in pairs]
+        d = math.lcm(1, *(mono.den for mono, _ in pairs))
         out: dict = {}
         for mono, c in pairs:
-            c = exact(c)
-            if not c:
-                continue
-            key = Monomial(mono)
-            acc = out.get(key)
-            if acc is None:
-                out[key] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        return LaurentPoly(out)
+            if c:
+                _acc(out, _scaled(mono.key, d // mono.den), c)
+        return LaurentPoly(out, d)
 
     # -- ring operations --------------------------------------------------
 
@@ -276,12 +416,15 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return LaurentPoly(_terms_add(self.terms, o.terms))
+        if self.exp_den == o.exp_den:
+            return LaurentPoly(_terms_add(self.terms, o.terms), self.exp_den)
+        A, B, d = _common(self, o)
+        return LaurentPoly(_terms_add(A, B), d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({m: -c for m, c in self.terms.items()})
+        return LaurentPoly({m: -c for m, c in self.terms.items()}, self.exp_den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -293,19 +436,22 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (RATIONAL, Cyclo)):
-            return LaurentPoly(_terms_scale(self.terms, exact(other)))
         if isinstance(other, LaurentPoly):
-            return LaurentPoly(_terms_mul(self.terms, other.terms))
+            if self.exp_den == other.exp_den:
+                return LaurentPoly(_terms_mul(self.terms, other.terms), self.exp_den)
+            A, B, d = _common(self, other)
+            return LaurentPoly(_terms_mul(A, B), d)
+        if isinstance(other, (RATIONAL, Cyclo)):
+            return LaurentPoly(_terms_scale(self.terms, exact(other)), self.exp_den)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        unit = self.as_unit()
+        if unit is not None:
+            return LaurentPoly.term(scalar_pow(unit[0], k), unit[1] ** k)
         if k < 0:
-            if len(self.terms) == 1:
-                (m, c), = self.terms.items()
-                return LaurentPoly.term(scalar_inv(c), Monomial(m).inv()) ** (-k)
             raise ValueError("negative power of a non-monomial Laurent polynomial")
         out = LaurentPoly.scalar(1)
         base = self
@@ -320,10 +466,13 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if len(self.terms) != len(o.terms):
+        A, B = self.terms, o.terms
+        if len(A) != len(B):
             return False
-        for m, c in self.terms.items():
-            c2 = o.terms.get(m)
+        if self.exp_den != o.exp_den:
+            A, B, _ = _common(self, o)
+        for m, c in A.items():
+            c2 = B.get(m)
             if c2 is None or not (c == c2):
                 return False
         return True
@@ -339,129 +488,96 @@ class LaurentPoly:
     # -- structure --------------------------------------------------------
 
     def monomials(self):
-        return [Monomial(m) for m in self.terms]
+        """The Monomial of every term, in the order of terms."""
+        return [_mono(m, self.exp_den) for m in self.terms]
 
     def coefficient(self, mono: Monomial):
-        return self.terms.get(Monomial(mono), 0)
+        d = self.exp_den
+        if d % mono.den:
+            return 0
+        return self.terms.get(_scaled(mono.key, d // mono.den), 0)
 
     def constant(self):
-        return self.terms.get(MONO_ONE, 0)
+        return self.terms.get(0, 0)
 
     def variables(self) -> set:
-        out = set()
-        for m in self.terms:
-            for v, _ in m:
-                out.add(v)
-        return out
+        return {_NAMES[i] for m in self.terms for i, _ in _fields(m)}
 
     def is_scalar(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and MONO_ONE in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def as_unit(self):
         """Return (coeff, Monomial) when this is a single term, else None."""
         if len(self.terms) != 1:
             return None
         (m, c), = self.terms.items()
-        return c, Monomial(m)
+        return c, _mono(m, self.exp_den)
 
     def rename(self, ren: dict) -> "LaurentPoly":
-        return LaurentPoly(_terms_rename(self.terms, ren))
+        return LaurentPoly(_terms_rename(self.terms, ren), self.exp_den)
 
-    def subs_mono(self, name: str, value: Monomial, coeff=None) -> "LaurentPoly":
-        """Substitute a variable by coeff*value (value a monomial)."""
+    def subs_mono(self, name: str, value: Monomial) -> "LaurentPoly":
+        """Substitute the variable `name` by the monomial value."""
+        s = _shift(name)
+        A, (vkey,), d = _common(self, LaurentPoly.term(1, value))
+        h = _HALVES
         out: dict = {}
-        for m, c in self.terms.items():
-            e = 0
-            rest = []
-            for v, ee in m:
-                if v == name:
-                    e = ee
-                else:
-                    rest.append((v, ee))
+        for m, c in A.items():
+            e = (((m + h) >> s) & _MASK) - _HALF
             if e:
-                if not isinstance(e, int):
+                if e % d:
                     raise ValueError(f"non-integer exponent of {name} in substitution")
-                m2 = _mono_mul(tuple(rest), value ** e)
-                c2 = c * (coeff ** e) if coeff is not None else c
-            else:
-                m2, c2 = tuple(rest), c
-            if not c2:
-                continue
-            acc = out.get(m2)
-            if acc is None:
-                out[m2] = c2
-            else:
-                acc = acc + c2
-                if acc:
-                    out[m2] = acc
-                else:
-                    del out[m2]
-        return LaurentPoly(out)
+                m += _scaled(vkey, e // d) - (e << s)
+            _acc(out, m, c)
+        _check_keys(out)
+        return LaurentPoly(out, d)
 
     def attach_degree(self, blockvars, name: str, sign: int = 1) -> "LaurentPoly":
         """Multiply each term by name^(sign * total degree in blockvars)."""
-        bs = set(blockvars)
+        shifts = [_SHIFT[v] for v in set(blockvars) if v in _SHIFT]
+        t = _shift(name)
+        h = _HALVES
         out: dict = {}
         for m, c in self.terms.items():
-            d = sum(e for v, e in m if v in bs)
-            m2 = _mono_mul(m, Monomial.var(name, sign * d)) if d else m
-            acc = out.get(m2)
-            if acc is None:
-                out[m2] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[m2] = acc
-                else:
-                    del out[m2]
-        return LaurentPoly(out)
+            u = m + h
+            d = sign * sum(((u >> s) & _MASK) - _HALF for s in shifts)
+            if d:
+                _field((((u >> t) & _MASK) - _HALF) + d)
+                m += d << t
+            _acc(out, m, c)
+        return LaurentPoly(out, self.exp_den)
 
     def split_var(self, name: str) -> dict:
         """Decompose as sum_k name^k * residual; keys are integer exponents."""
+        s = _shift(name)
+        den = self.exp_den
+        h = _HALVES
         out: dict = {}
         for m, c in self.terms.items():
-            e = 0
-            rest = []
-            for v, ee in m:
-                if v == name:
-                    e = ee
-                else:
-                    rest.append((v, ee))
-            if not isinstance(e, int):
+            e = (((m + h) >> s) & _MASK) - _HALF
+            if e % den:
                 raise ValueError(f"non-integer exponent of {name}")
-            bucket = out.setdefault(e, {})
-            key = tuple(rest)
-            acc = bucket.get(key)
-            if acc is None:
-                bucket[key] = c
-            else:
-                acc = acc + c
-                if acc:
-                    bucket[key] = acc
-                else:
-                    del bucket[key]
-        return {k: LaurentPoly(v) for k, v in out.items() if v}
+            out.setdefault(e // den, {})[m - (e << s)] = c
+        return {k: LaurentPoly(v, den) for k, v in out.items()}
 
     # -- display -----------------------------------------------------------
-
-    def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
 
     def __str__(self):
         if not self.terms:
             return "0"
+        d = self.exp_den
         parts = []
-        for m, c in self._sorted_terms():
-            mono = Monomial(m)
+        for pairs, c in sorted(((_pairs(m, d), c) for m, c in self.terms.items()),
+                               key=lambda pc: pc[0]):
             cs = scalar_str(c)
-            if mono.is_one():
+            if not pairs:
                 parts.append(cs)
             elif c == 1:
-                parts.append(str(mono))
+                parts.append(_mono_text(pairs))
             elif c == -1:
-                parts.append("-" + str(mono))
+                parts.append("-" + _mono_text(pairs))
             else:
-                parts.append(f"{cs}*{mono}")
+                parts.append(f"{cs}*{_mono_text(pairs)}")
         out = parts[0]
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
@@ -471,13 +587,16 @@ class LaurentPoly:
         return f"<LaurentPoly {self}>"
 
 
-def _mono_sort_key(m):
-    # deterministic order: by variable names then exponents (as Fractions)
-    return tuple((v, Fraction(e)) for v, e in m)
-
-
 LP_ONE = LaurentPoly.scalar(1)
 LP_ZERO = LaurentPoly.zero()
+
+
+def _times_unit(p: LaurentPoly, c, mono: Monomial) -> LaurentPoly:
+    """p * c * mono for a nonzero scalar c, without a product of term maps."""
+    A, (mkey,), d = _common(p, LaurentPoly.term(1, mono))
+    out = {m + mkey: exact(cc * c) for m, cc in A.items()}
+    _check_keys(out)
+    return LaurentPoly(out, d)
 
 
 # -- exact division ------------------------------------------------------
@@ -486,9 +605,10 @@ LP_ZERO = LaurentPoly.zero()
 def laurent_exact_div(f: LaurentPoly, g: LaurentPoly):
     """Return f/g as a LaurentPoly if g divides f exactly, else None.
 
-    Works over the fraction field coefficients (Fraction or Cyclo) by
-    rescaling fractional exponents to integers, shifting to ordinary
-    polynomials and running single-divisor lex division.
+    Works over the fraction field coefficients (Fraction or Cyclo).  The
+    keys are re-packed with the variables in name order, the first most
+    significant, and shifted to nonnegative fields; integer order is then
+    the lex order of ordinary polynomials, and lex division runs on them.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -497,60 +617,49 @@ def laurent_exact_div(f: LaurentPoly, g: LaurentPoly):
     unit = g.as_unit()
     if unit is not None:
         c, m = unit
-        ci = scalar_inv(c)
-        mi = m.inv()
-        return LaurentPoly.from_terms((Monomial(_mono_mul(mm, mi)), cc * ci)
-                                      for mm, cc in f.terms.items())
-    vs = sorted(f.variables() | g.variables())
-    D = 1
-    for p in (f, g):
-        for m in p.terms:
-            for _, e in m:
-                if not isinstance(e, int):
-                    D = math.lcm(D, e.denominator)
+        return _times_unit(f, scalar_inv(c), m.inv())
+    F, G, d = _common(f, g)
+    h = _HALVES
+    used = 0
+    for m in (*F, *G):
+        used |= (m + h) ^ h
+    # the slots in use, first name first; each becomes a nonnegative local
+    # field, the first name most significant
+    slots = sorted((i for i in range(len(_NAMES)) if (used >> (_W * i)) & _MASK),
+                   key=lambda i: _NAMES[i])
+    shifts = [_W * i for i in slots]
+    local = [_W * j for j in reversed(range(len(slots)))]
 
-    def vecs(p):
-        out = {}
-        for m, c in p.terms.items():
-            key = [0] * len(vs)
-            for v, e in m:
-                key[vs.index(v)] = int(e * D)
-            out[tuple(key)] = c
-        return out
+    def packed(terms):
+        vecs = [[(((m + h) >> s) & _MASK) - _HALF for s in shifts] for m in terms]
+        low = [min(col) for col in zip(*vecs)]
+        return {sum((e - lo) << p for e, lo, p in zip(v, low, local)): c
+                for v, c in zip(vecs, terms.values())}, low
 
-    F, G = vecs(f), vecs(g)
-    fshift = [min(k[i] for k in F) for i in range(len(vs))]
-    gshift = [min(k[i] for k in G) for i in range(len(vs))]
-    F = {tuple(a - b for a, b in zip(k, fshift)): c for k, c in F.items()}
-    G = {tuple(a - b for a, b in zip(k, gshift)): c for k, c in G.items()}
+    F, flow = packed(F)
+    G, glow = packed(G)
+    guard = sum(_HALF << p for p in local)
     ltg = max(G)
     cg = G[ltg]
     Q: dict = {}
     while F:
         ltf = max(F)
-        if any(a < b for a, b in zip(ltf, ltg)):
+        qm = ltf - ltg
+        if (qm + guard) & guard != guard:
             return None
-        qm = tuple(a - b for a, b in zip(ltf, ltg))
         qc = F[ltf] * scalar_inv(cg)
         Q[qm] = qc
         for gm, gc in G.items():
-            key = tuple(a + b for a, b in zip(qm, gm))
-            acc = F.get(key)
-            sub = qc * gc
-            if acc is None:
-                F[key] = -sub
-            else:
-                acc = acc - sub
-                if acc:
-                    F[key] = acc
-                else:
-                    del F[key]
-    shift = [a - b for a, b in zip(fshift, gshift)]
+            key = qm + gm
+            if key & guard:
+                raise _overflow()
+            _acc(F, key, -(qc * gc))
+    shift = [a - b for a, b in zip(flow, glow)]
     out = {}
-    for k, c in Q.items():
-        mono = Monomial.make({v: Fraction(k[i] + shift[i], D) for i, v in enumerate(vs)})
-        out[mono] = c
-    return LaurentPoly(out)
+    for qm, c in Q.items():
+        out[sum(_field(((qm >> p) & _MASK) + e) << s
+                for p, e, s in zip(local, shift, shifts))] = c
+    return LaurentPoly(out, d)
 
 
 class PolyFraction:
@@ -568,13 +677,10 @@ class PolyFraction:
         unit = den.as_unit()
         if unit is not None and not (unit[0] == 1 and unit[1].is_one()):
             c, m = unit
-            ci = scalar_inv(c)
-            mi = m.inv()
-            num = LaurentPoly.from_terms((Monomial(_mono_mul(mm, mi)), cc * ci)
-                                         for mm, cc in num.terms.items())
+            num = _times_unit(num, scalar_inv(c), m.inv())
             den = LP_ONE
         elif len(den.terms) > 1:
-            low = min(den.terms, key=_mono_sort_key)
+            low = min(den.terms, key=lambda m: _pairs(m, den.exp_den))
             c = den.terms[low]
             if not (c == 1):
                 ci = scalar_inv(c)
@@ -712,33 +818,20 @@ def symmetrize(p: LaurentPoly, blocks, normalization: str = "orbit_sum") -> Laur
     result = p
     group_order = 1
     for block in blocks:
-        block = list(block)
+        shifts = [_shift(v) for v in block]
+        h = _HALVES
         group_order *= math.factorial(len(block))
         out: dict = {}
         for m, c in result.terms.items():
-            exps = [0] * len(block)
-            rest = []
-            for v, e in m:
-                if v in block:
-                    exps[block.index(v)] = e
-                else:
-                    rest.append((v, e))
-            rest = tuple(rest)
+            # the block's fields are permuted; the others stay in place
+            u = m + h
+            exps = [((u >> s) & _MASK) - _HALF for s in shifts]
+            rest = m - sum(e << s for e, s in zip(exps, shifts))
             images = list(distinct_permutations(exps))
-            stab = math.factorial(len(block)) // len(images)
-            cc = c * stab
+            cc = c * (math.factorial(len(block)) // len(images))
             for img in images:
-                mono = Monomial(sorted(rest + tuple((v, e) for v, e in zip(block, img) if e)))
-                acc = out.get(mono)
-                if acc is None:
-                    out[mono] = cc
-                else:
-                    acc = acc + cc
-                    if acc:
-                        out[mono] = acc
-                    else:
-                        del out[mono]
-        result = LaurentPoly(out)
+                _acc(out, rest + sum(e << s for e, s in zip(img, shifts)), cc)
+        result = LaurentPoly(out, result.exp_den)
     if normalization == "averaged":
         result = result * Fraction(1, group_order)
     return result

@@ -19,8 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import (LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial,
-                      PolyFraction, _mono_sort_key)
+from .laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction
 from .residues import residue_k
 from .series import RationalFunction
 
@@ -131,7 +130,7 @@ class GradedElement:
     def is_degree_zero(self) -> bool:
         """Every monomial has total block-variable degree zero."""
         names = set(self.all_block_vars())
-        return all(Monomial(m).degree_on(names) == 0 for m in self.poly.terms)
+        return all(m.degree_on(names) == 0 for m in self.poly.monomials())
 
     def __str__(self):
         return f"{self.poly} @ {self.alpha}"
@@ -160,8 +159,8 @@ class VirtualCharacter:
 
     @staticmethod
     def make(positive, negative=()) -> "VirtualCharacter":
-        return VirtualCharacter(tuple(sorted(Monomial(m) for m in positive)),
-                                tuple(sorted(Monomial(m) for m in negative)))
+        return VirtualCharacter(tuple(sorted(positive, key=Monomial.items)),
+                                tuple(sorted(negative, key=Monomial.items)))
 
     @property
     def rank(self) -> int:
@@ -390,7 +389,7 @@ def vertex_kernel(f: GradedElement, g: GradedElement, zvar: str = "z",
     total = None
     for ren in _coset_renamings(f.alpha, g.alpha):
         piece = RationalFunction(zvar, integrand.num.rename(ren),
-                                 [(a, Monomial(sorted((ren.get(v, v), e) for v, e in m)), n, e2)
+                                 [(a, m.rename(ren), n, e2)
                                   for (a, m, n), e2 in integrand.den.items()])
         total = piece if total is None else total + piece
     return total
@@ -483,9 +482,9 @@ def axiom_check(q: Quiver, which: str, f: GradedElement, g: GradedElement,
 
 def _witness(lhs: LaurentPoly, rhs: LaurentPoly):
     diff = lhs - rhs
-    mono = min(diff.terms, key=_mono_sort_key)
-    return {"lhs": lhs, "rhs": rhs, "monomial": Monomial(mono),
-            "coefficient": diff.terms[mono]}
+    mono = min(diff.monomials(), key=Monomial.items)
+    return {"lhs": lhs, "rhs": rhs, "monomial": mono,
+            "coefficient": diff.coefficient(mono)}
 
 
 # -- characteristic classes -----------------------------------------------------

@@ -27,12 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LP_ONE, LP_ZERO, LaurentPoly, Monomial, PolyFraction
+from .laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction, _acc
 from .scalars import generalized_binomial
 from .series import (RationalFunction, _expand_raw, _ser_mul, expand_at,
                      partial_fractions, split_poles, unit_value)
-
-MONO_ONE = Monomial(())
 
 
 @dataclass(frozen=True)
@@ -251,7 +249,6 @@ def diagonal_w_side_residue(a_pow: int, s: Monomial, n: int, pivots, w_order: in
     contributes z^a w^-a.  Returns {j: LaurentPoly} for the (1-w)^j
     coefficients of the residue, j < w_order.
     """
-    pivots = [Monomial(p) for p in pivots]
     if len(pivots) != n:
         raise ValueError("one pivot per denominator factor is required")
 
@@ -325,7 +322,6 @@ def diagonal_z_side_residues(a_pow: int, s: Monomial, n: int, pivots, order: int
     """rho_{K,z} of sample terms of the z-directed expansion of f(z/w): those
     z-parts are Laurent polynomials z^a prod_i (1 - (s/q_i) z)^(k_i), so each
     residue is exactly zero.  Returns the list of computed residues."""
-    pivots = [Monomial(p) for p in pivots]
     if len(pivots) != n:
         raise ValueError("one pivot per denominator factor is required")
     residues = []
@@ -343,38 +339,18 @@ def iadic_valuation_at_least(p: LaurentPoly, m: int) -> bool:
     by substituting v -> 1 - y_v and expanding below total y-degree m."""
     if p.is_zero() or m <= 0:
         return True
-
-    def add(d, key, c):
-        a = d.get(key)
-        if a is None:
-            d[key] = c
-        else:
-            a = a + c
-            if a:
-                d[key] = a
-            else:
-                del d[key]
-
     acc: dict = {}
-    for mono, c in p.terms.items():
-        term = {(): c}
-        for v, e in mono:
+    for mono, c in zip(p.monomials(), p.terms.values()):
+        # prod_v (1 - y_v)^e_v below total degree m, as {packed y-exponents
+        # (y_v in the field of v): (total degree, coefficient)}
+        term = {0: (0, c)}
+        for v, e in mono.items():
             if not isinstance(e, int):
                 raise ValueError("integer character exponents required")
-            pw = {}
-            for j in range(m):
-                cj = generalized_binomial(e, j) * (-1) ** j
-                if cj:
-                    pw[j] = cj
-            new: dict = {}
-            for key, ck in term.items():
-                deg = sum(kk for _vv, kk in key)
-                for j, cj in pw.items():
-                    if deg + j >= m:
-                        continue
-                    nk = tuple(sorted(key + ((v, j),))) if j else key
-                    add(new, nk, ck * cj)
-            term = new
-        for key, ck in term.items():
-            add(acc, key, ck)
+            y = Monomial.var(v).key
+            pw = [generalized_binomial(e, j) * (-1) ** j for j in range(m)]
+            term = {key + j * y: (deg + j, ck * pw[j])
+                    for key, (deg, ck) in term.items() for j in range(m - deg) if pw[j]}
+        for key, (_deg, ck) in term.items():
+            _acc(acc, key, ck)
     return not acc

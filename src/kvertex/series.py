@@ -15,8 +15,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .laurent import (LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial,
-                      PolyFraction, _mono_sort_key)
+from .laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction
 from .scalars import Cyclo, cyclo_root, generalized_binomial, scalar_pow
 
 POINTS = ("zero", "infinity", "one")
@@ -24,12 +23,12 @@ POINTS = ("zero", "infinity", "one")
 
 def factor_poly(var: str, angle: Fraction, mono: Monomial, n: int) -> LaurentPoly:
     """The Laurent polynomial 1 - root(angle)*mono*z^n."""
-    return LP_ONE - LaurentPoly.term(cyclo_root(angle), Monomial(mono) * Monomial.var(var, n))
+    return LP_ONE - LaurentPoly.term(cyclo_root(angle), mono * Monomial.var(var, n))
 
 
 def unit_value(angle: Fraction, mono: Monomial, k=1) -> LaurentPoly:
     """(root(angle) * mono)^k as a one-term Laurent polynomial."""
-    return LaurentPoly.term(cyclo_root(angle * k), Monomial(mono) ** k)
+    return LaurentPoly.term(cyclo_root(angle * k), mono ** k)
 
 
 class RationalFunction:
@@ -48,8 +47,6 @@ class RationalFunction:
                 raise ValueError("factor multiplicity must be positive")
             if type(angle) is not Fraction or not 0 <= angle < 1:
                 angle = Fraction(angle) % 1
-            if type(mono) is not Monomial:
-                mono = Monomial(mono)
             if mono.exponent(var):
                 raise ValueError("factor character may not involve the expansion variable")
             if n == 0:
@@ -154,15 +151,13 @@ class RationalFunction:
 
     def subs_scale(self, tmono: Monomial) -> "RationalFunction":
         """The character substitution z -> tmono * z."""
-        num = self.num.subs_mono(self.var, Monomial(tmono) * Monomial.var(self.var))
+        num = self.num.subs_mono(self.var, tmono * Monomial.var(self.var))
         factors = [(a, m * tmono ** n, n, e) for (a, m, n), e in self.den.items()]
         return RationalFunction(self.var, num, factors)
 
     def subs_invert(self) -> "RationalFunction":
         """The substitution z -> z^-1."""
-        num = LaurentPoly.from_terms(
-            (Monomial(tuple((v, -e if v == self.var else e) for v, e in m)), c)
-            for m, c in self.num.terms.items())
+        num = self.num.subs_mono(self.var, Monomial.var(self.var, -1))
         return RationalFunction(self.var, num,
                                 [(a, m, -n, e) for (a, m, n), e in self.den.items()])
 
@@ -172,10 +167,7 @@ class RationalFunction:
     def rename_chars(self, ren: dict) -> "RationalFunction":
         if self.var in ren or self.var in ren.values():
             raise ValueError("cannot rename the expansion variable")
-        factors = []
-        for (a, m, n), e in self.den.items():
-            m2 = Monomial(sorted((ren.get(v, v), ee) for v, ee in m))
-            factors.append((a, m2, n, e))
+        factors = [(a, m.rename(ren), n, e) for (a, m, n), e in self.den.items()]
         return RationalFunction(self.var, self.num.rename(ren), factors)
 
     def unit_pole_depth(self) -> int:
@@ -191,7 +183,7 @@ class RationalFunction:
             return num
         parts = []
         for (a, m, n), e in sorted(self.den.items(),
-                                   key=lambda kv: (_mono_sort_key(kv[0][1]), kv[0][0], kv[0][2])):
+                                   key=lambda kv: (kv[0][1].items(), kv[0][0], kv[0][2])):
             term = LaurentPoly.term(cyclo_root(a), m * Monomial.var(self.var, n))
             ts = str(term)
             base = f"(1 + {ts[1:]})" if ts.startswith("-") else f"(1 - {ts})"
@@ -377,7 +369,7 @@ def expand_at(f: RationalFunction, point: str, order: int) -> FormalSeries:
         raise ValueError(f"unknown expansion point {point!r}")
     if f.is_zero():
         return FormalSeries(point, f.var, {}, order)
-    zdegs = [dict(m).get(f.var, 0) for m in f.num.terms]
+    zdegs = [m.exponent(f.var) for m in f.num.monomials()]
     span = max(zdegs) - min(zdegs)
     slack = 0
     while True:
@@ -536,7 +528,7 @@ class PartialFractions:
             lines.append(f"polynomial part: {body}")
         else:
             lines.append("polynomial part: 0")
-        for t in sorted(self.terms, key=lambda t: (_mono_sort_key(t.mono), t.angle, t.mult)):
+        for t in sorted(self.terms, key=lambda t: (t.mono.items(), t.angle, t.mult)):
             a = unit_value(t.angle, t.mono)
             ts = str(a)
             if ts == "1":
@@ -589,8 +581,8 @@ def _cover(f: RationalFunction):
         return c.lift(L) if isinstance(c, Cyclo) else c
 
     roots = {(angle, mono): LaurentPoly.term(lift(cyclo_root(angle)), mono)
-             for angle, mono in sorted(poles, key=lambda km: (_mono_sort_key(km[1]), km[0]))}
-    D = {k: LaurentPoly({m: lift(c) for m, c in p.terms.items()})
+             for angle, mono in sorted(poles, key=lambda km: (km[1].items(), km[0]))}
+    D = {k: LaurentPoly({m: lift(c) for m, c in p.terms.items()}, p.exp_den)
          for k, p in f.den_poly().split_var(f.var).items()}
     return poles, roots, D
 
@@ -743,8 +735,8 @@ class EquivariantExpansion:
             raise ValueError("order must be positive")
         if not isinstance(pivot, Monomial):
             raise ValueError("pivot must be a character monomial")
-        self.t = Monomial(t)
-        self.pivot = Monomial(pivot)
+        self.t = t
+        self.pivot = pivot
         self.order = order
         self.zvar = zvar
         self.wvar = wvar

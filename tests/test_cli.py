@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from kvertex.cli import main, parse_quiver_text
+from kvertex.laurent import MAX_EXPONENT
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -95,6 +96,23 @@ def test_integral_fraction_exponent_prints_as_int():
 def test_large_factor_power():
     # the factor of a^k is recognised once, not k times
     assert run_cli(["residue", "1/(1-z)^200000"]) == (0, "1\n")
+    assert run_cli(["residue", "(1+z)^1000"]) == (0, "0\n")
+
+
+def test_integral_sum_of_fractional_exponents():
+    # z^(1/2)*z^(1/2) is z, so the value is z/(1-z)
+    assert run_cli(["residue", "z^(1/2)*z^(1/2)/(1-z)"]) == (0, "1\n")
+
+
+def test_exponent_overflow_exits_cleanly():
+    assert run_cli(["residue", f"t^{MAX_EXPONENT}/(1-z)"]) == (0, f"t^{MAX_EXPONENT}\n")
+    for expr in (f"t^{MAX_EXPONENT + 1}/(1-z)", f"t^{MAX_EXPONENT}*t/(1-z)",
+                 f"t^(1/2)*s^({2 ** 29 + 2}/3)/(1-z)"):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["residue", expr])
+        assert (code, out) == (1, "")
+        assert err.getvalue().startswith("error: exponent out of range"), err.getvalue()
 
 
 def test_exit_codes():

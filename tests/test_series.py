@@ -209,10 +209,10 @@ def _sympy_of(p, sympy, point):
     if isinstance(p, PolyFraction):
         return _sympy_of(p.num, sympy, point) / _sympy_of(p.den, sympy, point)
     out = sympy.Integer(0)
-    for m, c in p.terms.items():
+    for m, c in zip(p.monomials(), p.terms.values()):
         assert isinstance(c, (int, Fraction)), "only rational coefficients expected"
         term = sympy.Rational(c.numerator, c.denominator)
-        for v, e in m:
+        for v, e in m.items():
             term *= point.get(v, sympy.Symbol(v)) ** sympy.Rational(e.numerator, e.denominator)
         out += term
     return out
