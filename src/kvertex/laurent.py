@@ -453,14 +453,19 @@ class LaurentPoly:
             return LaurentPoly.term(scalar_pow(unit[0], k), unit[1] ** k)
         if k < 0:
             raise ValueError("negative power of a non-monomial Laurent polynomial")
-        out = LaurentPoly.scalar(1)
+        if k == 0:
+            return LaurentPoly.scalar(1)
+        # bit_length(k) - 1 squarings and popcount(k) - 1 other products:
+        # no square after the top bit, no product with the scalar 1
+        out = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction
 from .residues import residue_k
-from .series import RationalFunction
+from .series import RationalFunction, USeries
 
 
 @dataclass(frozen=True)
@@ -490,69 +490,38 @@ def _witness(lhs: LaurentPoly, rhs: LaurentPoly):
 # -- characteristic classes -----------------------------------------------------
 
 
-def _wedge_series_dual(e: VirtualCharacter, order: int):
-    """Series, in u = 1-s, of prod_pos (1 - s/chi) / prod_neg (1 - s/chi),
-    kept fraction-free over one common denominator.
-
-    Each linear factor is (1 - 1/chi) + u/chi; dividing by one uses the
-    polynomial recurrence p_k = N_k c0^k - c1 p_{k-1} for the numerators of
-    q_k = p_k / c0^(k+1).  Returns (coeffs {k: LaurentPoly}, den LaurentPoly)
-    with coefficients exact below `order`.
-    """
-    coeffs = {0: LP_ONE}
-    den = LP_ONE
-    for chi in e.positive:
-        head = LP_ONE - LaurentPoly.term(1, chi.inv())
-        tail = LaurentPoly.term(1, chi.inv())
-        new: dict = {}
-        for k, c in coeffs.items():
-            if not head.is_zero():
-                new[k] = new.get(k, LP_ZERO) + c * head
-            new[k + 1] = new.get(k + 1, LP_ZERO) + c * tail
-        coeffs = {k: c for k, c in new.items() if k < order and not c.is_zero()}
-    for chi in e.negative:
-        if chi.is_one():
-            # the factor is exactly u: dividing shifts the series down
-            coeffs = {k - 1: c for k, c in coeffs.items()}
-            continue
-        c0 = LP_ONE - LaurentPoly.term(1, chi.inv())
-        c1 = LaurentPoly.term(1, chi.inv())
-        v = min(coeffs) if coeffs else 0
-        span = order - v + 1
-        prev = LP_ZERO
-        new = {}
-        c0pow = [LP_ONE]
-        for _ in range(span):
-            c0pow.append(c0pow[-1] * c0)
-        for j in range(span):
-            nk = coeffs.get(v + j, LP_ZERO)
-            p = nk * c0pow[j] - c1 * prev
-            if not p.is_zero():
-                new[v + j] = p * c0pow[span - j - 1]
-            prev = p
-        coeffs = new
-        den = den * c0pow[span]
-    return coeffs, den
-
-
 def conner_floyd(e: VirtualCharacter, i: int):
-    """The coefficient of (1-s)^(rank - i) in the dual wedge series: the
-    K-theoretic analogue of the i-th Chern class.  Literal coefficient
-    extraction; indices outside [0, rank] just read the series.
+    """The coefficient of (1-s)^(rank - i) in the dual wedge series
+    prod_pos (1 - s/chi) / prod_neg (1 - s/chi): the K-theoretic analogue
+    of the i-th Chern class.  Literal coefficient extraction; indices
+    outside [0, rank] just read the series.
+
+    In u = 1 - s each factor is (1 - 1/chi) + u/chi, and a trivial chi in
+    the denominator divides by u, so the coefficient wanted sits at place
+    T = rank - i + depth of the u-series, depth the number of trivial
+    characters among e.negative.  Only places 0..T are computed: place k of
+    a u-adic product or quotient depends only on the operands' places <= k.
 
     Returns a LaurentPoly when the value is polynomial, else a PolyFraction.
     """
-    n = e.rank
-    target = n - i
     depth = sum(1 for chi in e.negative if chi.is_one())
-    order = max(target + 2, 2) + depth + 2
-    coeffs, den = _wedge_series_dual(e, order)
-    c = coeffs.get(target)
-    if c is None:
+    places = e.rank - i + depth + 1
+    if places <= 0:
         return LP_ZERO
-    fr = PolyFraction(c, den)
+    ser = USeries(0, [LP_ONE] + [LP_ZERO] * (places - 1))
+    for chi in e.positive:
+        ser = ser.times(_dual_factor(chi))
+    for chi in e.negative:
+        ser = ser.divide(_dual_factor(chi))
+    fr = ser.coeff(e.rank - i)
     p = fr.as_poly()
     return p if p is not None else fr
+
+
+def _dual_factor(chi: Monomial) -> list:
+    """1 - s/chi in u = 1 - s, as the coefficient list [1 - 1/chi, 1/chi]."""
+    inv = LaurentPoly.term(1, chi.inv())
+    return [LP_ONE - inv, inv]
 
 
 def wedge_minus_one(e: VirtualCharacter):

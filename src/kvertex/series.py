@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction
-from .scalars import Cyclo, cyclo_root, generalized_binomial, scalar_pow
+from .scalars import Cyclo, cyclo_root, generalized_binomial, scalar_inv, scalar_pow
 
 POINTS = ("zero", "infinity", "one")
 
@@ -215,38 +215,102 @@ def _ser_mul(A: dict, B: dict, tbound=math.inf) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-def _ser_inv(A: dict, count: int) -> dict:
-    """count coefficients of 1/A starting at the valuation; A must be exact
-    over the consumed range and have an invertible leading coefficient."""
-    v = min(k for k, c in A.items() if c)
-    inv0 = PolyFraction.of(A[v]).inv()
-    out = {-v: inv0}
-    for k in range(1, count):
-        s = None
-        for j in range(1, k + 1):
-            aj = A.get(v + j)
-            if not aj:
-                continue
-            prev = out.get(-v + k - j)
-            if prev is None:
-                continue
-            term = aj * prev
-            s = term if s is None else s + term
-        if not s:
-            continue
-        out[-v + k] = -(inv0 * s)
-    return {k: c for k, c in out.items() if c}
+def _powers(p, count: int) -> list:
+    """p^0 .. p^(count - 1), with None for each power that is 1."""
+    if p is None:
+        return [None] * count
+    out = [None]
+    while len(out) < count:
+        out.append(_times(out[-1], p))
+    return out[:count]
 
 
-def _ser_pow(A: dict, e: int, tbound) -> dict:
-    out = {0: 1}
-    base = A
-    while e:
-        if e & 1:
-            out = _ser_mul(out, base, tbound)
-        base = _ser_mul(base, base, tbound)
-        e >>= 1
-    return out
+def _times(p, q):
+    """p * q, where None stands for 1."""
+    if q is None:
+        return p
+    return q if p is None else p * q
+
+
+class USeries(NamedTuple):
+    """The truncated u-series sum_k num[k] u^(val + k) / (B C^k): the
+    coefficient at place k above the valuation is the Laurent polynomial
+    num[k] over B C^k (B and C Laurent polynomials, or None for 1), and
+    the places kept are exact.
+
+    Place k of a u-adic product or quotient depends only on the operands'
+    places <= k, so products and quotients keep the number of places, and
+    each is a polynomial recurrence on the numerators (fraction-free in the
+    sense of Geddes, Czapor and Labahn, Algorithms for Computer Algebra,
+    1992).  Dividing by the e-th power of a u-polynomial whose constant
+    term c is not a scalar multiplies B by c^e and C by c, so denominators
+    grow linearly in k.  A scalar c is divided out in the field and leaves
+    B and C alone; a zero c strips a u.
+    """
+
+    val: int
+    num: list
+    B: LaurentPoly = None
+    C: LaurentPoly = None
+
+    def times(self, base: list) -> "USeries":
+        """The product with sum_j base[j] u^j, before any division (B = C = 1)."""
+        assert self.B is None and self.C is None
+        K = len(self.num)
+        out = [LP_ZERO] * K
+        for i, n in enumerate(self.num):
+            if n.terms:
+                for j, b in enumerate(base[:K - i], i):
+                    out[j] = out[j] + b * n if out[j].terms else b * n
+        return USeries(self.val, out)
+
+    def divide(self, base: list, e: int = 1) -> "USeries":
+        """The quotient by (sum_j base[j] u^j)^e, base not zero.  With c its
+        constant term and C' = C c, it is over B c^e C'^k.  The first of the
+        e divisions by base takes
+
+            m_k = c^k n_k - sum_(j >= 1) base[j] C C'^(j - 1) m_(k - j),
+
+        and the others the same recurrence without the c^k, since c divides
+        C' already.  So place k gains c^(e + k), as in J. C. P. Miller's
+        recurrence for base^-e, not c^(e (k + 1)).
+        """
+        val, num = self.val, self.num
+        while not base[0]:
+            base = base[1:]
+            val -= e
+        c = base[0]
+        if c.is_scalar():
+            ci = scalar_inv(c.constant())
+            if ci != 1:
+                base = [b * ci for b in base]
+                num = [n * scalar_pow(ci, e) for n in num]
+            c = None
+        C = _times(self.C, c)
+        # the weights -base[j] C C'^(j - 1), j >= 1
+        w = [-_times(_times(b, self.C), p) for b, p in zip(base[1:], _powers(C, len(base) - 1))]
+        cp = _powers(c, len(num))
+        for r in range(e):
+            out = []
+            for k, n in enumerate(num):
+                acc = n * cp[k] if n.terms and cp[k] is not None and not r else n
+                for j, wj in enumerate(w[:k], 1):
+                    if out[k - j].terms:
+                        term = wj * out[k - j]
+                        acc = acc + term if acc.terms else term
+                out.append(acc)
+            num = out
+        return USeries(val, num, _times(self.B, None if c is None else c ** e), C)
+
+    def coeff(self, index: int) -> PolyFraction:
+        """The coefficient of u^index, a place kept, unreduced."""
+        k = index - self.val
+        den = _times(self.B, self.C ** k if self.C is not None and k else None)
+        return PolyFraction(self.num[k], den or LP_ONE)
+
+    def items(self):
+        """(index, coefficient) for the nonzero places, in order."""
+        return [(self.val + k, self.coeff(self.val + k)) for k, n in enumerate(self.num) if n]
 
 
 class FormalSeries:
@@ -416,8 +480,7 @@ def _expand_raw(f: RationalFunction, point: str, order: int):
         return ser, tbound
 
     # point == "one": series in u = 1-z; coefficients live in the fraction field
-    rest = f.unit_pole_depth()
-    tbound = order - rest
+    tbound = order - f.unit_pole_depth()
     ser: dict = {}
     for k, p in num_split.items():
         # z^k = (1-u)^k = sum_j binom(k, j) (-u)^j, which ends at j = k if k >= 0
@@ -425,20 +488,17 @@ def _expand_raw(f: RationalFunction, point: str, order: int):
             term = p * (generalized_binomial(k, j) * (-1) ** j)
             acc = ser.get(j)
             ser[j] = term if acc is None else acc + term
-    ser = {j: PolyFraction(c) for j, c in ser.items() if c}
+    # `order` - v0 places from the valuation v0; each factor u that a
+    # (1 - z^n) strips lowers the valuation, so they end below tbound
+    v0 = min((j for j, c in ser.items() if c), default=order)
+    useries = USeries(v0, [ser.get(j, LP_ZERO) for j in range(v0, order)])
     for (a, m, n), e in f.den.items():
         # 1 - u_root*m*(1-u)^n as a u-polynomial
-        base = {0: PolyFraction.of(LP_ONE - unit_value(a, m))}
-        for j in range(1, n + 1):
-            base[j] = PolyFraction.of(unit_value(a, m) * (-generalized_binomial(n, j) * (-1) ** j))
-        base = {k: c for k, c in base.items() if c}
-        fac = _ser_pow(_ser_inv(base, order), e, order)
-        if a == 0 and m.is_one():
-            rest -= e
-        # the vanishing factors still to come lower the valuation by rest,
-        # so the coefficients below tbound + rest must stay exact
-        ser = _ser_mul(ser, fac, tbound + rest)
-    return ser, tbound
+        c = unit_value(a, m)
+        base = [LP_ONE - c] + [c * (generalized_binomial(n, j) * (-1) ** (j + 1))
+                               for j in range(1, n + 1)]
+        useries = useries.divide(base, e)
+    return dict(useries.items()), tbound
 
 
 def series_of_poly(p: LaurentPoly, var: str, point: str, order: int) -> FormalSeries:
@@ -478,41 +538,36 @@ class PartialFractions:
         return out
 
     def recombines_to(self, f: RationalFunction) -> bool:
-        """Exact identity L N = L Q D + sum_t n_t (L/d_t) (D / pole_t), where
-        L clears the z-free coefficient denominators; everything stays in the
-        polynomial ring."""
-        _poles, roots, D = _cover(f)
-        dens = [t.coeff.den for t in self.terms]
-        L = LP_ONE
-        for d in dens:
-            L = L * d
-        # lhs: L * numerator of f
-        lhs = {k: p * L for k, p in f.num.split_var(f.var).items()}
-        rhs: dict = {}
+        """Exact identity N = Q D + sum_t A_t D / (1 - a_t z)^(m_t) for
+        f = N / D, checked pole by pole without a common denominator.
 
-        def acc(zp: dict, scale: LaurentPoly):
-            for k, c in zp.items():
-                cc = c * scale
-                prev = rhs.get(k)
-                cc = cc if prev is None else prev + cc
-                if cc.is_zero():
-                    rhs.pop(k, None)
-                else:
-                    rhs[k] = cc
-
+        R = N - Q D must have its z-powers in [0, deg D), as the sum has.
+        Then R equals the sum once they agree modulo every (1 - a z)^m in
+        D (Chinese remainder theorem).  Modulo it the terms at the other
+        poles vanish, and in base w = 1 - a z the first m digits must
+        satisfy R_i = sum_t A_t (D / w^m)_(i - m + m_t).
+        """
+        poles, roots, D = _cover(f)
+        R = dict(f.num.split_var(f.var))
         for k, c in self.poly_part.items():
             p = c.as_poly() if isinstance(c, PolyFraction) else c
             assert p is not None, "polynomial part must be fraction-free"
-            acc({kk + k: cc for kk, cc in D.items()}, p * L)
-        for t, d in zip(self.terms, dens):
-            Lt = LP_ONE
-            for t2, d2 in zip(self.terms, dens):
-                if t2 is not t:
-                    Lt = Lt * d2
-            cof = _divide_out(D, roots[(t.angle, t.mono)], t.mult)
-            acc(cof, t.coeff.num * Lt)
-        diff_keys = set(lhs) | set(rhs)
-        return all((lhs.get(k, LP_ZERO) - rhs.get(k, LP_ZERO)).is_zero() for k in diff_keys)
+            for kk, dk in D.items():
+                R[k + kk] = R.get(k + kk, LP_ZERO) - p * dk
+        top = max(D)
+        if any(c and not 0 <= k < top for k, c in R.items()) or \
+           any(t.mult > poles.get((t.angle, t.mono), 0) for t in self.terms):
+            return False
+        for pole, m in poles.items():
+            r = _w_digits(R, *pole, m)
+            d = _w_digits(_divide_out(D, roots[pole], m), *pole, m)
+            for i in range(m):
+                rhs = sum((t.coeff * d[i - m + t.mult] for t in self.terms
+                           if (t.angle, t.mono) == pole and i - m + t.mult >= 0),
+                          PolyFraction.of(LP_ZERO))
+                if not rhs == r[i]:
+                    return False
+        return True
 
     def coefficient_sum(self) -> PolyFraction:
         total = PolyFraction.of(LP_ZERO)
@@ -601,6 +656,15 @@ def _divide_out(D: dict, a: LaurentPoly, mult: int) -> dict:
     return D
 
 
+def _w_digits(A: dict, angle, mono: Monomial, count: int) -> list:
+    """The first `count` digits of a z-split polynomial from z^0 in base
+    w = 1 - a z, a = root(angle) * mono: with z = (1 - w)/a, digit i is
+    (-1)^i sum_k binom(k, i) A_k a^-k."""
+    scaled = [(k, c * unit_value(angle, mono, -k)) for k, c in A.items()]
+    return [sum((c * ((-1) ** i * math.comb(k, i)) for k, c in scaled if k >= i), LP_ZERO)
+            for i in range(count)]
+
+
 def _zpoly_deriv(A: dict) -> dict:
     return {k - 1: c * k for k, c in A.items() if k}
 
@@ -651,8 +715,6 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
     + ((-1/3 - 1/3*zeta3^1)) / (1 - zeta3^1*z)
     + (1/3*zeta3^1) / (1 - (-1 - zeta3^1)*z)
     """
-    from .scalars import scalar_inv
-
     poles, roots, D = _cover(f)
     M = max(D) if D else 0
     N = dict(f.num.split_var(f.var))

@@ -201,6 +201,34 @@ def test_exact_division():
     assert laurent_exact_div((1 - half) * (1 + half), LP_ONE - half) == 1 + half
 
 
+def test_power_takes_no_wasted_products(monkeypatch):
+    """p ** k by repeated squaring: bit_length(k) - 1 squarings and
+    popcount(k) - 1 other products, so no square after the top bit and no
+    product with the scalar 1."""
+    from kvertex import laurent
+
+    calls = []
+    kernel = laurent._terms_mul
+
+    def counting(A, B):
+        calls.append((len(A), len(B)))
+        return kernel(A, B)
+
+    monkeypatch.setattr(laurent, "_terms_mul", counting)
+    p = 1 - s * t + z
+    expected = LP_ONE
+    for k in range(1, 34):
+        calls.clear()
+        got = p ** k
+        assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1, k
+        assert all(a > 1 and b > 1 for a, b in calls), k
+        monkeypatch.setattr(laurent, "_terms_mul", kernel)
+        expected = expected * p
+        assert got == expected, k
+        monkeypatch.setattr(laurent, "_terms_mul", counting)
+    assert p ** 0 == LP_ONE
+
+
 def test_poly_fraction_equality_and_collapse():
     fr = PolyFraction(s - s * t, LP_ONE - t)
     assert fr == PolyFraction.of(s)

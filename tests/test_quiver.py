@@ -341,6 +341,66 @@ class TestConnerFloyd:
                 assert v == PolyFraction.of(conner_floyd(plus, i))
                 assert v == PolyFraction.of(conner_floyd(minus, i))
 
+    def test_against_full_series_reference(self):
+        # the 46 distinct characters of the suite's default draw, with E + O
+        # and E - O, at every index -3 .. rank + 3
+        from kvertex.suites import DEFAULT_SEED, random_virtual_character
+        rnd = random.Random(DEFAULT_SEED)
+        drawn = {}
+        for _ in range(50):
+            e = random_virtual_character(rnd)
+            drawn.setdefault(str(e), e)
+        assert len(drawn) == 46
+        for e in drawn.values():
+            for v in (e, VirtualCharacter.make(e.positive + (MONO_ONE,), e.negative),
+                      VirtualCharacter.make(e.positive, e.negative + (MONO_ONE,))):
+                for i in range(-3, v.rank + 4):
+                    got, ref = conner_floyd(v, i), _reference_conner_floyd(v, i)
+                    assert type(got) is type(ref), (str(v), i)
+                    if isinstance(ref, LaurentPoly):
+                        assert str(got) == str(ref), (str(v), i)
+                    else:
+                        assert got == ref, (str(v), i)
+
+    def test_against_sympy_series(self):
+        # the u^(rank - i) coefficient of prod_pos (1 - s/chi) / prod_neg (1 - s/chi)
+        # at s = 1 - u, with the characters' variables symbolic: sympy's
+        # power series in u over the fraction field Q(a, b)
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.ring_series import rs_mul, rs_series_inversion
+        field = sympy.QQ.frac_field(*sympy.symbols("a b"))
+        ring, u = sympy.polys.rings.ring("u", field)
+        gens = dict(zip("ab", field.gens))
+
+        def sym(p):
+            out = field(0)
+            for m, c in zip(p.monomials(), p.terms.values()):
+                term = field(sympy.Rational(c.numerator, c.denominator))
+                for name, k in m.items():
+                    term *= gens[name] ** int(k)
+                out += term
+            return out
+
+        a, b = Monomial.var("a"), Monomial.var("b")
+        for e in (VirtualCharacter.make([a, b], [a * b]),
+                  VirtualCharacter.make([a], [b, MONO_ONE]),
+                  VirtualCharacter.make([a ** 2, b], [a, b.inv()]),
+                  VirtualCharacter.make([MONO_ONE, a], [b, b, MONO_ONE])):
+            # trivial characters of e.negative divide by u: they shift the index
+            depth = sum(1 for chi in e.negative if chi.is_one())
+            prec = e.rank + depth + 4
+            num, den = ring(1), ring(1)
+            for chi in e.positive:
+                num *= 1 - (1 - u) * sym(LaurentPoly.term(1, chi.inv()))
+            for chi in e.negative:
+                if not chi.is_one():
+                    den *= 1 - (1 - u) * sym(LaurentPoly.term(1, chi.inv()))
+            series = rs_mul(num, rs_series_inversion(den, u, prec), u, prec)
+            for i in range(-3, e.rank + 4):
+                got = PolyFraction.of(conner_floyd(e, i))
+                want = series.coeff(u ** (e.rank - i + depth)) if e.rank - i + depth >= 0 else 0
+                assert sym(got.num) == want * sym(got.den), (str(e), i)
+
     def test_out_of_range_indices_literal(self):
         l = Monomial.var("l")
         e = VirtualCharacter.make([l])
@@ -372,3 +432,49 @@ class TestSymmetrizedWedge:
         lhs = wedge_minus_one(e.dual())
         rhs = wedge_minus_one(e) * LaurentPoly.term(1, e.det().inv())
         assert lhs == rhs
+
+
+def _reference_conner_floyd(e: VirtualCharacter, i: int):
+    """The dual wedge series to order target + depth + 4 over one common
+    denominator prod c0^(places), each quotient by c0 + c1 u by the
+    recurrence p_k = N_k c0^k - c1 p_(k-1) on q_k = p_k / c0^(k+1); the
+    coefficient is then divided by the whole denominator."""
+    target = e.rank - i
+    depth = sum(1 for chi in e.negative if chi.is_one())
+    order = max(target + 2, 2) + depth + 2
+    coeffs, den = {0: LP_ONE}, LP_ONE
+    for chi in e.positive:
+        head = LP_ONE - LaurentPoly.term(1, chi.inv())
+        tail = LaurentPoly.term(1, chi.inv())
+        new: dict = {}
+        for k, c in coeffs.items():
+            if not head.is_zero():
+                new[k] = new.get(k, LP_ZERO) + c * head
+            new[k + 1] = new.get(k + 1, LP_ZERO) + c * tail
+        coeffs = {k: c for k, c in new.items() if k < order and not c.is_zero()}
+    for chi in e.negative:
+        if chi.is_one():
+            coeffs = {k - 1: c for k, c in coeffs.items()}
+            continue
+        c0 = LP_ONE - LaurentPoly.term(1, chi.inv())
+        c1 = LaurentPoly.term(1, chi.inv())
+        v = min(coeffs) if coeffs else 0
+        span = order - v + 1
+        prev = LP_ZERO
+        new = {}
+        c0pow = [LP_ONE]
+        for _ in range(span):
+            c0pow.append(c0pow[-1] * c0)
+        for j in range(span):
+            p = coeffs.get(v + j, LP_ZERO) * c0pow[j] - c1 * prev
+            if not p.is_zero():
+                new[v + j] = p * c0pow[span - j - 1]
+            prev = p
+        coeffs = new
+        den = den * c0pow[span]
+    c = coeffs.get(target)
+    if c is None:
+        return LP_ZERO
+    fr = PolyFraction(c, den)
+    p = fr.as_poly()
+    return p if p is not None else fr

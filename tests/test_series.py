@@ -67,19 +67,33 @@ def test_expand_at_one_against_sympy(suite_seed):
         num = num * (1 - Z) ** rnd.randint(1, 3)
         if not num.is_zero():
             cases.append((num, factors, rnd.randint(1, 5)))
+    # character factors (1 - c z^n)^e, n <= 3, e <= 2, with one or two
+    # distinct characters c and at most one (1 - z^n)
+    chars = [T, Monomial.var("s"), Monomial.var("s") * T.inv()]
+    for _ in range(8):
+        picked = rnd.sample(chars, rnd.randint(1, 2))
+        factors = [(0, c, rnd.randint(1, 3), rnd.randint(1, 2)) for c in picked]
+        if rnd.random() < 0.5:
+            factors.append((0, MONO_ONE, rnd.randint(1, 2), 1))
+        num = LaurentPoly.scalar(rnd.randint(1, 3))
+        for _i in range(rnd.randint(0, 2)):
+            num = num + rnd.randint(-3, 3) * LaurentPoly.var("z", rnd.randint(-2, 3))
+        if not num.is_zero():
+            cases.append((num, factors, rnd.randint(1, 4)))
     for num, factors, order in cases:
         f = RationalFunction("z", num, factors)
         ser = expand_at(f, "one", order)
         depth = f.unit_pole_depth()
-        expr = sympy.sympify(str(num).replace("^", "**"))
-        for _a, _m, n, e in factors:
-            expr = expr / (1 - z ** n) ** e
+        expr = _sympy_of(num, sympy, {"z": z})
+        for _a, m, n, e in factors:
+            expr = expr / (1 - _sympy_of(LaurentPoly.term(1, m), sympy, {}) * z ** n) ** e
         # u^depth f(1 - u) is regular at u = 0; its u^j coefficient is the
         # kvertex coefficient of index j - depth
         taylor = sympy.series(u ** depth * expr.subs(z, 1 - u), u, 0, ser.trunc + depth).removeO()
         for j in range(ser.trunc + depth):
-            c = sympy.Rational(taylor.coeff(u, j))
-            assert ser.coeff(j - depth) == Fraction(int(c.p), int(c.q)), (str(f), j - depth)
+            c = ser.coeff(j - depth)
+            c = _sympy_of(c, sympy, {}) if isinstance(c, (LaurentPoly, PolyFraction)) else c
+            assert sympy.cancel(c - taylor.coeff(u, j)) == 0, (str(f), j - depth)
 
 
 def test_remultiplying_reproduces_numerator():
@@ -267,6 +281,70 @@ def test_partial_fractions_large_cover(n):
     assert len(pf.terms) == n + 1
     assert pf.coefficient_sum() == PolyFraction.of(residue_k(f))
     assert pf.recombines_to(f)
+
+
+def test_recombination_rejects_a_perturbed_coefficient():
+    # one pole coefficient off by a little, or a term at a pole of f that
+    # does not carry it, and the pole-by-pole check must fail
+    from kvertex.series import PartialFractions, PoleTerm
+
+    f = RationalFunction("z", Z + 2, [(0, MONO_ONE, 3, 2), (0, T, 1, 1)])
+    pf = partial_fractions(f)
+    assert pf.recombines_to(f)
+    for i, term in enumerate(pf.terms):
+        bumped = term._replace(coeff=term.coeff + PolyFraction(LP_ONE, 1000 - LaurentPoly.term(1, T)))
+        terms = pf.terms[:i] + [bumped] + pf.terms[i + 1:]
+        assert not PartialFractions(pf.var, pf.poly_part, terms).recombines_to(f), i
+    assert not PartialFractions(pf.var, {0: LP_ONE}, pf.terms).recombines_to(f)
+    extra = PoleTerm(Fraction(0), T, 2, PolyFraction.of(LP_ONE))
+    assert not PartialFractions(pf.var, pf.poly_part, pf.terms + [extra]).recombines_to(f)
+
+
+def _pinned_expand_one_text():
+    path = os.path.join(os.path.dirname(__file__), "data", "expand_one_labels.txt")
+    with open(path, encoding="utf-8") as fh:
+        blocks = fh.read().split("\n\n")
+    out = []
+    for block in blocks:
+        head, before, after = block.strip("\n").split("\n")
+        expr, order = head[2:].split(" --order ")
+        out.append((expr, int(order), before[len("before: "):], after[len("after: "):]))
+    return out
+
+
+def _series_value(text):
+    """The value of a printed (1-z)-series without its O-term, as a
+    rational function over its z-free content."""
+    f, content = parse_rational(text[:text.rindex(" + O(")], "z")
+    return f, RationalFunction.from_poly(content)
+
+
+@pytest.mark.parametrize("expr,order,before,after", _pinned_expand_one_text(),
+                         ids=[case[0] for case in _pinned_expand_one_text()])
+def test_expand_at_one_text_is_pinned(expr, order, before, after):
+    # with character factors the (1-z)^k coefficients are printed over
+    # prod (1 - c)^e * (prod (1 - c))^k.  The data file also keeps the text
+    # printed when each coefficient was a sum cross-multiplied over its
+    # terms' denominators ("before"); both texts must have the same value.
+    f, content = parse_rational(expr, "z")
+    ser = expand_at(f, "one", order)
+    if not content == LP_ONE:
+        ser = ser * PolyFraction(LP_ONE, content)
+    assert str(ser) == after
+    (fa, ca), (fb, cb) = _series_value(before), _series_value(after)
+    assert (fa * cb).equals(fb * ca)
+
+
+def test_expand_at_one_denominators_grow_linearly():
+    # (1-z^3)/(1-x z^3): the (1-z)^j coefficient is over (1-x)^j
+    f, content = parse_rational("(1-z^3)/(1-x*z^3)", "z")
+    ser = expand_at(f, "one", 6)
+    x = Monomial.var("x")
+    for j in range(1, 7):
+        c = ser.coeff(j)
+        assert isinstance(c, PolyFraction)
+        assert c.den == (LP_ONE - LaurentPoly.term(1, x)) ** j
+        assert max(m.exponent("x") for m in c.num.monomials()) <= j
 
 
 def test_equivariant_expansion_defining_property():
