@@ -186,13 +186,20 @@ def _terms_add(A, B):
 def _terms_mul(A, B):
     """Distributive product of two term maps: a monomial product is the sum
     of two keys."""
-    if not A or not B:
-        return {}
     out = {}
+    if A and B:
+        _mul_into(out, A.items(), B.items())
+    return out
+
+
+def _mul_into(out: dict, A, B):
+    """Add the products of the (key, coeff) pairs of A and B into the term
+    map out.  The pairs' keys must be stored keys, so each sum is exact;
+    every key the products add is range-checked."""
     q = _QUARTERS
     chk = 0
-    for ma, ca in A.items():
-        for mb, cb in B.items():
+    for ma, ca in A:
+        for mb, cb in B:
             m = ma + mb
             c = ca * cb
             acc = out.get(m)
@@ -208,7 +215,6 @@ def _terms_mul(A, B):
                     del out[m]
     if chk & _HALVES:
         raise _overflow()
-    return out
 
 
 def _terms_scale(A, c):

@@ -10,16 +10,25 @@ realized as a sum over coset representatives; the kernel operation inserts
 the rational multiplier built from the deformation characters, giving poles
 at 1 - c z^{+-1}, and the induced bracket applies the K-theoretic residue.
 
+No variable is renamed by name: a coset plan per (alpha, beta, zvar,
+convention) holds the bit offsets of both blocks' packed exponent fields,
+one list of target offsets per coset of S_(alpha+beta)/(S_alpha x S_beta)
+and the offset of z, so a coset moves fields and the shuffle adds keys.
+
 Translation convention: the shuffle substitutes s -> z s, which acts as
 z^(+deg); the opposite z^(-deg) convention is available behind a flag.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lshift
 
-from .laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction
+from . import laurent
+from .laurent import (_HALF, _MASK, LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial,
+                      PolyFraction, _acc, _common, _field, _mono, _mul_into, _shift)
 from .residues import residue_k
 from .series import RationalFunction, USeries
 
@@ -70,6 +79,13 @@ def block_vars(prefix: str, i: int, count: int, start: int = 1):
     return [f"{prefix}_{{{i},{a}}}" for a in range(start, start + count)]
 
 
+@functools.lru_cache(maxsize=1024)
+def _offsets(prefix: str, alpha: tuple) -> tuple:
+    """Per vertex i, the bit offsets of the fields of prefix_{i,1..alpha_i}."""
+    return tuple(tuple(_shift(v) for v in block_vars(prefix, i + 1, c))
+                 for i, c in enumerate(alpha))
+
+
 class GradedElement:
     """A dimension vector plus a block-symmetric Laurent polynomial."""
 
@@ -77,14 +93,12 @@ class GradedElement:
 
     def __init__(self, quiver: Quiver, alpha, poly: LaurentPoly, check: bool = True):
         alpha = tuple(alpha)
-        if len(alpha) != quiver.n or any(a < 0 for a in alpha):
+        if len(alpha) != quiver.n or min(alpha, default=0) < 0:
             raise ValueError("dimension vector does not match the quiver")
         if check and not is_block_symmetric(poly, alpha):
             raise ValueError("polynomial is not symmetric under the block permutations")
-        if alpha == quiver.zero():
-            extra = [v for v in poly.variables() if v.startswith("s_{")]
-            if extra:
-                raise ValueError("grade zero carries scalars and characters only")
+        if not any(alpha) and any(v.startswith("s_{") for v in poly.variables()):
+            raise ValueError("grade zero carries scalars and characters only")
         self.quiver = quiver
         self.alpha = alpha
         self.poly = poly
@@ -97,11 +111,8 @@ class GradedElement:
     def vacuum(quiver: Quiver) -> "GradedElement":
         return GradedElement.unit(quiver, quiver.zero())
 
-    def blocks(self, prefix: str = "s"):
-        return [block_vars(prefix, i + 1, c) for i, c in enumerate(self.alpha)]
-
     def all_block_vars(self, prefix: str = "s"):
-        return [v for blk in self.blocks(prefix) for v in blk]
+        return [v for i, c in enumerate(self.alpha) for v in block_vars(prefix, i + 1, c)]
 
     def __add__(self, other):
         if self.alpha != other.alpha or self.quiver != other.quiver:
@@ -129,8 +140,10 @@ class GradedElement:
 
     def is_degree_zero(self) -> bool:
         """Every monomial has total block-variable degree zero."""
-        names = set(self.all_block_vars())
-        return all(m.degree_on(names) == 0 for m in self.poly.monomials())
+        src = [s for blk in _offsets("s", self.alpha) for s in blk]
+        h = laurent._HALVES
+        return not any(sum((((m + h) >> s) & _MASK) - _HALF for s in src)
+                       for m in self.poly.terms)
 
     def __str__(self):
         return f"{self.poly} @ {self.alpha}"
@@ -140,14 +153,10 @@ class GradedElement:
 
 
 def is_block_symmetric(poly: LaurentPoly, alpha, prefix: str = "s") -> bool:
-    """Invariance under adjacent transpositions of each block (generators)."""
-    for i, c in enumerate(alpha):
-        names = block_vars(prefix, i + 1, c)
-        for a in range(c - 1):
-            swap = {names[a]: names[a + 1], names[a + 1]: names[a]}
-            if poly.rename(swap) != poly:
-                return False
-    return True
+    """Invariance under adjacent transpositions of each block (generators):
+    a transposition swaps two fields of every key."""
+    return all(dict(_place(_split(poly.terms.items(), (s1, s2)), (s2, s1))) == poly.terms
+               for blk in _offsets(prefix, tuple(alpha)) for s1, s2 in zip(blk, blk[1:]))
 
 
 @dataclass(frozen=True)
@@ -172,19 +181,9 @@ class VirtualCharacter:
 
     def det(self) -> Monomial:
         out = MONO_ONE
-        for m in self.positive:
+        for m in self.positive + tuple(m.inv() for m in self.negative):
             out = out * m
-        for m in self.negative:
-            out = out * m.inv()
         return out
-
-    def __add__(self, other):
-        return VirtualCharacter.make(self.positive + other.positive,
-                                     self.negative + other.negative)
-
-    def minus(self, other: "VirtualCharacter") -> "VirtualCharacter":
-        return VirtualCharacter.make(self.positive + other.negative,
-                                     self.negative + other.positive)
 
 
 def deformation_character(q: Quiver, alpha, beta, first: str = "s",
@@ -196,21 +195,28 @@ def deformation_character(q: Quiver, alpha, beta, first: str = "s",
     >>> deformation_character(a2_quiver(), (1, 0), (0, 1)).negative
     (Monomial s_{1,1}^-1*t_{2,1},)
     """
-    alpha, beta = tuple(alpha), tuple(beta)
-    pos = []
-    for i in range(q.n):
-        for a in range(1, alpha[i] + 1):
-            for b in range(1, beta[i] + 1):
-                pos.append(Monomial.var(f"{second}_{{{i+1},{b}}}")
-                           * Monomial.var(f"{first}_{{{i+1},{a}}}", -1))
-    neg = []
-    for (vi, vj) in q.edges:
-        i, j = q.vertex_index(vi), q.vertex_index(vj)
-        for a in range(1, alpha[i] + 1):
-            for b in range(1, beta[j] + 1):
-                neg.append(Monomial.var(f"{second}_{{{j+1},{b}}}")
-                           * Monomial.var(f"{first}_{{{i+1},{a}}}", -1))
-    return VirtualCharacter.make(pos, neg)
+    def chars(pairs):
+        return [Monomial.var(f"{second}_{{{j+1},{b}}}") * Monomial.var(f"{first}_{{{i+1},{a}}}", -1)
+                for i, j in pairs for a in range(1, alpha[i] + 1) for b in range(1, beta[j] + 1)]
+
+    edges = [(q.vertex_index(vi), q.vertex_index(vj)) for vi, vj in q.edges]
+    return VirtualCharacter.make(chars([(i, i) for i in range(q.n)]), chars(edges))
+
+
+def _kernel_characters(q: Quiver, alpha, beta, full: bool = True):
+    """(chi, zexp, c): chi has multiplicity c != 0 in E^0 - E^1 (in E^0 when
+    not full) of E_{alpha,beta} (zexp -1) or E_{beta,alpha} (zexp 1); the
+    characters common to both wedges cancel."""
+    out = []
+    for vc, zexp in ((deformation_character(q, alpha, beta), -1),
+                     (deformation_character(q, beta, alpha, first="t", second="s"), 1)):
+        count: dict = {}
+        for chi in vc.positive:
+            count[chi] = count.get(chi, 0) + 1
+        for chi in vc.negative if full else ():
+            count[chi] = count.get(chi, 0) - 1
+        out += [(chi, zexp, c) for chi, c in sorted(count.items()) if c]
+    return out
 
 
 def theta_kernel(q: Quiver, alpha, beta, full: bool = True,
@@ -222,34 +228,11 @@ def theta_kernel(q: Quiver, alpha, beta, full: bool = True,
     >>> str(theta_kernel(jordan_quiver(), (1,), (1,), full=True))
     '1'
     """
-    e_ab = deformation_character(q, alpha, beta)
-    e_ba = deformation_character(q, beta, alpha, first="t", second="s")
-    if not full:
-        num = LP_ONE
-        for chi in e_ab.positive:
-            num = num * (LP_ONE - LaurentPoly.term(1, chi.inv() * Monomial.var(zvar, -1)))
-        for chi in e_ba.positive:
-            num = num * (LP_ONE - LaurentPoly.term(1, chi.inv() * Monomial.var(zvar, 1)))
-        return num
-
-    def excess(vc: VirtualCharacter) -> dict:
-        # multiset E^0 - E^1; common characters cancel between the wedges
-        count: dict = {}
-        for chi in vc.positive:
-            count[chi] = count.get(chi, 0) + 1
-        for chi in vc.negative:
-            count[chi] = count.get(chi, 0) - 1
-        return count
-
     num = LP_ONE
-    factors = []
-    for vc, zexp in ((e_ab, -1), (e_ba, 1)):
-        for chi, c in sorted(excess(vc).items()):
-            if c > 0:
-                num = num * (LP_ONE - LaurentPoly.term(1, chi.inv() * Monomial.var(zvar, zexp))) ** c
-            elif c < 0:
-                factors.append((Fraction(0), chi.inv(), zexp, -c))
-    return RationalFunction(zvar, num, factors)
+    for chi, zexp, c in _kernel_characters(q, alpha, beta, full):
+        if c > 0:
+            num = num * (LP_ONE - LaurentPoly.term(1, chi.inv() * Monomial.var(zvar, zexp))) ** c
+    return propagator_kernel(q, alpha, beta, zvar) * num if full else num
 
 
 def translate(a: GradedElement, zvar: str = "z",
@@ -261,63 +244,103 @@ def translate(a: GradedElement, zvar: str = "z",
     >>> str(translate(g).poly)
     's_{1,1}*s_{1,2}*z^2'
     """
-    sign = {"substitution": 1, "inverse_degree": -1}[convention]
-    poly = a.poly.attach_degree(set(a.all_block_vars()), zvar, sign)
+    plan = _plan(a.alpha, a.quiver.zero(), zvar, convention)
+    F = _split(a.poly.terms.items(), plan.src_f, plan.z, plan.sign)
+    poly = LaurentPoly(dict(_place(F, plan.src_f)), a.poly.exp_den)
     return GradedElement(a.quiver, a.alpha, poly, check=False)
 
 
-def _coset_renamings(alpha, beta, first: str = "s", second: str = "t"):
-    """Renamings realizing S_{alpha+beta}/(S_alpha x S_beta) cosets.
+class _Plan:
+    """Where the vertex operations of the grades (alpha, beta) put block fields.
 
-    The union slots at vertex i are the names s_{i,1..a+b}; a representative
-    chooses which slots play the first-block role.  Yields dicts mapping the
-    canonical input names (first-block s_{i,1..a}, second-block t_{i,1..b})
-    to union names from {s, t} so that the chosen slots are relabelled
-    consistently.
+    f's fields are at the offsets src_f (s_{i,1..a}, vertex by vertex), g's
+    at src_g (s_{i,1..b}), and src_st is src_f then t_{i,1..b}, g's block in
+    the s/t naming.  At each vertex a coset gives f's fields a of the a+b
+    union slots in order, g's the others: cosets holds the (f, g) targets
+    when slot k is s_{i,k}, st when the slots are s_{i,1..a}, t_{i,1..b}
+    (st[0] is the identity).  z gets sign times the block degree.
     """
-    per_vertex = []
-    for i, (a, b) in enumerate(zip(alpha, beta)):
-        union = block_vars(first, i + 1, a) + block_vars(second, i + 1, b)
-        ins_first = block_vars(first, i + 1, a)
-        ins_second = block_vars(second, i + 1, b)
-        choices = []
-        for subset in itertools.combinations(range(a + b), a):
-            ren = {}
-            rest = [k for k in range(a + b) if k not in subset]
-            for src, k in zip(ins_first, subset):
-                ren[src] = union[k]
-            for src, k in zip(ins_second, rest):
-                ren[src] = union[k]
-            choices.append(ren)
-        per_vertex.append(choices)
-    for combo in itertools.product(*per_vertex):
-        ren = {}
-        for c in combo:
-            ren.update(c)
-        yield ren
+
+    def __init__(self, alpha, beta, zvar, convention):
+        self.args = (alpha, beta, zvar)
+        self.sign = {"substitution": 1, "inverse_degree": -1}[convention]
+        self.z = _shift(zvar)
+        s_off, t_off = _offsets("s", dim_add(alpha, beta)), _offsets("t", beta)
+        self.src_f, self.src_g = sum(_offsets("s", alpha), ()), sum(_offsets("s", beta), ())
+        self.src_st = self.src_f + sum(t_off, ())
+        per_vertex = []
+        for a, b, s, t in zip(alpha, beta, s_off, t_off):
+            choices = []
+            for first in itertools.combinations(range(a + b), a):
+                rest = [k for k in range(a + b) if k not in first]
+                choices.append([tuple(u[k] for k in ks) for u in (s, s[:a] + t)
+                                for ks in (first, rest)])
+            per_vertex.append(choices)
+        # per coset: f's and g's targets in the s naming, then in the s/t naming
+        combos = [[tuple(x for c in combo for x in c[j]) for j in range(4)]
+                  for combo in itertools.product(*per_vertex)]
+        self.cosets = [(tf, tg) for tf, tg, _, _ in combos]
+        self.st = [(tf, tg) for _, _, tf, tg in combos]
+        self.kernels = {}
+
+    def kernel(self, q: Quiver) -> RationalFunction:
+        if q not in self.kernels:
+            alpha, beta, zvar = self.args
+            self.kernels[q] = RationalFunction(zvar, LP_ONE, [
+                (Fraction(0), chi.inv(), zexp, -c)
+                for chi, zexp, c in _kernel_characters(q, alpha, beta) if c < 0])
+        return self.kernels[q]
 
 
-def _relabel_second_block(g: GradedElement, second: str = "t") -> LaurentPoly:
-    ren = {}
-    for i, c in enumerate(g.alpha):
-        for a in range(1, c + 1):
-            ren[f"s_{{{i+1},{a}}}"] = f"{second}_{{{i+1},{a}}}"
-    return g.poly.rename(ren)
+@functools.lru_cache(maxsize=256)
+def _plan(alpha: tuple, beta: tuple, zvar: str, convention: str) -> _Plan:
+    return _Plan(alpha, beta, zvar, convention)
 
 
-def _union_to_s(alpha, beta) -> dict:
-    """Rename the s/t union at grade alpha+beta to s_{i,1..a+b}."""
-    ren = {}
-    for i, (a, b) in enumerate(zip(alpha, beta)):
-        for bslot in range(1, b + 1):
-            ren[f"t_{{{i+1},{bslot}}}"] = f"s_{{{i+1},{a + bslot}}}"
-    return ren
+def _split(pairs, src, z: int = 0, sign: int = 0) -> list:
+    """[(rest, fields, c)] for the (key, c) pairs: the key without its fields
+    at the offsets src, and those fields.  With a sign, rest also carries
+    z^(sign * block degree) at the offset z, range-checked."""
+    h = laurent._HALVES
+    out = []
+    for m, c in pairs:
+        u = m + h
+        fields = [((u >> s) & _MASK) - _HALF for s in src]
+        m -= sum(map(lshift, fields, src))
+        deg = sign * sum(fields)
+        if deg:
+            _field((((u >> z) & _MASK) - _HALF) + deg)
+            m += deg << z
+        out.append((m, fields, c))
+    return out
+
+
+def _place(split, targets) -> list:
+    """The (key, c) pairs of split with the fields added at the offsets
+    targets.  A slot gets at most one field and a stray field of the rest,
+    so the keys are exact; OverflowError when a slot left the stored range."""
+    out = [(rest + sum(map(lshift, fields, targets)), c) for rest, fields, c in split]
+    laurent._check_keys([m for m, _ in out])
+    return out
+
+
+def _shuffle(plan: _Plan, f: GradedElement, g: GradedElement, cosets) -> LaurentPoly:
+    """Sum over the (f, g) targets of cosets of the translated f times g,
+    with the block fields placed there: each term is split once."""
+    A, B, d = _common(f.poly, g.poly)
+    F = _split(A.items(), plan.src_f, plan.z, plan.sign)
+    G = _split(B.items(), plan.src_g)
+    out: dict = {}
+    for tf, tg in cosets:
+        _mul_into(out, _place(F, tf), _place(G, tg))
+    return LaurentPoly(out, d)
 
 
 def vertex_shuffle(f: GradedElement, g: GradedElement, zvar: str = "z",
                    convention: str = "substitution") -> GradedElement:
     """Holomorphic vertex operation: coset-symmetrized product of the
-    z-translated first state with the second.
+    z-translated first state with the second, in one pass over the cosets
+    of the plan: each coset puts the block fields at its slots s_{i,k}.
 
     >>> q = Quiver(("1",), ())
     >>> f = GradedElement(q, (1,), LaurentPoly.var("s_{1,1}"))
@@ -326,51 +349,29 @@ def vertex_shuffle(f: GradedElement, g: GradedElement, zvar: str = "z",
     """
     if f.quiver != g.quiver:
         raise ValueError("states live on different quivers")
-    fz = translate(f, zvar, convention).poly
-    gp = _relabel_second_block(g)
-    integrand = fz * gp
-    total = LP_ZERO
-    for ren in _coset_renamings(f.alpha, g.alpha):
-        total = total + integrand.rename(ren)
-    gamma = dim_add(f.alpha, g.alpha)
-    total = total.rename(_union_to_s(f.alpha, g.alpha))
-    return GradedElement(f.quiver, gamma, total, check=False)
+    plan = _plan(f.alpha, g.alpha, zvar, convention)
+    total = _shuffle(plan, f, g, plan.cosets)
+    return GradedElement(f.quiver, dim_add(f.alpha, g.alpha), total, check=False)
 
 
 def propagator_kernel(q: Quiver, alpha, beta, zvar: str = "z") -> RationalFunction:
     """The pole part of the bilinear kernel after virtual cancellation:
     1 over the surviving obstruction-side factors (1 - z^-1 chi^-1) and
-    (1 - z chi^-1).  The surviving deformation-side factors of the full
-    kernel are polynomial in z; they contribute no poles and are omitted
-    here, which is exactly what makes the residue pairing close into a Lie
-    bracket.  lie_bracket takes that residue of the one un-symmetrized
-    product of this kernel with the two states, before the coset sum of
-    vertex_kernel: the cosets only rename block variables, and residue_k is
-    exact and commutes with such renamings, so both orders agree."""
-    e_ab = deformation_character(q, alpha, beta)
-    e_ba = deformation_character(q, beta, alpha, first="t", second="s")
-
-    def excess(vc: VirtualCharacter) -> dict:
-        count: dict = {}
-        for chi in vc.positive:
-            count[chi] = count.get(chi, 0) + 1
-        for chi in vc.negative:
-            count[chi] = count.get(chi, 0) - 1
-        return count
-
-    factors = []
-    for vc, zexp in ((e_ab, -1), (e_ba, 1)):
-        for chi, c in sorted(excess(vc).items()):
-            if c < 0:
-                factors.append((Fraction(0), chi.inv(), zexp, -c))
-    return RationalFunction(zvar, LP_ONE, factors)
+    (1 - z chi^-1), in the s/t naming.  The surviving deformation-side
+    factors of the full kernel are polynomial in z; they contribute no
+    poles and are omitted here, which is exactly what makes the residue
+    pairing close into a Lie bracket.  The plan of (alpha, beta) holds it
+    per quiver.  lie_bracket takes the residue before the coset sum: a
+    coset only moves block fields, and residue_k commutes with that."""
+    return _plan(tuple(alpha), tuple(beta), zvar, "substitution").kernel(q)
 
 
 def vertex_kernel(f: GradedElement, g: GradedElement, zvar: str = "z",
                   convention: str = "substitution") -> RationalFunction:
     """Vertex operation with the propagator kernel inserted: rational in z
     with poles only at 1 - c z^{+-1} (the reduced shape).  Variables stay in
-    the s/t union naming; grade bookkeeping is carried by the caller.
+    the s/t union naming; grade bookkeeping is carried by the caller.  Each
+    coset of the plan moves the block fields of the one integrand.
 
     When the kernel cancels completely (e.g. the one-loop quiver) this is
     the plain shuffle.
@@ -382,15 +383,18 @@ def vertex_kernel(f: GradedElement, g: GradedElement, zvar: str = "z",
     """
     if f.quiver != g.quiver:
         raise ValueError("states live on different quivers")
-    fz = translate(f, zvar, convention).poly
-    gp = _relabel_second_block(g)
-    kernel = propagator_kernel(f.quiver, f.alpha, g.alpha, zvar=zvar)
-    integrand = kernel * (fz * gp)
+    plan = _plan(f.alpha, g.alpha, zvar, convention)
+    integrand = plan.kernel(f.quiver) * _shuffle(plan, f, g, plan.st[:1])
+    N = _split(integrand.num.terms.items(), plan.src_st)
+    D = _split([(m.key, (a, m.den, n, e)) for (a, m, n), e in integrand.den.items()],
+               plan.src_st)
     total = None
-    for ren in _coset_renamings(f.alpha, g.alpha):
-        piece = RationalFunction(zvar, integrand.num.rename(ren),
-                                 [(a, m.rename(ren), n, e2)
-                                  for (a, m, n), e2 in integrand.den.items()])
+    for tf, tg in plan.st:
+        num: dict = {}
+        for m, c in _place(N, tf + tg):
+            _acc(num, m, c)
+        factors = [(a, _mono(m, den), n, e) for m, (a, den, n, e) in _place(D, tf + tg)]
+        piece = RationalFunction(zvar, LaurentPoly(num, integrand.num.exp_den), factors)
         total = piece if total is None else total + piece
     return total
 
@@ -406,12 +410,10 @@ def lie_bracket(f: GradedElement, g: GradedElement, zvar: str = "z") -> GradedEl
     block degree zero, where the output is again degree zero.
 
     The residue is taken once, of the un-symmetrized integrand
-    propagator_kernel * (translated f) * (relabelled g), and the result is
-    then renamed once per coset of _coset_renamings (each renaming composed
-    with _union_to_s) and summed.  This equals residue_k(vertex_kernel(f, g))
-    renamed by _union_to_s: every coset renaming is a bijection of the block
-    names that leaves z alone, and residue_k is linear, exact and commutes
-    with such renamings.  No common denominator over the cosets is built.
+    propagator_kernel * (translated f) * g, and each coset of the plan puts
+    its block fields at the slots s_{i,k}.  This is residue_k(vertex_kernel)
+    with t_{i,b} read as s_{i,a+b}, since residue_k is linear and commutes
+    with moves of block fields; no common denominator is built.
 
     >>> q = a2_quiver()
     >>> str(lie_bracket(GradedElement.unit(q, (1, 0)), GradedElement.unit(q, (0, 1))))
@@ -421,13 +423,15 @@ def lie_bracket(f: GradedElement, g: GradedElement, zvar: str = "z") -> GradedEl
         raise ValueError("the bracket is defined on degree-0 states")
     if f.quiver != g.quiver:
         raise ValueError("states live on different quivers")
-    kernel = propagator_kernel(f.quiver, f.alpha, g.alpha, zvar=zvar)
-    res = residue_k(kernel * (translate(f, zvar).poly * _relabel_second_block(g)))
-    to_s = _union_to_s(f.alpha, g.alpha)
-    total = LP_ZERO
-    for ren in _coset_renamings(f.alpha, g.alpha):
-        total = total + res.rename({v: to_s.get(u, u) for v, u in ren.items()})
-    return GradedElement(f.quiver, dim_add(f.alpha, g.alpha), total, check=False)
+    plan = _plan(f.alpha, g.alpha, zvar, "substitution")
+    res = residue_k(plan.kernel(f.quiver) * _shuffle(plan, f, g, plan.st[:1]))
+    R = _split(res.terms.items(), plan.src_st)
+    total: dict = {}
+    for tf, tg in plan.cosets:
+        for m, c in _place(R, tf + tg):
+            _acc(total, m, c)
+    return GradedElement(f.quiver, dim_add(f.alpha, g.alpha),
+                         LaurentPoly(total, res.exp_den), check=False)
 
 
 def axiom_check(q: Quiver, which: str, f: GradedElement, g: GradedElement,
@@ -459,17 +463,10 @@ def axiom_check(q: Quiver, which: str, f: GradedElement, g: GradedElement,
         inner = vertex_shuffle(f, g, zvar, convention)
         lhs = vertex_shuffle(inner, h, wvar, convention)
         gh = vertex_shuffle(g, h, wvar, convention)
-        fzw = f.poly.attach_degree(set(f.all_block_vars()), zvar,
-                                   1 if convention == "substitution" else -1)
-        fzw = fzw.attach_degree(set(f.all_block_vars()), wvar,
-                                1 if convention == "substitution" else -1)
-        rhs = vertex_shuffle(GradedElement(q, f.alpha, fzw, check=False), gh, "_unused_",
-                             convention="substitution")
-        # the z w translation was already attached, so the inner translate
-        # must act trivially: use a fresh variable and drop it
-        rhs_poly = rhs.poly.subs_mono("_unused_", MONO_ONE)
-        ok = lhs.poly == rhs_poly
-        return ok, None if ok else _witness(lhs.poly, rhs_poly)
+        # f translated by z and w: the shuffle adds z to f translated by w
+        rhs = vertex_shuffle(translate(f, wvar, convention), gh, zvar, convention)
+        ok = lhs.poly == rhs.poly
+        return ok, None if ok else _witness(lhs.poly, rhs.poly)
     if which == "locality":
         if h is None:
             raise ValueError("locality needs three states")

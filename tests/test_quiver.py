@@ -195,8 +195,13 @@ class TestLieBracket:
 def _bracket_oracle(f, g):
     """The bracket by the symmetrize-first route: one residue of the whole
     coset-symmetrized kernel vertex operation."""
-    from kvertex.quiver import _union_to_s
     return residue_k(vertex_kernel(f, g)).rename(_union_to_s(f.alpha, g.alpha))
+
+
+def _union_to_s(alpha, beta):
+    """The renaming of the s/t union slots t_{i,b} to s_{i,a+b}."""
+    return {f"t_{{{i + 1},{b}}}": f"s_{{{i + 1},{a + b}}}"
+            for i, (a, n) in enumerate(zip(alpha, beta)) for b in range(1, n + 1)}
 
 
 def _random_degree_zero_state(rnd, q, alpha):
@@ -266,6 +271,165 @@ class TestBracketResidueFirst:
         lie_bracket(f, g)
         assert len(residues) == 1
         assert adds == []
+
+
+# -- the rename route: variables renamed by name, coset by coset ---------------
+
+
+def _rename_cosets(alpha, beta):
+    """Dicts renaming s_{i,1..a}, t_{i,1..b} onto the s/t union slots, one
+    per coset of S_(a+b)/(S_a x S_b)."""
+    from kvertex.quiver import block_vars
+    per_vertex = []
+    for i, (a, b) in enumerate(zip(alpha, beta)):
+        ins_s, ins_t = block_vars("s", i + 1, a), block_vars("t", i + 1, b)
+        union = ins_s + ins_t
+        choices = []
+        for subset in itertools.combinations(range(a + b), a):
+            rest = [k for k in range(a + b) if k not in subset]
+            ren = dict(zip(ins_s, [union[k] for k in subset]))
+            ren.update(zip(ins_t, [union[k] for k in rest]))
+            choices.append(ren)
+        per_vertex.append(choices)
+    for combo in itertools.product(*per_vertex):
+        ren = {}
+        for c in combo:
+            ren.update(c)
+        yield ren
+
+
+def _rename_integrand(f, g, zvar, convention):
+    sign = {"substitution": 1, "inverse_degree": -1}[convention]
+    fz = f.poly.attach_degree(set(f.all_block_vars()), zvar, sign)
+    return fz * g.poly.rename({v: "t" + v[1:] for v in g.all_block_vars()})
+
+
+def _rename_shuffle(f, g, zvar, convention):
+    integrand = _rename_integrand(f, g, zvar, convention)
+    total = LP_ZERO
+    for ren in _rename_cosets(f.alpha, g.alpha):
+        total = total + integrand.rename(ren)
+    return total.rename(_union_to_s(f.alpha, g.alpha))
+
+
+def _rename_kernel(f, g, zvar, convention):
+    from kvertex.quiver import propagator_kernel
+    integrand = propagator_kernel(f.quiver, f.alpha, g.alpha, zvar) \
+        * _rename_integrand(f, g, zvar, convention)
+    total = None
+    for ren in _rename_cosets(f.alpha, g.alpha):
+        piece = integrand.rename_chars(ren)
+        total = piece if total is None else total + piece
+    return total
+
+
+def _rename_bracket(f, g, zvar):
+    from kvertex.quiver import propagator_kernel
+    res = residue_k(propagator_kernel(f.quiver, f.alpha, g.alpha, zvar)
+                    * _rename_integrand(f, g, zvar, "substitution"))
+    to_s = _union_to_s(f.alpha, g.alpha)
+    total = LP_ZERO
+    for ren in _rename_cosets(f.alpha, g.alpha):
+        total = total + res.rename({v: to_s.get(u, u) for v, u in ren.items()})
+    return total
+
+
+def _fresh_names(count):
+    from kvertex import laurent
+    names, k = [], 0
+    while len(names) < count:
+        if f"fresh{k}" not in laurent._SHIFT:
+            names.append(f"fresh{k}")
+        k += 1
+    return names
+
+
+class TestCosetPlan:
+    """The vertex operations move packed block fields by one plan per grade
+    pair; the rename route above must give the same text."""
+
+    def _compare(self, rnd, q, alpha, beta, zvar="z", twist=None):
+        from kvertex.suites import random_graded_element
+
+        def state(grade):
+            x, y = (random_graded_element(rnd, q, grade) for _ in range(2))
+            p = x.poly + y.poly
+            if twist is not None:
+                p = p * twist
+            return GradedElement(q, grade, p, check=False)
+
+        f, g = state(alpha), state(beta)
+        for conv in ("substitution", "inverse_degree"):
+            assert str(vertex_shuffle(f, g, zvar, conv).poly) \
+                == str(_rename_shuffle(f, g, zvar, conv)), (q, f, g, conv)
+            assert str(vertex_kernel(f, g, zvar, conv)) \
+                == str(_rename_kernel(f, g, zvar, conv)), (q, f, g, conv)
+        x, y = (_random_degree_zero_state(rnd, q, grade) if any(grade) else
+                GradedElement(q, grade, LaurentPoly.var("t", rnd.randint(-1, 1)))
+                for grade in (alpha, beta))
+        if twist is not None:
+            x, y = (GradedElement(q, s.alpha, s.poly * twist, check=False) for s in (x, y))
+        assert str(lie_bracket(x, y, zvar).poly) == str(_rename_bracket(x, y, zvar)), (q, x, y)
+
+    def test_every_small_quiver_up_to_total_grade_four(self, suite_seed):
+        from kvertex.suites import small_quivers
+        rnd = random.Random(suite_seed)
+        for q in small_quivers():
+            grades = [g for g in itertools.product(range(5), repeat=q.n) if sum(g) <= 4]
+            pairs = [(a, b) for a in grades for b in grades if 0 < sum(a) + sum(b) <= 4]
+            for alpha, beta in rnd.sample(pairs, 3):
+                self._compare(rnd, q, alpha, beta)
+
+    def test_half_integer_character_and_fresh_names(self, suite_seed):
+        from kvertex.suites import small_quivers
+        rnd = random.Random(suite_seed + 1)
+        quivers = small_quivers()
+        half = LaurentPoly.var("t", Fraction(1, 2))
+        for _ in range(6):
+            self._compare(rnd, rnd.choice(quivers), (1, 1), (1, 0), twist=half)
+        # z and the twists get slots registered mid-test, above every block
+        # slot: a _HALVES read before the registration lacks their bias, and
+        # the borrow of the negative twist exponents would show
+        fresh = _fresh_names(40)
+        for name in fresh:
+            Monomial.var(name)
+        for k in range(6):
+            twist = LaurentPoly.var(fresh[-1 - k], Fraction(-1, 2)) * LaurentPoly.var(fresh[k], -1)
+            q = rnd.choice(quivers)
+            grade = rnd.choice([(1, 1), (2, 0), (0, 1)])[:q.n]
+            self._compare(rnd, q, grade, grade[::-1], zvar=fresh[20 + k], twist=twist)
+
+    def test_plan_cache_is_keyed_by_grades_only(self):
+        from kvertex.quiver import _plan
+        from kvertex.suites import random_graded_element
+        rnd = random.Random(5)
+        _plan.cache_clear()
+        seen = set()
+        while len(seen) < 50:
+            f = random_graded_element(rnd, QA2, (2, 1))
+            g = random_graded_element(rnd, QA2, (1, 1))
+            seen.add((str(f.poly), str(g.poly)))
+            vertex_shuffle(f, g)
+        assert _plan.cache_info().currsize == 1
+
+    def test_overflow_is_raised(self):
+        from kvertex.laurent import MAX_EXPONENT
+        # the block degree 3 * MAX_EXPONENT does not fit the z field
+        top = sv(1, 1, MAX_EXPONENT) * sv(1, 2, MAX_EXPONENT) * sv(1, 3, MAX_EXPONENT)
+        with pytest.raises(OverflowError):
+            vertex_shuffle(GradedElement(Q1, (3,), top), GradedElement.unit(Q1, (1,)))
+        # 4 * MAX_EXPONENT wraps round the 32-bit field of a z in the top
+        # slot, and only the range check of the z field sees it
+        top = top * sv(1, 4, MAX_EXPONENT)
+        with pytest.raises(OverflowError):
+            vertex_shuffle(GradedElement(Q1, (4,), top), GradedElement.vacuum(Q1),
+                           zvar=_fresh_names(1)[0])
+        # s_{1,2} is outside the grade (1,) block: in every coset the union
+        # slot s_{1,2} gets it and a block field as well
+        stray = GradedElement(Q1, (1,), sv(1, 1, MAX_EXPONENT) * sv(1, 2, MAX_EXPONENT),
+                              check=False)
+        with pytest.raises(OverflowError):
+            vertex_shuffle(stray, stray)
 
 
 class TestAxioms:

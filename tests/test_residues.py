@@ -344,19 +344,27 @@ def test_residue_k_commutes_with_character_permutations(suite_seed):
 
 
 def test_coset_renamings_are_bijections_of_the_union_names():
-    from kvertex.quiver import _coset_renamings, block_vars
+    from kvertex import laurent
+    from kvertex.quiver import _plan, block_vars
     for n in (1, 2, 3):
         for grades in itertools.product(range(5), repeat=2 * n):
             alpha, beta = grades[:n], grades[n:]
             if sum(grades) > 4:
                 continue
-            union = {v for i, (a, b) in enumerate(zip(alpha, beta))
-                     for v in block_vars("s", i + 1, a) + block_vars("t", i + 1, b)}
-            seen = set()
-            for ren in _coset_renamings(alpha, beta):
-                assert set(ren) == union and set(ren.values()) == union
-                seen.add(tuple(sorted(ren.items())))
-            count = 1
-            for a, b in zip(alpha, beta):
-                count *= generalized_binomial(a + b, a)
-            assert len(seen) == count, (alpha, beta)
+            plan = _plan(alpha, beta, "z", "substitution")
+            union_s = {laurent._SHIFT[v] for i, (a, b) in enumerate(zip(alpha, beta))
+                       for v in block_vars("s", i + 1, a + b)}
+            union_st = {laurent._SHIFT[v] for i, (a, b) in enumerate(zip(alpha, beta))
+                        for v in block_vars("s", i + 1, a) + block_vars("t", i + 1, b)}
+            assert sorted(plan.src_st) == sorted(union_st)
+            assert plan.st[0] == (plan.src_f, plan.src_st[len(plan.src_f):])
+            for cosets, union in ((plan.cosets, union_s), (plan.st, union_st)):
+                seen = set()
+                for tf, tg in cosets:
+                    assert len(tf) == sum(alpha) and len(tg) == sum(beta)
+                    assert len(set(tf + tg)) == len(union) and set(tf + tg) == union
+                    seen.add((tf, tg))
+                count = 1
+                for a, b in zip(alpha, beta):
+                    count *= generalized_binomial(a + b, a)
+                assert len(seen) == len(cosets) == count, (alpha, beta)

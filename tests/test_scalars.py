@@ -147,3 +147,38 @@ def test_cyclo_matches_complex_embedding():
                                   (a ** -3, ea ** -3), (a ** 3, ea ** 3), (7 / a, 7 / ea)):
                     assert _demoted(r) and _close(_embed(r), expect)
                 assert _close(_embed(a ** -3) * _embed(a ** 3), 1)
+
+
+@pytest.mark.parametrize("order", [3, 5, 7, 8, 9, 12])
+def test_cyclo_arithmetic_against_sympy(order):
+    """+, *, inverse and ** against sympy's values at zeta = exp(2 pi i/order).
+    sympy writes both sides as rational functions of w, reduces the
+    numerator of their difference modulo its own cyclotomic polynomial and
+    evaluates it at zeta; an algebraic number is zero iff its minimal
+    polynomial is x.  (minimal_polynomial of the unreduced sums of
+    exponentials takes seconds per value at orders 7 and 9.)"""
+    sympy = pytest.importorskip("sympy")
+    x, w = sympy.symbols("x w")
+    phi = sympy.cyclotomic_poly(order, w)
+
+    def sym(v):
+        if isinstance(v, Cyclo):
+            assert v.order == order
+            return sum(c * w ** k for k, c in enumerate(v.num)) / sympy.Integer(v.den)
+        return sympy.Rational(v.numerator, v.denominator)
+
+    def is_zero(diff):
+        num, _den = sympy.fraction(sympy.cancel(diff))
+        value = sympy.rem(num, phi, w).subs(w, sympy.exp(2 * sympy.pi * sympy.I / order))
+        return sympy.minimal_polynomial(value, x) == x
+
+    rnd = random.Random(order)
+    for _ in range(3):
+        a = b = 0
+        while not isinstance(a, Cyclo) or not isinstance(b, Cyclo):
+            a, b = _random_cyclo(rnd, order), _random_cyclo(rnd, order)
+        sa, sb = sym(a), sym(b)
+        for got, want in ((a + b, sa + sb), (a * b, sa * sb), (a.inverse(), 1 / sa),
+                          (a ** 3, sa ** 3), (b ** -2, sb ** -2)):
+            assert is_zero(sym(got) - want), (a, b, got)
+        assert not is_zero(sym(a * b) - sa * sb - 1)

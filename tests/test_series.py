@@ -7,6 +7,7 @@ import pytest
 from kvertex.exprparse import parse_rational
 from kvertex.laurent import LP_ONE, MONO_ONE, LaurentPoly, Monomial, PolyFraction
 from kvertex.residues import residue_k
+from kvertex.scalars import Cyclo
 from kvertex.series import (RationalFunction, expand_at, expand_equivariant,
                             partial_fractions, series_of_poly)
 
@@ -217,15 +218,20 @@ def test_partial_fractions_text_is_pinned(expr, text):
     assert str(partial_fractions(f)) == text
 
 
-def _sympy_of(p, sympy, point):
-    """A LaurentPoly or PolyFraction with rational coefficients in sympy,
-    with the variables in `point` set to its values."""
+def _sympy_of(p, sympy, point, cyclo=False):
+    """A LaurentPoly or PolyFraction with rational coefficients (or, with
+    cyclo, Cyclo coefficients at exp(2 pi i/order)) in sympy, with the
+    variables in `point` set to its values."""
     if isinstance(p, PolyFraction):
-        return _sympy_of(p.num, sympy, point) / _sympy_of(p.den, sympy, point)
+        return _sympy_of(p.num, sympy, point, cyclo) / _sympy_of(p.den, sympy, point, cyclo)
     out = sympy.Integer(0)
     for m, c in zip(p.monomials(), p.terms.values()):
-        assert isinstance(c, (int, Fraction)), "only rational coefficients expected"
-        term = sympy.Rational(c.numerator, c.denominator)
+        if cyclo and isinstance(c, Cyclo):
+            zeta = sympy.exp(2 * sympy.pi * sympy.I / c.order)
+            term = sum(sympy.Rational(n, c.den) * zeta ** k for k, n in enumerate(c.num))
+        else:
+            assert isinstance(c, (int, Fraction)), "only rational coefficients expected"
+            term = sympy.Rational(c.numerator, c.denominator)
         for v, e in m.items():
             term *= point.get(v, sympy.Symbol(v)) ** sympy.Rational(e.numerator, e.denominator)
         out += term
@@ -272,6 +278,27 @@ def test_partial_fractions_against_sympy(suite_seed):
                 c = _sympy_of(LaurentPoly.term(-1 if angle else 1, mono), sympy, point)
                 expr = expr / (1 - c * z ** n) ** e
             assert sympy.cancel(rebuilt - expr) == 0, (str(f), point)
+
+
+@pytest.mark.parametrize("expr", ["1/((1-z^3)*(1-t*z))", "1/(1-z^5)^2", "z/(1-z^6)",
+                                  "(1+z)/((1-z^4)*(1-t*z))"])
+def test_partial_fractions_at_roots_of_unity_against_sympy(expr):
+    """Poles at roots of unity of order 3-6 carry Cyclo coefficients;
+    sympy rebuilds the decomposition and cancels it against the input over
+    the cyclotomic extension."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    f, content = parse_rational(expr, "z")
+    assert content == LP_ONE
+    pf = partial_fractions(f)
+    rebuilt = sum((_sympy_of(c, sympy, {}, cyclo=True) * z ** k for k, c in pf.poly_part.items()),
+                  sympy.Integer(0))
+    for term in pf.terms:
+        root = sympy.exp(2 * sympy.pi * sympy.I * sympy.Rational(term.angle.numerator,
+                                                                 term.angle.denominator))
+        root *= _sympy_of(LaurentPoly.term(1, term.mono), sympy, {})
+        rebuilt += _sympy_of(term.coeff, sympy, {}, cyclo=True) / (1 - root * z) ** term.mult
+    assert sympy.cancel(rebuilt - sympy.sympify(expr.replace("^", "**")), extension=True) == 0
 
 
 @pytest.mark.parametrize("n", [17, 31])
