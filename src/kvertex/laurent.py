@@ -527,6 +527,11 @@ class LaurentPoly:
     def rename(self, ren: dict) -> "LaurentPoly":
         return LaurentPoly(_terms_rename(self.terms, ren), self.exp_den)
 
+    def conjugate(self, k: int) -> "LaurentPoly":
+        """The Galois conjugate zeta -> zeta^k of every Cyclo coefficient."""
+        return LaurentPoly({m: c.conjugate(k) if isinstance(c, Cyclo) else c
+                            for m, c in self.terms.items()}, self.exp_den)
+
     def subs_mono(self, name: str, value: Monomial) -> "LaurentPoly":
         """Substitute the variable `name` by the monomial value."""
         s = _shift(name)
@@ -771,6 +776,11 @@ class PolyFraction:
     def simplified(self) -> "PolyFraction":
         p = self.as_poly()
         return PolyFraction(p) if p is not None else self
+
+    def conjugate(self, k: int) -> "PolyFraction":
+        """The Galois conjugate zeta -> zeta^k of numerator and denominator;
+        it fixes the monomials, so the normalization carries over."""
+        return PolyFraction(self.num.conjugate(k), self.den.conjugate(k))
 
     def __str__(self):
         if self.den == LP_ONE:

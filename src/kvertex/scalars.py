@@ -178,6 +178,21 @@ class Cyclo:
             lst[k * step] = c
         return Cyclo(order, tuple(_reduce_mod_cyclo(order, lst)), self.den)
 
+    def conjugate(self, k: int) -> "Cyclo":
+        """The Galois conjugate sigma_k(self), sigma_k: zeta -> zeta^k for k
+        prime to the order, in the same order.  sigma_k maps Z[zeta] onto
+        itself, so the content stays coprime to den and the value outside Q.
+
+        >>> print(Cyclo.make(5, {1: 1}).conjugate(2))
+        zeta5^2
+        """
+        order = self.order
+        assert math.gcd(k, order) == 1, "conjugation needs k prime to the order"
+        lst = [0] * order
+        for i, c in enumerate(self.num):
+            lst[i * k % order] = c
+        return Cyclo(order, tuple(_reduce_mod_cyclo(order, lst)), self.den)
+
     # -- arithmetic ------------------------------------------------------
 
     def _common(self, other: "Cyclo"):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction
-from .scalars import Cyclo, cyclo_root, generalized_binomial, scalar_inv, scalar_pow
+from .scalars import RATIONAL, Cyclo, cyclo_root, generalized_binomial, scalar_inv, scalar_pow
 
 POINTS = ("zero", "infinity", "one")
 
@@ -547,7 +547,7 @@ class PartialFractions:
         poles vanish, and in base w = 1 - a z the first m digits must
         satisfy R_i = sum_t A_t (D / w^m)_(i - m + m_t).
         """
-        poles, roots, D = _cover(f)
+        poles, roots, D, _L = _cover(f)
         R = dict(f.num.split_var(f.var))
         for k, c in self.poly_part.items():
             p = c.as_poly() if isinstance(c, PolyFraction) else c
@@ -620,7 +620,8 @@ def split_poles(f: RationalFunction) -> dict:
 def _cover(f: RationalFunction):
     """The cover poles of f as {pole: mult}, each pole's root
     a = root(angle) * mono as a one-term Laurent polynomial (in display
-    order), and the denominator D = prod (1 - a z)^mult split by z.
+    order), the denominator D = prod (1 - a z)^mult split by z, and the
+    lift order L.
 
     D is f.den_poly(), whose coefficients are those of the original factors
     (1 - c z^n)^e.  Every irrational scalar of the roots and of D is lifted
@@ -639,7 +640,7 @@ def _cover(f: RationalFunction):
              for angle, mono in sorted(poles, key=lambda km: (km[1].items(), km[0]))}
     D = {k: LaurentPoly({m: lift(c) for m, c in p.terms.items()}, p.exp_den)
          for k, p in f.den_poly().split_var(f.var).items()}
-    return poles, roots, D
+    return poles, roots, D, L
 
 
 def _divide_out(D: dict, a: LaurentPoly, mult: int) -> dict:
@@ -665,20 +666,73 @@ def _w_digits(A: dict, angle, mono: Monomial, count: int) -> list:
             for i in range(count)]
 
 
-def _zpoly_deriv(A: dict) -> dict:
-    return {k - 1: c * k for k, c in A.items() if k}
-
-
-def _zpoly_eval_inv(A: dict, angle, mono: Monomial, pw: list) -> LaurentPoly:
-    """Evaluate a z-split polynomial at z = 1/(root(angle)*mono).  pw holds
-    the powers (root(angle)*mono)^-k built so far and gets the missing ones
-    appended, so that all the evaluations at one root share them."""
-    out = LP_ZERO
+def _zpoly_derivs_inv(A: dict, angle, mono: Monomial, count: int, pw: list) -> list:
+    """The values A(1/a), A'(1/a), ..., A^(count-1)(1/a) of a z-split
+    polynomial from z^0 at z = 1/a, a = root(angle)*mono:
+    A^(i)(1/a) = sum_k k!/(k-i)! A_k a^-(k-i).  pw holds the powers a^-k
+    built so far and gets the missing ones appended, so that all the
+    evaluations at one root share them."""
+    out = [LP_ZERO] * count
     for k, c in A.items():
         while len(pw) <= k:
             pw.append(unit_value(angle, mono, -len(pw)))
-        out = out + c * pw[k]
+        out[0] = out[0] + c * pw[k]
+        falling = 1
+        for i in range(1, min(count, k + 1)):
+            falling *= k - i + 1
+            out[i] = out[i] + c * pw[k - i] * falling
     return out
+
+
+def _galois_exponent(rep: Fraction, angle: Fraction, L: int) -> int:
+    """A k prime to L with k rep = angle mod 1, for two angles of one
+    denominator d | L: sigma_k maps root(rep) to root(angle), and every
+    scalar of order dividing L to its conjugate."""
+    d = angle.denominator
+    k = angle.numerator * pow(rep.numerator, -1, d) % d
+    while math.gcd(k, L) != 1:
+        k += d
+    return k
+
+
+def _pole_terms(N: dict, D: dict, a: LaurentPoly, angle, mono: Monomial, m: int,
+                L: int) -> list:
+    """The terms A_(m-j) / (1 - a z)^(m-j), j < m, of N / D at the pole
+    a = root(angle) * mono of multiplicity m.
+
+    With the cofactor D_i = D / (1 - a z)^m and g = N / D_i,
+    A_(m-j) = (-1/a)^j / j! g^(j)(1/a) = (-1/a)^j / j! v_j / d0^(j+1), where
+    d0 = D_i(1/a) and v_j = g^(j)(1/a) d0^(j+1).  Leibniz's rule on
+    N = g D_i gives v_0 = N(1/a) and
+
+        v_j = d0^j N^(j)(1/a) - sum_(1<=i<=j) C(j, i) D_i^(i)(1/a) d0^(i-1) v_(j-i),
+
+    so only the first m derivatives of N and D_i at 1/a are needed.  For
+    j >= 1 the scalars of v_j are lifted to the order L: for invariant f,
+    whose D_i has only rational scalars and scalars of order L, that is the
+    order in which evaluating the polynomial g^(j) D_i^(j+1) term by term
+    at 1/a prints them (tests/test_series.py compares the two)."""
+    Di = _divide_out(D, a, m)
+    pw: list = []
+    dN = _zpoly_derivs_inv(N, angle, mono, m, pw)
+    dD = _zpoly_derivs_inv(Di, angle, mono, m, pw)
+    den0 = dD[0]
+    d0_pows = [LP_ONE]
+    v = [dN[0]]
+    for j in range(1, m):
+        d0_pows.append(d0_pows[-1] * den0)
+        vj = dN[j] * d0_pows[j]
+        for i in range(1, j + 1):
+            vj = vj - dD[i] * d0_pows[i - 1] * v[j - i] * math.comb(j, i)
+        v.append(LaurentPoly({mm: c.lift(L) if isinstance(c, Cyclo) and not L % c.order else c
+                              for mm, c in vj.terms.items()}, vj.exp_den))
+    terms = []
+    for j, vj in enumerate(v):
+        if not vj.is_zero():
+            scale = unit_value(angle, mono, -j) * Fraction((-1) ** j, math.factorial(j))
+            A = PolyFraction(vj * scale, den0 ** (j + 1))
+            terms.append(PoleTerm(angle, mono, m - j, A.simplified()))
+    return terms
 
 
 def partial_fractions(f: RationalFunction) -> PartialFractions:
@@ -689,19 +743,36 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
     Laurent-polynomial part is extracted by exact long division in the
     character ring (D has unit constant and leading terms).  Each pole's
     cofactor D_i = D / (1 - a_i z)^(m_i) comes from m_i synthetic divisions
-    q_k = d_k + a_i q_(k-1), and the pole coefficients from the derivative
-    formula
+    q_k = d_k + a_i q_(k-1), and the pole coefficients
 
         A_{m_i - j} = (-1/a_i)^j / j! * (d/dz)^j [f (1 - a_i z)^{m_i}]
-                      evaluated at z = 1/a_i,
+                      evaluated at z = 1/a_i
 
-    with the powers a_i^-k built once per pole.  So every output coefficient
+    from the first m_i derivatives of the remainder N and of D_i at 1/a_i
+    (_pole_terms), each over D_i(1/a_i)^(j+1).  So every output coefficient
     is a single fraction of Laurent polynomials.  Before dividing, the root
     a_i and the coefficients of D are lifted to the cyclotomic order L, the
     lcm of the orders above 2 of all the cover roots.  A cyclotomic number
     prints in the order that the multiplication of its operands gives, so
     this fixes the printed labels: the coefficient of z/((1-z^6)*(1-t*z))
     at the pole zeta3^1 has the denominator 1 + zeta6^1*t.
+
+    Galois orbits.  f is Galois-invariant when every factor angle is 0 or
+    1/2 and every numerator coefficient is rational, as for every input the
+    CLI parses.  Then the cover poles root(p/d) * mono of one denominator d
+    and one character are one orbit of Gal(Q(zeta_L)/Q), and so are their
+    coefficients.  Only the first pole of an orbit, root(1/d) * mono, is
+    evaluated; the pole root(p/d) * mono gets its terms mapped by
+    sigma_k: zeta -> zeta^k, with k = p mod d and k prime to L.  sigma_k
+    commutes with every step of the evaluation (lifting, products,
+    reduction mod Phi, demotion to Q, the normalization of a PolyFraction
+    by the coefficient of its lowest monomial, exact division) and keeps
+    the order of every scalar, so the conjugate is the object, labels
+    included, that evaluating at its own pole gives.  When f is not
+    invariant, every pole is an orbit of its own; there the coefficients of
+    the lower powers at a repeated pole print their scalars lifted to L,
+    which may differ in label, not in value, from the evaluation of the
+    polynomials g^(j) D_i^(j+1) that the derivative formula names.
 
     >>> f = RationalFunction("z", LP_ONE, [(0, MONO_ONE, 2, 1)])
     >>> print(partial_fractions(f))
@@ -715,7 +786,7 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
     + ((-1/3 - 1/3*zeta3^1)) / (1 - zeta3^1*z)
     + (1/3*zeta3^1) / (1 - (-1 - zeta3^1)*z)
     """
-    poles, roots, D = _cover(f)
+    poles, roots, D, L = _cover(f)
     M = max(D) if D else 0
     N = dict(f.num.split_var(f.var))
     Q: dict = {}
@@ -752,29 +823,20 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
             Q[k] = Q.get(k, LP_ZERO) + c
         N = {}
 
+    # one orbit per (denominator, character) when f is Galois-invariant
+    invariant = all(a.denominator <= 2 for a, _m, _n in f.den) and \
+        all(isinstance(c, RATIONAL) for c in f.num.terms.values())
+    orbits: dict = {}
     terms: list = []
     for (angle, mono), a in roots.items():
-        m_tot = poles[(angle, mono)]
-        Di = _divide_out(D, a, m_tot)
-        Di_deriv = _zpoly_deriv(Di) if m_tot > 1 else None
-        pw: list = []
-        den0 = _zpoly_eval_inv(Di, angle, mono, pw)
-        Nj = dict(N)
-        jfact = 1
-        for j in range(m_tot):
-            if j:
-                jfact *= j
-            num_eval = _zpoly_eval_inv(Nj, angle, mono, pw)
-            if not num_eval.is_zero():
-                scale = unit_value(angle, mono, -j) * Fraction((-1) ** j, jfact)
-                A = PolyFraction(num_eval * scale, den0 ** (j + 1))
-                terms.append(PoleTerm(angle, mono, m_tot - j, A.simplified()))
-            if j + 1 < m_tot:
-                t1 = _ser_mul(_zpoly_deriv(Nj), Di)
-                t2 = _ser_mul(Nj, Di_deriv)
-                Nj = {kk: t1.get(kk, LP_ZERO) - (j + 1) * t2.get(kk, LP_ZERO)
-                      for kk in set(t1) | set(t2)}
-                Nj = {kk: c for kk, c in Nj.items() if not c.is_zero()}
+        key = (angle.denominator, mono) if invariant else (angle, mono)
+        rep = orbits.get(key)
+        if rep is None:
+            rep = orbits[key] = (angle, _pole_terms(N, D, a, angle, mono, poles[(angle, mono)], L))
+            terms.extend(rep[1])
+        else:
+            k = _galois_exponent(rep[0], angle, L)
+            terms.extend(PoleTerm(angle, mono, t.mult, t.coeff.conjugate(k)) for t in rep[1])
     poly_part = {k: c for k, c in Q.items() if not c.is_zero()}
     return PartialFractions(f.var, poly_part, terms)
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from kvertex.residues import (K_THEORY, NAIVE, ResidueKind, constraint_suite,
                               residue_coh, residue_k, residue_k_oracle,
                               residue_k_via_pfrac, residue_naive,
                               rho_simple_product)
-from kvertex.scalars import generalized_binomial
+from kvertex.scalars import Cyclo, generalized_binomial, root_of_unity
 from kvertex.series import RationalFunction, _ser_mul
 
 T = Monomial.var("t")
@@ -311,6 +312,57 @@ def test_residue_k_against_sympy_series():
                    for i in rnd.sample(range(len(chars)), rnd.randint(1, 2))]
         pows = [rnd.randint(-4, -1), rnd.randint(0, 2), rnd.randint(3, 7)]
         check(pows, [rnd.choice([1, 3, -2]) for _ in pows], factors)
+
+
+def test_residue_k_at_root_of_unity_angles_against_sympy():
+    """As above, with factors 1 - zeta c z^n at roots of unity zeta of order
+    3-8 and Cyclo numerator coefficients.  zeta_N is the symbol x, N the lcm
+    of every order involved; sympy's [z^0] minus [w^0] minus residue_k is a
+    Laurent polynomial in x over Q(s, t) that must vanish modulo Phi_N."""
+    sympy = pytest.importorskip("sympy")
+    z, w, s, t, x = sympy.symbols("z w s t x")
+    chars = [(MONO_ONE, 1), (T, t), (S * T.inv(), s / t), (Monomial.var("t", 2), t ** 2)]
+    names = {"t": t, "s": s}
+
+    def sym(c, order):
+        if isinstance(c, Cyclo):
+            return sum(sympy.Rational(n, c.den) * x ** (k * order // c.order)
+                       for k, n in enumerate(c.num))
+        return sympy.Rational(c.numerator, c.denominator)
+
+    def check(num_terms, factors):
+        order = math.lcm(*(a.denominator for _i, a, _n, _e in factors),
+                         *(c.order for _k, c in num_terms if isinstance(c, Cyclo)))
+        f = rf(LaurentPoly.from_terms((Monomial.var("z", k), c) for k, c in num_terms),
+               [(a, chars[i][0], n, e) for i, a, n, e in factors])
+        got = residue_k(f)
+        order = math.lcm(order, *(c.order for c in got.terms.values() if isinstance(c, Cyclo)))
+        expr = sum(sym(c, order) * z ** k for k, c in num_terms)
+        for i, a, n, e in factors:
+            zeta = x ** (a.numerator * order // a.denominator)
+            expr = expr / (1 - zeta * chars[i][1] * z ** n) ** e
+        at_zero = sympy.expand(sympy.series(expr, z, 0, 1).removeO()).coeff(z, 0)
+        at_inf = sympy.expand(sympy.series(expr.subs(z, 1 / w), w, 0, 1).removeO()).coeff(w, 0)
+        mine = sum(sym(c, order) * sympy.Mul(*(names[v] ** sympy.Rational(e.numerator, e.denominator)
+                                               for v, e in m.items()))
+                   for m, c in zip(got.monomials(), got.terms.values()))
+        diff = sympy.expand((at_zero - at_inf - mine) * x ** (4 * order))
+        rest = sympy.Poly(diff, x, domain="QQ(s,t)").rem(sympy.Poly(sympy.cyclotomic_poly(order, x), x,
+                                                                    domain="QQ(s,t)"))
+        assert rest.is_zero, (str(f), str(got))
+        return got
+
+    got = check([(0, 1)], [(0, Fraction(1, 3), 1, 1)])
+    assert got == LP_ONE  # 1/(1 - zeta3 z): the whole residue sits at z = 0
+    rnd = random.Random(3)
+    angles = [Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(2, 5), Fraction(1, 6),
+              Fraction(3, 8)]
+    for _ in range(6):
+        factors = [(i, rnd.choice(angles), rnd.randint(1, 2), rnd.randint(1, 2))
+                   for i in rnd.sample(range(len(chars)), rnd.randint(1, 2))]
+        num_terms = [(rnd.randint(-3, -1), rnd.choice([1, -2])), (rnd.randint(0, 2), 3),
+                     (rnd.randint(3, 6), root_of_unity(rnd.choice([3, 4, 5]), 1))]
+        check(num_terms, factors)
 
 
 CHAR_NAMES = ["t", "s", "s_{1,1}", "s_{1,2}", "t_{1,1}", "t_{2,1}"]

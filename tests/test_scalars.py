@@ -182,3 +182,55 @@ def test_cyclo_arithmetic_against_sympy(order):
                           (a ** 3, sa ** 3), (b ** -2, sb ** -2)):
             assert is_zero(sym(got) - want), (a, b, got)
         assert not is_zero(sym(a * b) - sa * sb - 1)
+
+
+def _sigma(x, k):
+    """sigma_k on any exact scalar: rationals are fixed."""
+    return x.conjugate(k) if isinstance(x, Cyclo) else x
+
+
+def _units(order):
+    return [k for k in range(1, 3 * order) if math.gcd(k, order) == 1]
+
+
+def test_galois_conjugation_is_a_ring_automorphism():
+    """sigma_k(x y) = sigma_k(x) sigma_k(y) and sigma_k(x + y) = sigma_k(x) +
+    sigma_k(y) on seeded values of orders 3-24, and sigma_k(x) is the
+    canonical value sum num[i] zeta^(i k) / den of the same order."""
+    rnd = random.Random(13)
+    for order in range(3, 25):
+        for _ in range(3):
+            x, y = _random_cyclo(rnd, order), _random_cyclo(rnd, order)
+            for k in rnd.sample(_units(order), 3):
+                assert _sigma(x * y, k) == _sigma(x, k) * _sigma(y, k), (x, y, k)
+                assert _sigma(x + y, k) == _sigma(x, k) + _sigma(y, k), (x, y, k)
+                if isinstance(x, Cyclo):
+                    sx = x.conjugate(k)
+                    _embed(sx)  # canonical fields
+                    expect = Cyclo.make(order, {i * k: Fraction(c, x.den)
+                                                for i, c in enumerate(x.num) if c})
+                    assert repr(sx) == repr(expect)
+                    back = pow(k, -1, order)
+                    assert repr(sx.conjugate(back)) == repr(x)
+
+
+def test_galois_conjugate_of_a_root_of_unity():
+    for order in range(3, 25):
+        for j in range(order):
+            for k in _units(order)[:6]:
+                got = _sigma(root_of_unity(order, j), k)
+                assert got == root_of_unity(order, j * k)
+                assert repr(got) == repr(root_of_unity(order, j * k))
+
+
+def test_galois_conjugation_commutes_with_lifting():
+    rnd = random.Random(7)
+    for order in range(3, 13):
+        for mult in (2, 3, 5):
+            big = order * mult
+            for _ in range(2):
+                x = _random_cyclo(rnd, order)
+                if not isinstance(x, Cyclo):
+                    continue
+                for k in rnd.sample(_units(big), 3):
+                    assert repr(x.lift(big).conjugate(k)) == repr(x.conjugate(k).lift(big))

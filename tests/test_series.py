@@ -301,13 +301,174 @@ def test_partial_fractions_at_roots_of_unity_against_sympy(expr):
     assert sympy.cancel(rebuilt - sympy.sympify(expr.replace("^", "**")), extension=True) == 0
 
 
-@pytest.mark.parametrize("n", [17, 31])
+@pytest.mark.parametrize("n", [17, 31, 61])
 def test_partial_fractions_large_cover(n):
     f = RationalFunction("z", LP_ONE, [(0, MONO_ONE, n, 1), (0, T, 1, 1)])
     pf = partial_fractions(f)
     assert len(pf.terms) == n + 1
     assert pf.coefficient_sum() == PolyFraction.of(residue_k(f))
     assert pf.recombines_to(f)
+
+
+def _per_pole_partial_fractions(f):
+    """The decomposition pole by pole, as partial_fractions computed it
+    before Galois orbits: the long division, then at every cover pole the
+    cofactor by synthetic division and the derivative formula, with the
+    z-polynomials N_(j+1) = N_j' D_i - (j+1) N_j D_i' of the j-loop."""
+    from kvertex.scalars import scalar_inv
+    from kvertex.series import (PartialFractions, PoleTerm, _cover, _divide_out, _ser_mul,
+                                unit_value)
+
+    def deriv(A):
+        return {k - 1: c * k for k, c in A.items() if k}
+
+    def eval_inv(A, angle, mono, pw):
+        out = LaurentPoly.zero()
+        for k, c in A.items():
+            while len(pw) <= k:
+                pw.append(unit_value(angle, mono, -len(pw)))
+            out = out + c * pw[k]
+        return out
+
+    poles, roots, D, _L = _cover(f)
+    M = max(D) if D else 0
+    N = dict(f.num.split_var(f.var))
+    Q = {}
+
+    def subtract_multiple(c, shift):
+        for k, dk in D.items():
+            acc = N.get(shift + k)
+            acc = -(c * dk) if acc is None else acc - c * dk
+            if acc.is_zero():
+                N.pop(shift + k, None)
+            else:
+                N[shift + k] = acc
+
+    while N and min(N) < 0:
+        lo = min(N)
+        c = N[lo]
+        Q[lo] = Q.get(lo, LaurentPoly.zero()) + c
+        subtract_multiple(c, lo)
+    if M:
+        lc, lm = D[M].as_unit()
+        lead_inv = LaurentPoly.term(scalar_inv(lc), lm.inv())
+        while N and max(N) >= M:
+            hi = max(N)
+            q = N[hi] * lead_inv
+            Q[hi - M] = Q.get(hi - M, LaurentPoly.zero()) + q
+            subtract_multiple(q, hi - M)
+    else:
+        for k, c in N.items():
+            Q[k] = Q.get(k, LaurentPoly.zero()) + c
+        N = {}
+    terms = []
+    for (angle, mono), a in roots.items():
+        m_tot = poles[(angle, mono)]
+        Di = _divide_out(D, a, m_tot)
+        Di_deriv = deriv(Di)
+        pw = []
+        den0 = eval_inv(Di, angle, mono, pw)
+        Nj = dict(N)
+        jfact = 1
+        for j in range(m_tot):
+            if j:
+                jfact *= j
+            num_eval = eval_inv(Nj, angle, mono, pw)
+            if not num_eval.is_zero():
+                scale = unit_value(angle, mono, -j) * Fraction((-1) ** j, jfact)
+                A = PolyFraction(num_eval * scale, den0 ** (j + 1))
+                terms.append(PoleTerm(angle, mono, m_tot - j, A.simplified()))
+            if j + 1 < m_tot:
+                t1 = _ser_mul(deriv(Nj), Di)
+                t2 = _ser_mul(Nj, Di_deriv)
+                Nj = {kk: t1.get(kk, LaurentPoly.zero()) - (j + 1) * t2.get(kk, LaurentPoly.zero())
+                      for kk in set(t1) | set(t2)}
+                Nj = {kk: c for kk, c in Nj.items() if not c.is_zero()}
+    return PartialFractions(f.var, {k: c for k, c in Q.items() if not c.is_zero()}, terms)
+
+
+def _term_keys(pf):
+    return [(t.angle, t.mono, t.mult) for t in pf.terms]
+
+
+def _invariant_inputs(seed, count):
+    """Seeded Galois-invariant f: factor angles 0 and 1/2, rational
+    numerator coefficients; characters t, t^2 and s/t, the roots of
+    1 - t z^3, multiplicities 1-3, and factors that share poles."""
+    rnd = random.Random(seed)
+    shapes = [(MONO_ONE, 2), (MONO_ONE, 3), (MONO_ONE, 4), (MONO_ONE, 5), (MONO_ONE, 6),
+              (MONO_ONE, 8), (MONO_ONE, 9), (MONO_ONE, 12), (T, 1), (T ** 2, 1),
+              (Monomial.var("s") * T.inv(), 1), (T, 3)]
+    out = []
+    while len(out) < count:
+        factors = [(rnd.choice([Fraction(0), Fraction(1, 2)]), *rnd.choice(shapes), rnd.randint(1, 3))
+                   for _ in range(rnd.randint(1, 3))]
+        if sum(n * e for _a, _m, n, e in factors) > 18:
+            continue
+        num = LaurentPoly.from_terms(
+            (Monomial.var("z", rnd.randint(-2, 12)) * rnd.choice([MONO_ONE, T, Monomial.var("s")]),
+             rnd.choice([1, -2, 3, Fraction(1, 3)])) for _ in range(rnd.randint(1, 3)))
+        if not num.is_zero():
+            out.append(RationalFunction("z", num, factors))
+    return out
+
+
+def test_orbit_path_matches_the_per_pole_path(suite_seed):
+    fixed = ["1/((1+z^3)*(1-t*z))", "1/((1-z^6)*(1-z^4))", "1/(1-z^12)^2",
+             "z^2/((1-t*z^4)*(1-s*z))", "(z^5 - 2)/((1-z^6)^3*(1-t^2*z^2))"]
+    fs = [parse_rational(e, "z")[0] for e in fixed] + _invariant_inputs(suite_seed, 24)
+    for f in fs:
+        got, want = partial_fractions(f), _per_pole_partial_fractions(f)
+        assert str(got) == str(want), str(f)
+        assert _term_keys(got) == _term_keys(want), str(f)
+
+
+def test_one_cofactor_per_galois_orbit(monkeypatch):
+    """The cofactor division runs once per orbit (denominator d, character),
+    not once per cover pole: 1/(1 - z^12) has 12 poles in 6 orbits, and
+    1/((1 - z^13)(1 - t z)) has 14 poles in 3 orbits."""
+    import kvertex.series as series
+
+    calls = []
+    real = series._divide_out
+
+    def counted(D, a, mult):
+        calls.append(a)
+        return real(D, a, mult)
+
+    monkeypatch.setattr(series, "_divide_out", counted)
+    for expr, orbits, poles in (("1/(1-z^12)", 6, 12), ("1/((1-z^13)*(1-t*z))", 3, 14)):
+        calls.clear()
+        pf = partial_fractions(parse_rational(expr, "z")[0])
+        assert len(pf.terms) == poles
+        assert len(calls) == orbits, expr
+
+
+def test_non_invariant_input_has_orbits_of_size_one():
+    """A factor at angle 1/3 or a Cyclo numerator coefficient: f is not
+    Galois-invariant, every pole is evaluated on its own, and the result
+    recombines to f.  At simple poles the text is the per-pole text; at
+    repeated poles the coefficient values are, while the scalars of the
+    lower-order terms print at the lift order."""
+    zeta5 = Cyclo.make(5, {1: 1})
+    cases = [
+        (RationalFunction("z", Z + 2, [(Fraction(1, 3), MONO_ONE, 2, 1), (0, T, 1, 1)]), True),
+        (RationalFunction("z", LaurentPoly.term(zeta5, MONO_ONE) + Z,
+                          [(0, MONO_ONE, 4, 1), (Fraction(1, 2), T, 1, 1)]), True),
+        (RationalFunction("z", LP_ONE + Z ** 3, [(Fraction(1, 3), MONO_ONE, 3, 2), (0, T, 1, 1)]), False),
+        (RationalFunction("z", LaurentPoly.term(zeta5, Monomial.var("z", 2)) + 1,
+                          [(0, MONO_ONE, 3, 2)]), False),
+        # the per-pole path prints the coefficient at zeta5^2 in zeta5, this one in zeta60
+        (RationalFunction("z", LP_ONE + LaurentPoly.term(4, Monomial.var("s") * Monomial.var("z", 8)),
+                          [(0, MONO_ONE, 12, 1), (Fraction(2, 5), MONO_ONE, 1, 2)]), False),
+    ]
+    for f, simple in cases:
+        got, want = partial_fractions(f), _per_pole_partial_fractions(f)
+        assert got.recombines_to(f)
+        assert _term_keys(got) == _term_keys(want)
+        assert all(a.coeff == b.coeff for a, b in zip(got.terms, want.terms))
+        if simple:
+            assert str(got) == str(want)
 
 
 def test_recombination_rejects_a_perturbed_coefficient():
