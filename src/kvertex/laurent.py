@@ -18,9 +18,10 @@ test shows a field that left the range; then OverflowError is raised
 (exit code 1 in the CLI).  MAX_EXPONENT = 2^30 - 1 counts units of 1/exp_den.
 
 Coefficients are nonzero exact scalars (int, Fraction or Cyclo); the
-constructors and the scalar product demote integral Fractions to int, the
-kernels do no demotion of their own.  PolyFraction is the fraction field.
-All values are immutable; every operation is pure.
+constructors and the scalar product (_terms_scale) demote integral
+Fractions to int, the other kernels do no demotion of their own.
+PolyFraction is the fraction field.  All values are immutable; every
+operation is pure.
 
 >>> s, t = Monomial.var("s"), Monomial.var("t")
 >>> (s * s * t.inv()).key == 2 * s.key - t.key
@@ -218,10 +219,16 @@ def _mul_into(out: dict, A, B):
 
 
 def _terms_scale(A, c):
-    """Multiply every coefficient by the scalar c."""
+    """Multiply every coefficient by the scalar c.  A Fraction factor on
+    either side can make an integral product; it is stored as an int."""
     if not c:
         return {}
-    return {m: cc for m, cc in ((m, c * c0) for m, c0 in A.items()) if cc}
+    out = {}
+    for m, c0 in A.items():
+        cc = c * c0
+        if cc:
+            out[m] = cc.numerator if type(cc) is Fraction and cc.denominator == 1 else cc
+    return out
 
 
 def _rename_key(key, ren: dict) -> int:

@@ -6,8 +6,9 @@ Three functionals:
                     computed from two series shared by all the numerator's
                     z-powers: S_+ = prod (1 - a_i z)^(-m_i) over the cover
                     poles and S_- = prod (1 - a_i^-1 z)^(-m_i), each up to
-                    the largest index the numerator needs, then one dot
-                    product with the numerator's coefficients;
+                    the largest index the numerator needs by the geometric
+                    recurrence s_j += a s_(j-1), then one dot product with
+                    the numerator's coefficients;
 * residue_naive  -- minus the classical residue at z=1 of z^-1 f(z) dz;
 * residue_coh    -- the classical residue at u=0 (coefficient of 1/u).
 
@@ -17,10 +18,14 @@ local_residue_at_root takes each from the same (1-z)-adic expansion as
 residue_naive: the rotation z -> gamma z leaves z^-1 dz unchanged, so
 Res_{z=gamma}(z^-1 f(z) dz) = Res_{z=1}(z^-1 f(gamma z) dz).
 
-residue_k_oracle implements the defining series prescription directly and is
-kept independent of the closed-form path.  diagonal_w_side_residue sums its
-k-vectors by Horner in the pivot factors (1 - c_t w^-1), so each k-vector
-costs one z-residue and no product of w-series.
+residue_k_oracle implements the defining series prescription directly: it
+expands each side with series.expand_at (binomial series multiplied by
+series._ser_mul) only up to z^0, the one place it reads.  It shares no
+series code with the closed form beyond LaurentPoly arithmetic.
+diagonal_w_side_residue sums its k-vectors by Horner in the pivot factors
+(1 - c_t w^-1), so each k-vector costs one z-residue and no product of
+w-series; for a < n it visits only the k-vectors with a + |k| <= 0, the
+others having residue zero.
 """
 from __future__ import annotations
 
@@ -80,20 +85,29 @@ def residue_k_via_pfrac(f: RationalFunction) -> LaurentPoly:
 
 
 def residue_k_oracle(f: RationalFunction, order: int) -> LaurentPoly:
-    """The definition, verbatim: z^0 term of f_+ minus z^0 term of f_-.
+    """The definition: z^0 term of f_+ minus z^0 term of f_-, each read from
+    the expansion truncated `order` places above its leading term.
 
-    order must exceed the total pole multiplicity so that both truncated
-    expansions already carry their exact z^0 coefficients.
+    order must exceed the total pole multiplicity.  A side whose expansion
+    has valuation v0 (at zero the lowest z-power of the numerator, at
+    infinity total_pole_mult() minus the highest) carries its z^0 term when
+    v0 <= 0 < v0 + order, and contributes 0 otherwise; only the places
+    v0..0 are read, so the side is expanded with 1 - v0 places.  Both
+    expansions are binomial series multiplied by series._ser_mul, so the
+    oracle shares no series kernel with residue_k.
     """
     if order <= f.total_pole_mult():
         raise ValueError("order must exceed the total pole multiplicity")
+    if f.is_zero():
+        return LaurentPoly.scalar(0)
+    zpows = f.num.split_var(f.var)
 
-    def z0(ser):
-        if ser.valuation() <= 0 < ser.trunc:
-            return ser.coeff(0)
+    def z0(point, v0):
+        if v0 <= 0 < v0 + order:
+            return expand_at(f, point, 1 - v0).coeff(0)
         return 0
 
-    out = z0(expand_at(f, "zero", order)) - z0(expand_at(f, "infinity", order))
+    out = z0("zero", min(zpows)) - z0("infinity", f.total_pole_mult() - max(zpows))
     return out if isinstance(out, LaurentPoly) else LaurentPoly.scalar(out)
 
 
@@ -107,14 +121,24 @@ def rho_simple_product(var_power: int, poles) -> LaurentPoly:
 
 def _pole_series(poles, count: int, invert: bool) -> dict:
     """The first count coefficients of prod_i (1 - a_i z)^(-m_i), or of
-    prod_i (1 - a_i^-1 z)^(-m_i) when invert: C(m-1+j, m-1) a^(+-j) for one
-    pole, and the truncated product of those series for several."""
-    out = None
+    prod_i (1 - a_i^-1 z)^(-m_i) when invert, with the zero ones dropped.
+
+    Geometric recurrence: from the series 1, each of the m_i passes of a
+    pole multiplies by 1/(1 - a z), that is s_j += a s_(j-1) for
+    j = 1 .. count - 1, so a pole costs one unit value and m_i count
+    Laurent products and sums.
+
+    >>> ser = _pole_series([((Fraction(0), MONO_ONE), 2)], 4, invert=False)
+    >>> [str(ser[j]) for j in range(4)]
+    ['1', '2', '3', '4']
+    """
+    ser = [LP_ONE] + [LP_ZERO] * (count - 1)
     for (angle, mono), m in poles:
-        ser = {j: unit_value(angle, mono, -j if invert else j)
-               * generalized_binomial(m - 1 + j, m - 1) for j in range(count)}
-        out = ser if out is None else _ser_mul(out, ser, count)
-    return out
+        a = unit_value(angle, mono, -1 if invert else 1)
+        for _ in range(m):
+            for j in range(1, count):
+                ser[j] = ser[j] + a * ser[j - 1]
+    return {j: c for j, c in enumerate(ser) if c}
 
 
 def _rho(num: dict, poles) -> LaurentPoly:
@@ -248,6 +272,10 @@ def diagonal_w_side_residue(a_pow: int, s: Monomial, n: int, pivots, w_order: in
     sum_k (-p z)^k/(1 - p z)^(k+1) (1 - (s/p) w^-1)^k; the prefactor
     contributes z^a w^-a.  Returns {j: LaurentPoly} for the (1-w)^j
     coefficients of the residue, j < w_order.
+
+    The residue of z^(a+|k|) / prod_t (1 - p_t z)^(k_t+1) vanishes when
+    0 < a + |k| < |k| + n, so for a < n only the k-vectors with |k| <= -a
+    are visited: slot t runs over k_t <= -a - (k_0 + ... + k_(t-1)).
     """
     if len(pivots) != n:
         raise ValueError("one pivot per denominator factor is required")
@@ -303,8 +331,11 @@ def diagonal_w_side_residue(a_pow: int, s: Monomial, n: int, pivots, w_order: in
         if t == n:
             c = coefficient(kvec)
             return {} if c.is_zero() else {0: c}
+        # for a_pow < n only a_pow + |k| <= 0 can give a nonzero residue, so
+        # k_t stops at -a_pow - sum(kvec); a larger one fails 0 < A < |k| + n
+        top = w_order if a_pow >= n else min(w_order, 1 - a_pow - sum(kvec))
         acc: dict = {}
-        for k in reversed(range(w_order)):
+        for k in reversed(range(top)):
             acc = times_factor(acc, cs[t])
             for j, c in horner(kvec + [k]).items():
                 c = acc.get(j, LP_ZERO) + c

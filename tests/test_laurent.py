@@ -79,6 +79,15 @@ def test_integer_coefficients_stay_int(a, b, k):
         assert not any(isinstance(c, float) for c in _scalars(p))
 
 
+def test_scalar_product_demotes_integral_fractions():
+    # a Fraction on either side of a coefficient product can make it integral
+    for p in (LaurentPoly.var("t") * Fraction(2, 2), LaurentPoly.scalar(Fraction(1, 2)) * 4,
+              LaurentPoly.scalar(Fraction(2, 3)) * Fraction(3, 2),
+              LaurentPoly.from_terms([(Monomial.var("t"), Fraction(3, 4)),
+                                      (MONO_ONE, Fraction(1, 2))]) * Fraction(4, 3)):
+        assert all(type(c) is int for c in p.terms.values() if c.denominator == 1), p.terms
+
+
 def test_monomial_canonical_form():
     m = Monomial.make({"s": Fraction(2, 2), "t": 0})
     assert m == Monomial.var("s")

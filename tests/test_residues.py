@@ -6,14 +6,14 @@ from fractions import Fraction
 import pytest
 
 from kvertex.laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction
-from kvertex.residues import (K_THEORY, NAIVE, ResidueKind, constraint_suite,
+from kvertex.residues import (K_THEORY, NAIVE, ResidueKind, _pole_series, constraint_suite,
                               diagonal_w_side_residue, diagonal_z_side_residues,
                               iadic_valuation_at_least, local_residue_at_root,
                               residue_coh, residue_k, residue_k_oracle,
                               residue_k_via_pfrac, residue_naive,
                               rho_simple_product)
 from kvertex.scalars import Cyclo, generalized_binomial, root_of_unity
-from kvertex.series import RationalFunction, _ser_mul
+from kvertex.series import RationalFunction, _ser_mul, expand_at, unit_value
 
 T = Monomial.var("t")
 S = Monomial.var("s")
@@ -56,6 +56,71 @@ class TestResidueK:
         f = rf(one(), [(0, MONO_ONE, 1, 3)])
         with pytest.raises(ValueError):
             residue_k_oracle(f, 3)
+
+
+class TestResidueKOracle:
+    CHARS = [(Fraction(0), T), (Fraction(1, 2), T), (Fraction(1, 3), Monomial.var("t", 2)),
+             (Fraction(0), S * T.inv()), (Fraction(1, 3), MONO_ONE), (Fraction(1, 2), S * T.inv())]
+
+    def _inputs(self, seed):
+        rnd = random.Random(seed + 11)
+        out = [rf(LP_ZERO, [(0, T, 1, 2)])]
+        for _ in range(14):
+            factors = [(a, m, rnd.randint(1, 2), rnd.randint(1, 2))
+                       for a, m in rnd.sample(self.CHARS, rnd.randint(1, 3))]
+            pows = rnd.sample(range(-15, 16), rnd.randint(1, 4))
+            num = LaurentPoly.from_terms((Monomial.var("z", k) * rnd.choice([MONO_ONE, T, S]),
+                                          rnd.choice([1, -1, 2, Fraction(1, 2)])) for k in pows)
+            out.append(rf(num, factors))
+        return out
+
+    @staticmethod
+    def _sides(f):
+        # the valuations of the expansions at zero and at infinity
+        zpows = f.num.split_var("z")
+        return {"zero": min(zpows), "infinity": f.total_pole_mult() - max(zpows)}
+
+    def test_matches_full_expansions(self, suite_seed):
+        # every order from the guard to 12 past it, including orders whose
+        # truncation stops a side below z^0
+        cut = set()
+        for f in self._inputs(suite_seed):
+            top = f.total_pole_mult()
+            for order in range(top + 1, top + 13):
+                if not f.is_zero():
+                    cut.update(p for p, v0 in self._sides(f).items() if v0 + order <= 0)
+                got = residue_k_oracle(f, order)
+                assert isinstance(got, LaurentPoly)
+                assert got == _oracle_full(f, order), (str(f), order)
+        assert cut == {"zero", "infinity"}
+
+    def test_expands_each_side_only_to_z0(self, suite_seed, monkeypatch):
+        from kvertex import residues
+        calls = []
+
+        def counting(f, point, order):
+            calls.append((f, point, order))
+            return expand_at(f, point, order)
+
+        monkeypatch.setattr(residues, "expand_at", counting)
+        inputs = [rf(one(), [(0, T, 1, 2)])] + self._inputs(suite_seed)[1:]
+        for f in inputs:
+            residue_k_oracle(f, f.total_pole_mult() + 12)
+        assert calls
+        for f, point, order in calls:
+            assert order <= 1 - self._sides(f)[point], (str(f), point, order)
+
+
+def _oracle_full(f, order):
+    """residue_k_oracle reading full expansions: both sides expanded with
+    `order` places, z^0 read where the truncation reaches it."""
+    def z0(ser):
+        if ser.valuation() <= 0 < ser.trunc:
+            return ser.coeff(0)
+        return 0
+
+    out = z0(expand_at(f, "zero", order)) - z0(expand_at(f, "infinity", order))
+    return out if isinstance(out, LaurentPoly) else LaurentPoly.scalar(out)
 
 
 class TestResidueNaive:
@@ -226,6 +291,47 @@ class TestRhoSimpleProduct:
         assert 0 < len(calls) < 3 * 200
 
 
+class TestPoleSeries:
+    POOL = [(Fraction(a), m) for a in (0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
+            for m in (MONO_ONE, T, S * T.inv())]
+
+    def _cases(self, seed):
+        rnd = random.Random(seed + 5)
+        for _ in range(24):
+            poles = [(p, rnd.randint(1, 4)) for p in rnd.sample(self.POOL, rnd.randint(1, 3))]
+            yield poles, rnd.randint(1, 40), rnd.random() < 0.5
+
+    def test_matches_product_of_closed_forms(self, suite_seed):
+        for poles, count, invert in self._cases(suite_seed):
+            want = {j: c for j, c in _pole_series_product(poles, count, invert).items() if c}
+            assert _pole_series(poles, count, invert) == want, (poles, count, invert)
+
+    def test_one_unit_value_per_pole(self, suite_seed, monkeypatch):
+        from kvertex import residues
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return unit_value(*args)
+
+        monkeypatch.setattr(residues, "unit_value", counting)
+        for poles, count, invert in self._cases(suite_seed):
+            calls.clear()
+            _pole_series(poles, count, invert)
+            assert len(calls) == len(poles), (poles, count)
+
+
+def _pole_series_product(poles, count, invert):
+    """The first count coefficients of prod_i (1 - a_i^(+-1) z)^(-m_i) as the
+    truncated product of the closed forms C(m-1+j, m-1) a^(+-j)."""
+    out = None
+    for (angle, mono), m in poles:
+        ser = {j: unit_value(angle, mono, -j if invert else j)
+               * generalized_binomial(m - 1 + j, m - 1) for j in range(count)}
+        out = ser if out is None else _ser_mul(out, ser, count)
+    return out
+
+
 class TestDiagonalExpansion:
     def test_z_side_vanishes(self):
         for n in (1, 2):
@@ -250,9 +356,24 @@ class TestDiagonalExpansion:
         # product per factor and k-vector
         for n, pivots, order in [(1, [T], 6), (1, [S], 6), (2, [T, T], 6), (2, [S, T], 5),
                                  (2, [S * T, S], 5), (3, [T, T, T], 4), (3, [S, T, S * T], 4)]:
-            for a in range(-2, 4):
+            for a in range(-4, 5):
                 assert diagonal_w_side_residue(a, S, n, pivots, order) == \
                     _w_side_termwise(a, S, n, pivots, order), (a, pivots, order)
+
+    def test_w_side_visits_only_nonvanishing_k_vectors(self, monkeypatch):
+        # at a = 0 < n only k = 0 has a nonzero residue; all 12^3 = 1,728
+        # k-vectors would make at least one is_zero test each
+        calls = []
+        is_zero = LaurentPoly.is_zero
+
+        def counting(p):
+            calls.append(p)
+            return is_zero(p)
+
+        monkeypatch.setattr(LaurentPoly, "is_zero", counting)
+        res = diagonal_w_side_residue(0, S, 3, [T, T, T], 12)
+        assert len(calls) < 20, len(calls)
+        assert res == {0: LP_ONE}   # the residue of 1/(1 - t z)^3
 
     def test_iadic_valuation(self):
         p = (LP_ONE - LaurentPoly.term(1, T)) ** 3

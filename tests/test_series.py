@@ -218,6 +218,24 @@ def test_partial_fractions_text_is_pinned(expr, text):
     assert str(partial_fractions(f)) == text
 
 
+def _integral_fractions(x):
+    """The integral Fractions stored in a LaurentPoly or PolyFraction."""
+    if isinstance(x, PolyFraction):
+        return _integral_fractions(x.num) + _integral_fractions(x.den)
+    return [c for c in x.terms.values() if isinstance(c, Fraction) and c.denominator == 1]
+
+
+@pytest.mark.parametrize("expr", [expr for expr, _text in _pinned_pfrac_text()])
+def test_partial_fractions_store_no_integral_fraction(expr):
+    # the normalized denominators are scaled by Fractions; every scalar in
+    # Q that is an integer is stored as an int
+    f, _content = parse_rational(expr, "z")
+    pf = partial_fractions(f)
+    found = [c for term in pf.terms for c in _integral_fractions(term.coeff)]
+    found += [c for coeff in pf.poly_part.values() for c in _integral_fractions(PolyFraction.of(coeff))]
+    assert not found
+
+
 def _sympy_of(p, sympy, point, cyclo=False):
     """A LaurentPoly or PolyFraction with rational coefficients (or, with
     cyclo, Cyclo coefficients at exp(2 pi i/order)) in sympy, with the
