@@ -461,6 +461,14 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        """self^k: a monomial power for one term; for two terms x + y the
+        binomial theorem, sum_j binom(k, j) x^j y^(k - j) with no product of
+        term maps; else repeated squaring.  The coefficients have the value
+        and type that repeated squaring gives them.
+
+        >>> str((1 - LaurentPoly.var("z")) ** 3)
+        '1 - 3*z + 3*z^2 - z^3'
+        """
         unit = self.as_unit()
         if unit is not None:
             return LaurentPoly.term(scalar_pow(unit[0], k), unit[1] ** k)
@@ -468,6 +476,8 @@ class LaurentPoly:
             raise ValueError("negative power of a non-monomial Laurent polynomial")
         if k == 0:
             return LaurentPoly.scalar(1)
+        if len(self.terms) == 2:
+            return self._binomial_pow(k)
         # bit_length(k) - 1 squarings and popcount(k) - 1 other products:
         # no square after the top bit, no product with the scalar 1
         out = None
@@ -479,6 +489,26 @@ class LaurentPoly:
             if not k:
                 return out
             base = base * base
+
+    def _binomial_pow(self, k: int) -> "LaurentPoly":
+        """(x + y)^k for the two terms x, y and k >= 1.  The keys
+        j mx + (k - j) my are distinct and their fields linear in j, so only
+        the extreme keys k mx and k my are range-checked."""
+        (mx, cx), (my, cy) = self.terms.items()
+        _scaled(mx, k)
+        key = _scaled(my, k)
+        px, py = [cx], [cy]         # cx^(i + 1), cy^(i + 1)
+        for _ in range(k - 1):
+            px.append(px[-1] * cx)
+            py.append(py[-1] * cy)
+        out = {key: py[-1]}
+        binom = 1
+        for j in range(1, k):
+            binom = binom * (k - j + 1) // j
+            key += mx - my
+            out[key] = binom * px[j - 1] * py[k - j - 1]
+        out[key + mx - my] = px[-1]
+        return LaurentPoly(out, self.exp_den)
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -22,20 +22,23 @@ residue_k_oracle implements the defining series prescription directly: it
 expands each side with series.expand_at (binomial series multiplied by
 series._ser_mul) only up to z^0, the one place it reads.  It shares no
 series code with the closed form beyond LaurentPoly arithmetic.
-diagonal_w_side_residue sums its k-vectors by Horner in the pivot factors
-(1 - c_t w^-1), so each k-vector costs one z-residue and no product of
-w-series; for a < n it visits only the k-vectors with a + |k| <= 0, the
-others having residue zero.
+diagonal_w_side_residue sums its k-vectors exactly in w, by Horner in the
+pivot factors (1 - c_t w^-1): each k-vector costs one z-residue and one
+product with a two-term polynomial, and the sum moves to u = 1 - w once at
+the end.  For a < n it visits only the k-vectors with a + |k| <= 0, the
+others having residue zero.  diagonal_z_side_residues groups equal pivots,
+so each distinct factor of a z-part is one binomial power.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction, _acc
 from .scalars import generalized_binomial
-from .series import (RationalFunction, _expand_raw, _ser_mul, expand_at,
-                     partial_fractions, split_poles, unit_value)
+from .series import (RationalFunction, _expand_raw, _to_u, expand_at, partial_fractions,
+                     split_poles, unit_value)
 
 
 @dataclass(frozen=True)
@@ -264,6 +267,11 @@ def constraint_suite(kind: ResidueKind, n_max: int, k_max: int):
 # -- diagonal expansions of f(z/w) ------------------------------------------------
 
 
+# the w of the w-side sum: no parsed character has this name, and the
+# characters passed in are checked for it
+_W = "w'"
+
+
 def diagonal_w_side_residue(a_pow: int, s: Monomial, n: int, pivots, w_order: int) -> dict:
     """rho_{K,z} applied term-by-term to the w-directed expansion of f(z/w),
     f = z^a/(1 - s z)^n, one pivot per factor, truncated at k < w_order.
@@ -276,25 +284,27 @@ def diagonal_w_side_residue(a_pow: int, s: Monomial, n: int, pivots, w_order: in
     The residue of z^(a+|k|) / prod_t (1 - p_t z)^(k_t+1) vanishes when
     0 < a + |k| < |k| + n, so for a < n only the k-vectors with |k| <= -a
     are visited: slot t runs over k_t <= -a - (k_0 + ... + k_(t-1)).
+
+    The k-vectors are summed exactly in w, by Horner in the pivot factors:
+    acc -> acc (1 - c_t w^-1) + child with c_t = s/p_t, one product with a
+    two-term polynomial per step.  The sum times w^-a moves to u = 1 - w
+    once, keeping j < w_order; truncation mod u^w_order is a ring map, so
+    this equals the sum of the truncated w-series of every k-vector.
+
+    With the pivot s the sum is exactly rho_K(z/(1 - s z)) = s^-1:
+
+    >>> s = Monomial.var("s")
+    >>> {j: str(c) for j, c in diagonal_w_side_residue(1, s, 1, [s], 3).items()}
+    {0: 's^-1'}
     """
     if len(pivots) != n:
         raise ValueError("one pivot per denominator factor is required")
-
-    # w^-a as a series in u = 1-w
-    wpart: dict = {}
-    if a_pow >= 0:
-        for j in range(w_order):
-            c = generalized_binomial(a_pow - 1 + j, j)
-            if c:
-                wpart[j] = LaurentPoly.scalar(c)
-    else:
-        for j in range(min(w_order, -a_pow + 1)):
-            c = generalized_binomial(-a_pow, j) * (-1) ** j
-            if c:
-                wpart[j] = LaurentPoly.scalar(c)
+    if any(_W in m.variables() for m in (s, *pivots)):
+        raise ValueError(f"the characters may not use the variable {_W!r}")
 
     zero_angle = Fraction(0)
-    cs = [LaurentPoly.term(1, s * p.inv()) for p in pivots]
+    w_inv = Monomial.var(_W, -1)
+    factors = [LP_ONE - LaurentPoly.term(1, s * p.inv() * w_inv) for p in pivots]
 
     def coefficient(kvec) -> LaurentPoly:
         # the z-residue times (-1)^|k| prod_t p_t^k_t; usually zero, so
@@ -311,57 +321,46 @@ def diagonal_w_side_residue(a_pow: int, s: Monomial, n: int, pivots, w_order: in
             mono = mono * p ** k
         return zres * LaurentPoly.term(-1 if total_k % 2 else 1, mono)
 
-    def times_factor(ser: dict, c: LaurentPoly) -> dict:
-        # 1 - c w^-1 = (1 - c) - c(u + u^2 + ...), so the u^j coefficient of
-        # the product is A_j - c (A_0 + ... + A_j)
-        out = {}
-        prefix = LP_ZERO
-        for j in range(min(ser, default=w_order), w_order):
-            a = ser.get(j, LP_ZERO)
-            prefix = prefix + a
-            r = a - c * prefix
-            if not r.is_zero():
-                out[j] = r
-        return out
-
-    def horner(kvec) -> dict:
+    def horner(kvec) -> LaurentPoly:
         # sum over the k-vectors extending kvec of coefficient(k) times
         # prod_{t >= len(kvec)} (1 - c_t w^-1)^k_t, by Horner in each factor
         t = len(kvec)
         if t == n:
-            c = coefficient(kvec)
-            return {} if c.is_zero() else {0: c}
+            return coefficient(kvec)
         # for a_pow < n only a_pow + |k| <= 0 can give a nonzero residue, so
         # k_t stops at -a_pow - sum(kvec); a larger one fails 0 < A < |k| + n
         top = w_order if a_pow >= n else min(w_order, 1 - a_pow - sum(kvec))
-        acc: dict = {}
+        acc = LP_ZERO
         for k in reversed(range(top)):
-            acc = times_factor(acc, cs[t])
-            for j, c in horner(kvec + [k]).items():
-                c = acc.get(j, LP_ZERO) + c
-                if c.is_zero():
-                    acc.pop(j, None)
-                else:
-                    acc[j] = c
+            acc = acc * factors[t] + horner(kvec + [k])
         return acc
 
-    # truncation mod u^w_order is a ring map, so the regrouped sum is exact
-    return _ser_mul(wpart, horner([]), w_order)
+    wpows = {e - a_pow: c for e, c in horner([]).split_var(_W).items()}
+    return {j: c for j, c in _to_u(wpows, w_order).items() if c}
 
 
 def diagonal_z_side_residues(a_pow: int, s: Monomial, n: int, pivots, order: int) -> list:
     """rho_{K,z} of sample terms of the z-directed expansion of f(z/w): those
     z-parts are Laurent polynomials z^a prod_i (1 - (s/q_i) z)^(k_i), so each
-    residue is exactly zero.  Returns the list of computed residues."""
+    residue is exactly zero.  Equal pivots are grouped, so a pivot q of
+    multiplicity m gives one binomial power (1 - (s/q) z)^(m k).  Returns
+    the list of computed residues.
+
+    >>> s = Monomial.var("s")
+    >>> [str(r) for r in diagonal_z_side_residues(1, s, 2, [s, s], 3)]
+    ['0', '0', '0']
+    """
     if len(pivots) != n:
         raise ValueError("one pivot per denominator factor is required")
+    z = Monomial.var("z")
+    bases = [(LP_ONE - LaurentPoly.term(1, (s * q.inv()) * z), m)
+             for q, m in Counter(pivots).items()]
     residues = []
     for k in range(order):
-        poly = LP_ONE
-        for q in pivots:
-            poly = poly * (LP_ONE - LaurentPoly.term(1, (s * q.inv()) * Monomial.var("z"))) ** k
-        f = RationalFunction.from_poly(poly * LaurentPoly.var("z", a_pow), "z")
-        residues.append(residue_k(f))
+        poly = LaurentPoly.var("z", a_pow)
+        for base, m in bases:
+            poly = poly * base ** (m * k)
+        residues.append(residue_k(RationalFunction.from_poly(poly, "z")))
     return residues
 
 

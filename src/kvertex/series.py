@@ -28,6 +28,8 @@ def factor_poly(var: str, angle: Fraction, mono: Monomial, n: int) -> LaurentPol
 
 def unit_value(angle: Fraction, mono: Monomial, k=1) -> LaurentPoly:
     """(root(angle) * mono)^k as a one-term Laurent polynomial."""
+    if not angle:
+        return LaurentPoly.term(1, mono ** k)
     return LaurentPoly.term(cyclo_root(angle * k), mono ** k)
 
 
@@ -481,13 +483,7 @@ def _expand_raw(f: RationalFunction, point: str, order: int):
 
     # point == "one": series in u = 1-z; coefficients live in the fraction field
     tbound = order - f.unit_pole_depth()
-    ser: dict = {}
-    for k, p in num_split.items():
-        # z^k = (1-u)^k = sum_j binom(k, j) (-u)^j, which ends at j = k if k >= 0
-        for j in range(order if k < 0 else min(order, k + 1)):
-            term = p * (generalized_binomial(k, j) * (-1) ** j)
-            acc = ser.get(j)
-            ser[j] = term if acc is None else acc + term
+    ser = _to_u(num_split, order)
     # `order` - v0 places from the valuation v0; each factor u that a
     # (1 - z^n) strips lowers the valuation, so they end below tbound
     v0 = min((j for j, c in ser.items() if c), default=order)
@@ -499,6 +495,23 @@ def _expand_raw(f: RationalFunction, point: str, order: int):
                                for j in range(1, n + 1)]
         useries = useries.divide(base, e)
     return dict(useries.items()), tbound
+
+
+def _to_u(zpows: dict, order: int) -> dict:
+    """sum_k p_k z^k for zpows = {k: p_k} in the basis u = 1 - z, as
+    {j: coefficient} for j < order, zero sums kept: z^k = (1 - u)^k =
+    sum_j binom(k, j) (-u)^j, which ends at j = k if k >= 0.
+
+    >>> {j: str(c) for j, c in _to_u({-1: LP_ONE, 2: LP_ONE}, 3).items()}
+    {0: '2', 1: '-1', 2: '2'}
+    """
+    ser: dict = {}
+    for k, p in zpows.items():
+        for j in range(order if k < 0 else min(order, k + 1)):
+            term = p * (generalized_binomial(k, j) * (-1) ** j)
+            acc = ser.get(j)
+            ser[j] = term if acc is None else acc + term
+    return ser
 
 
 def series_of_poly(p: LaurentPoly, var: str, point: str, order: int) -> FormalSeries:

@@ -94,9 +94,11 @@ def test_integral_fraction_exponent_prints_as_int():
 
 
 def test_large_factor_power():
-    # the factor of a^k is recognised once, not k times
+    # the factor of a^k is recognised once, not k times, and a two-term
+    # base is raised by the binomial theorem
     assert run_cli(["residue", "1/(1-z)^200000"]) == (0, "1\n")
     assert run_cli(["residue", "(1+z)^1000"]) == (0, "0\n")
+    assert run_cli(["residue", "(1+z)^3000"]) == (0, "0\n")
 
 
 def test_integral_sum_of_fractional_exponents():

@@ -238,6 +238,74 @@ def test_power_takes_no_wasted_products(monkeypatch):
     assert p ** 0 == LP_ONE
 
 
+def _power_by_squaring(p, k):
+    """LaurentPoly.__pow__ by repeated squaring, for any number of terms."""
+    if k == 0:
+        return LP_ONE
+    out, base = None, p
+    while True:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if not k:
+            return out
+        base = base * base
+
+
+def _typed_terms(p):
+    return {m: (type(c), c) for m, c in p.terms.items()}
+
+
+def test_binomial_power_matches_squaring(monkeypatch):
+    """A two-term base is raised by the binomial theorem: the same term map,
+    coefficient types and text as repeated squaring, with no product of term
+    maps."""
+    from kvertex import laurent
+
+    calls = []
+    kernel = laurent._terms_mul
+
+    def counting(A, B):
+        calls.append((len(A), len(B)))
+        return kernel(A, B)
+
+    bases = [1 - z, Fraction(2, 3) - t * z, 1 - root_of_unity(3, 1) * z,
+             LaurentPoly.var("t", Fraction(1, 2)) + LaurentPoly.var("s", Fraction(2, 3))]
+    for base in bases:
+        for k in range(41):
+            monkeypatch.setattr(laurent, "_terms_mul", counting)
+            calls.clear()
+            got = base ** k
+            assert not calls, (str(base), k)
+            monkeypatch.setattr(laurent, "_terms_mul", kernel)
+            want = _power_by_squaring(base, k)
+            assert got.terms == want.terms and got.exp_den == want.exp_den, (str(base), k)
+            assert _typed_terms(got) == _typed_terms(want), (str(base), k)
+            assert str(got) == str(want), (str(base), k)
+
+
+def test_binomial_power_overflows_where_squaring_does():
+    big = LaurentPoly.var("t", 2 ** 28)
+    with pytest.raises(OverflowError, match="exponent out of range"):
+        (big + 1) ** 4
+    assert str((big + 1) ** 3) == f"1 + 3*t^{2 ** 28} + 3*t^{2 ** 29} + t^{3 * 2 ** 28}"
+
+    def outcome(power, base, k):
+        try:
+            return str(power(base, k))
+        except OverflowError:
+            return "overflow"
+
+    bases = [big + 1, LaurentPoly.var("t", -2 ** 28) + s,
+             LaurentPoly.from_terms([(Monomial.make({"t": 2 ** 27, "s": -2 ** 28}), 1),
+                                     (Monomial.var("t", -2 ** 28), -2)]),
+             LaurentPoly.var("t", Fraction(2 ** 28 + 1, 3)) + LaurentPoly.var("t", Fraction(1, 2))]
+    for base in bases:
+        for k in range(1, 10):
+            assert outcome(LaurentPoly.__pow__, base, k) == outcome(_power_by_squaring, base, k), \
+                (str(base), k)
+
+
 def test_poly_fraction_equality_and_collapse():
     fr = PolyFraction(s - s * t, LP_ONE - t)
     assert fr == PolyFraction.of(s)

@@ -332,6 +332,32 @@ def _pole_series_product(poles, count, invert):
     return out
 
 
+def test_unit_value_at_angle_zero():
+    from kvertex import series
+    for mono in (MONO_ONE, T, S * T.inv(), Monomial.var("t", Fraction(1, 2))):
+        for k in range(-6, 7):
+            got = unit_value(Fraction(0), mono, k)
+            assert got == LaurentPoly.term(series.cyclo_root(Fraction(0) * k), mono ** k)
+            assert [type(c) for c in got.terms.values()] == [int], (mono, k)
+
+
+def test_residue_k_at_characters_takes_no_roots_of_unity(monkeypatch):
+    from kvertex import series
+    calls = []
+    cyclo_root = series.cyclo_root
+
+    def counting(angle):
+        calls.append(angle)
+        return cyclo_root(angle)
+
+    f = rf(LaurentPoly.var("z", 5), [(0, T, 1, 2), (0, S * T.inv(), 1, 3)])
+    want = residue_k(f)
+    monkeypatch.setattr(series, "cyclo_root", counting)
+    assert residue_k(f) == want
+    assert not calls, calls
+    assert want == residue_k_oracle(f, f.total_pole_mult() + 8)
+
+
 class TestDiagonalExpansion:
     def test_z_side_vanishes(self):
         for n in (1, 2):
@@ -375,6 +401,33 @@ class TestDiagonalExpansion:
         assert len(calls) < 20, len(calls)
         assert res == {0: LP_ONE}   # the residue of 1/(1 - t z)^3
 
+    def test_w_side_matches_u_form_horner(self):
+        # the exact-in-w sum against the Horner taken in u = 1 - w, truncated
+        # at every step: the 55 criterion-4 cases, then a >= n with a
+        # fractional pivot
+        pivot_set = [S, T, S * T]
+        cases = []
+        for n in range(1, 4):
+            choices = [[p] * n for p in pivot_set]
+            if n > 1:
+                choices.append([pivot_set[i % 3] for i in range(n)])
+            cases += [(a, n, pivots, 12) for a in range(-2, 3) for pivots in choices]
+        assert len(cases) == 55
+        half = Monomial.var("t", Fraction(1, 2))
+        cases += [(a, n, pivots, 6) for n, pivots in [(1, [half]), (2, [half, S]), (2, [half, half])]
+                  for a in range(n, n + 3)]
+        for a, n, pivots, order in cases:
+            assert diagonal_w_side_residue(a, S, n, pivots, order) == \
+                _w_side_u_form(a, S, n, pivots, order), (a, pivots, order)
+
+    def test_w_side_rejects_its_own_variable(self):
+        from kvertex.residues import _W
+        w = Monomial.var(_W)
+        with pytest.raises(ValueError, match="may not use the variable"):
+            diagonal_w_side_residue(1, S * w, 1, [T], 4)
+        with pytest.raises(ValueError, match="may not use the variable"):
+            diagonal_w_side_residue(1, S, 2, [T, T * w.inv()], 4)
+
     def test_iadic_valuation(self):
         p = (LP_ONE - LaurentPoly.term(1, T)) ** 3
         assert iadic_valuation_at_least(p, 3)
@@ -405,6 +458,52 @@ def _w_side_termwise(a_pow, s, n, pivots, order):
         for j, cw in wser.items():
             out[j] = out.get(j, LP_ZERO) + zres * cw
     return {j: c for j, c in out.items() if not c.is_zero()}
+
+
+def _w_side_u_form(a_pow, s, n, pivots, w_order):
+    """diagonal_w_side_residue by Horner in u = 1 - w over every k-vector:
+    each step multiplies the truncated u-series by
+    1 - c w^-1 = (1 - c) - c(u + u^2 + ...), and the sum is multiplied by
+    the u-series of w^-a at the end."""
+    if a_pow >= 0:
+        wpart = {j: LaurentPoly.scalar(generalized_binomial(a_pow - 1 + j, j))
+                 for j in range(w_order)}
+    else:
+        wpart = {j: LaurentPoly.scalar(generalized_binomial(-a_pow, j) * (-1) ** j)
+                 for j in range(min(w_order, -a_pow + 1))}
+    cs = [LaurentPoly.term(1, s * p.inv()) for p in pivots]
+
+    def coefficient(kvec):
+        zres = rho_simple_product(a_pow + sum(kvec),
+                                  [((Fraction(0), p), k + 1) for p, k in zip(pivots, kvec)])
+        for p, k in zip(pivots, kvec):
+            zres = zres * LaurentPoly.term((-1) ** k, p ** k)
+        return zres
+
+    def times_factor(ser, c):
+        out, prefix = {}, LP_ZERO
+        for j in range(min(ser, default=w_order), w_order):
+            a = ser.get(j, LP_ZERO)
+            prefix = prefix + a
+            r = a - c * prefix
+            if not r.is_zero():
+                out[j] = r
+        return out
+
+    def horner(kvec):
+        t = len(kvec)
+        if t == n:
+            c = coefficient(kvec)
+            return {} if c.is_zero() else {0: c}
+        acc = {}
+        for k in reversed(range(w_order)):
+            acc = times_factor(acc, cs[t])
+            for j, c in horner(kvec + [k]).items():
+                acc[j] = acc.get(j, LP_ZERO) + c
+            acc = {j: c for j, c in acc.items() if not c.is_zero()}
+        return acc
+
+    return _ser_mul(wpart, horner([]), w_order)
 
 
 def test_residue_k_against_sympy_series():
