@@ -122,6 +122,8 @@ def _scaled(key, f: int) -> int:
 
 def _common(p: "LaurentPoly", q: "LaurentPoly"):
     """The term maps of p and q over the lcm d of their exponent denominators."""
+    if p.exp_den == q.exp_den:
+        return p.terms, q.terms, p.exp_den
     d = math.lcm(p.exp_den, q.exp_den)
     A, B = (x.terms if x.exp_den == d else
             {_scaled(m, d // x.exp_den): c for m, c in x.terms.items()} for x in (p, q))
@@ -343,10 +345,6 @@ class Monomial:
 
     def variables(self):
         return [v for v, _ in self.items()]
-
-    def degree_on(self, names):
-        """Total exponent over the given variable set."""
-        return _exponent(sum(e for i, e in _fields(self.key) if _NAMES[i] in names), self.den)
 
     def rename(self, ren: dict) -> "Monomial":
         return _mono(_rename_key(self.key, ren), self.den)

@@ -11,20 +11,23 @@ the rational multiplier built from the deformation characters, giving poles
 at 1 - c z^{+-1}, and the induced bracket applies the K-theoretic residue.
 
 No variable is renamed by name: a coset plan per (alpha, beta, zvar,
-convention) holds the bit offsets of both blocks' packed exponent fields,
-one list of target offsets per coset of S_(alpha+beta)/(S_alpha x S_beta)
-and the offset of z, so a coset moves fields and the shuffle adds keys.
+convention) holds, per coset of S_(alpha+beta)/(S_alpha x S_beta), a move
+list: the (from, to) bit offsets of just the packed exponent fields that
+coset moves.  The identity coset moves nothing, so it costs the z shift of
+f's keys and one product; only the keys of a moving coset are range-checked.
 
 Translation convention: the shuffle substitutes s -> z s, which acts as
 z^(+deg); the opposite z^(-deg) convention is available behind a flag.
+The Chern classes group equal characters and shift by trivial ones.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import lshift
 
 from . import laurent
 from .laurent import (_HALF, _MASK, LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial,
@@ -104,6 +107,13 @@ class GradedElement:
         self.poly = poly
 
     @staticmethod
+    def _of(quiver: Quiver, alpha: tuple, poly: LaurentPoly) -> "GradedElement":
+        """A state built from valid operands, without validation."""
+        out = object.__new__(GradedElement)
+        out.quiver, out.alpha, out.poly = quiver, alpha, poly
+        return out
+
+    @staticmethod
     def unit(quiver: Quiver, alpha) -> "GradedElement":
         return GradedElement(quiver, alpha, LP_ONE, check=False)
 
@@ -117,12 +127,12 @@ class GradedElement:
     def __add__(self, other):
         if self.alpha != other.alpha or self.quiver != other.quiver:
             raise ValueError("grades differ")
-        return GradedElement(self.quiver, self.alpha, self.poly + other.poly, check=False)
+        return GradedElement._of(self.quiver, self.alpha, self.poly + other.poly)
 
     def __sub__(self, other):
         if self.alpha != other.alpha or self.quiver != other.quiver:
             raise ValueError("grades differ")
-        return GradedElement(self.quiver, self.alpha, self.poly - other.poly, check=False)
+        return GradedElement._of(self.quiver, self.alpha, self.poly - other.poly)
 
     def __mul__(self, c):
         return GradedElement(self.quiver, self.alpha, self.poly * c, check=False)
@@ -155,7 +165,7 @@ class GradedElement:
 def is_block_symmetric(poly: LaurentPoly, alpha, prefix: str = "s") -> bool:
     """Invariance under adjacent transpositions of each block (generators):
     a transposition swaps two fields of every key."""
-    return all(dict(_place(_split(poly.terms.items(), (s1, s2)), (s2, s1))) == poly.terms
+    return all(dict(_moved(poly.terms.items(), ((s1, s2), (s2, s1)))) == poly.terms
                for blk in _offsets(prefix, tuple(alpha)) for s1, s2 in zip(blk, blk[1:]))
 
 
@@ -245,42 +255,51 @@ def translate(a: GradedElement, zvar: str = "z",
     's_{1,1}*s_{1,2}*z^2'
     """
     plan = _plan(a.alpha, a.quiver.zero(), zvar, convention)
-    F = _split(a.poly.terms.items(), plan.src_f, plan.z, plan.sign)
-    poly = LaurentPoly(dict(_place(F, plan.src_f)), a.poly.exp_den)
-    return GradedElement(a.quiver, a.alpha, poly, check=False)
+    poly = LaurentPoly(dict(_translated(plan, a.poly.terms.items())), a.poly.exp_den)
+    return GradedElement._of(a.quiver, a.alpha, poly)
+
+
+def _moves(src, dst) -> tuple:
+    """The (from, to) pairs of the offsets src and dst that differ."""
+    return tuple((s, t) for s, t in zip(src, dst) if s != t)
 
 
 class _Plan:
-    """Where the vertex operations of the grades (alpha, beta) put block fields.
+    """Where the vertex operations of the grades (alpha, beta) move block fields.
 
     f's fields are at the offsets src_f (s_{i,1..a}, vertex by vertex), g's
-    at src_g (s_{i,1..b}), and src_st is src_f then t_{i,1..b}, g's block in
-    the s/t naming.  At each vertex a coset gives f's fields a of the a+b
-    union slots in order, g's the others: cosets holds the (f, g) targets
-    when slot k is s_{i,k}, st when the slots are s_{i,1..a}, t_{i,1..b}
-    (st[0] is the identity).  z gets sign times the block degree.
+    at s_{i,1..b}.  At each vertex a coset gives f's fields a of the a+b
+    union slots in order, g's the others: s_{i,1..a+b} in the s naming,
+    s_{i,1..a}, t_{i,1..b} in the s/t naming.  A coset is kept as move
+    lists, the (from, to) offsets of just the fields it moves: cosets holds
+    (f's, g's) into the s naming, st those of the s/t fields within the s/t
+    naming (st[0] is the identity, ()), to_s the same cosets' moves of the
+    s/t fields into the s naming; to_t moves g's fields to t_{i,1..b}.
+    z gets sign times f's block degree, at the offset z.
     """
 
     def __init__(self, alpha, beta, zvar, convention):
         self.args = (alpha, beta, zvar)
+        self.grade = dim_add(alpha, beta)
         self.sign = {"substitution": 1, "inverse_degree": -1}[convention]
         self.z = _shift(zvar)
-        s_off, t_off = _offsets("s", dim_add(alpha, beta)), _offsets("t", beta)
-        self.src_f, self.src_g = sum(_offsets("s", alpha), ()), sum(_offsets("s", beta), ())
-        self.src_st = self.src_f + sum(t_off, ())
+        s_off, t_off = _offsets("s", self.grade), _offsets("t", beta)
+        self.src_f = sum(_offsets("s", alpha), ())
+        self.to_t = _moves(sum(_offsets("s", beta), ()), sum(t_off, ()))
         per_vertex = []
         for a, b, s, t in zip(alpha, beta, s_off, t_off):
+            st = s[:a] + t
             choices = []
             for first in itertools.combinations(range(a + b), a):
-                rest = [k for k in range(a + b) if k not in first]
-                choices.append([tuple(u[k] for k in ks) for u in (s, s[:a] + t)
-                                for ks in (first, rest)])
+                order = first + tuple(k for k in range(a + b) if k not in first)
+                choices.append((_moves(s[:a], [s[k] for k in first]),
+                                _moves(s[:b], [s[k] for k in order[a:]]),
+                                _moves(st, [st[k] for k in order]),
+                                _moves(st, [s[k] for k in order])))
             per_vertex.append(choices)
-        # per coset: f's and g's targets in the s naming, then in the s/t naming
-        combos = [[tuple(x for c in combo for x in c[j]) for j in range(4)]
-                  for combo in itertools.product(*per_vertex)]
-        self.cosets = [(tf, tg) for tf, tg, _, _ in combos]
-        self.st = [(tf, tg) for _, _, tf, tg in combos]
+        mf, mg, self.st, self.to_s = zip(*(tuple(sum(parts, ()) for parts in zip(*combo))
+                                           for combo in itertools.product(*per_vertex)))
+        self.cosets = list(zip(mf, mg))
         self.kernels = {}
 
     def kernel(self, q: Quiver) -> RationalFunction:
@@ -297,42 +316,55 @@ def _plan(alpha: tuple, beta: tuple, zvar: str, convention: str) -> _Plan:
     return _Plan(alpha, beta, zvar, convention)
 
 
-def _split(pairs, src, z: int = 0, sign: int = 0) -> list:
-    """[(rest, fields, c)] for the (key, c) pairs: the key without its fields
-    at the offsets src, and those fields.  With a sign, rest also carries
-    z^(sign * block degree) at the offset z, range-checked."""
-    h = laurent._HALVES
+def _translated(plan: _Plan, pairs):
+    """The (key, c) pairs times z^(sign * block degree of f), the z field
+    range-checked."""
+    src, z, sign = plan.src_f, plan.z, plan.sign
+    if not src:
+        return pairs
+    h, bias = laurent._HALVES, _HALF * len(src)
     out = []
     for m, c in pairs:
         u = m + h
-        fields = [((u >> s) & _MASK) - _HALF for s in src]
-        m -= sum(map(lshift, fields, src))
-        deg = sign * sum(fields)
+        deg = sign * (sum((u >> s) & _MASK for s in src) - bias)
         if deg:
             _field((((u >> z) & _MASK) - _HALF) + deg)
             m += deg << z
-        out.append((m, fields, c))
+        out.append((m, c))
     return out
 
 
-def _place(split, targets) -> list:
-    """The (key, c) pairs of split with the fields added at the offsets
-    targets.  A slot gets at most one field and a stray field of the rest,
-    so the keys are exact; OverflowError when a slot left the stored range."""
-    out = [(rest + sum(map(lshift, fields, targets)), c) for rest, fields, c in split]
-    laurent._check_keys([m for m, _ in out])
+def _moved(pairs, moves):
+    """The (key, c) pairs with the field at each from offset of moves put at
+    its to offset.  A to offset gets at most one moved field and a stray
+    field of the rest, so the keys are exact; OverflowError when a field
+    of a moving coset's keys left the stored range."""
+    if not moves:
+        return pairs
+    h, q = laurent._HALVES, laurent._QUARTERS
+    chk = 0
+    out = []
+    for m, c in pairs:
+        u = m + h
+        for s, t in moves:
+            e = ((u >> s) & _MASK) - _HALF
+            if e:
+                m += (e << t) - (e << s)
+        chk |= m + q
+        out.append((m, c))
+    if chk & h:
+        raise laurent._overflow()
     return out
 
 
 def _shuffle(plan: _Plan, f: GradedElement, g: GradedElement, cosets) -> LaurentPoly:
-    """Sum over the (f, g) targets of cosets of the translated f times g,
-    with the block fields placed there: each term is split once."""
+    """Sum over the (f's moves, g's moves) of cosets of the translated f
+    times g, with those fields moved: each term is translated once."""
     A, B, d = _common(f.poly, g.poly)
-    F = _split(A.items(), plan.src_f, plan.z, plan.sign)
-    G = _split(B.items(), plan.src_g)
+    F, G = _translated(plan, A.items()), B.items()
     out: dict = {}
-    for tf, tg in cosets:
-        _mul_into(out, _place(F, tf), _place(G, tg))
+    for mf, mg in cosets:
+        _mul_into(out, _moved(F, mf), _moved(G, mg))
     return LaurentPoly(out, d)
 
 
@@ -340,18 +372,17 @@ def vertex_shuffle(f: GradedElement, g: GradedElement, zvar: str = "z",
                    convention: str = "substitution") -> GradedElement:
     """Holomorphic vertex operation: coset-symmetrized product of the
     z-translated first state with the second, in one pass over the cosets
-    of the plan: each coset puts the block fields at its slots s_{i,k}.
+    of the plan: each coset moves the block fields to its slots s_{i,k}.
 
     >>> q = Quiver(("1",), ())
     >>> f = GradedElement(q, (1,), LaurentPoly.var("s_{1,1}"))
     >>> str(vertex_shuffle(f, f))
     '2*s_{1,1}*s_{1,2}*z @ (2,)'
     """
-    if f.quiver != g.quiver:
+    if f.quiver is not g.quiver and f.quiver != g.quiver:
         raise ValueError("states live on different quivers")
     plan = _plan(f.alpha, g.alpha, zvar, convention)
-    total = _shuffle(plan, f, g, plan.cosets)
-    return GradedElement(f.quiver, dim_add(f.alpha, g.alpha), total, check=False)
+    return GradedElement._of(f.quiver, plan.grade, _shuffle(plan, f, g, plan.cosets))
 
 
 def propagator_kernel(q: Quiver, alpha, beta, zvar: str = "z") -> RationalFunction:
@@ -371,7 +402,8 @@ def vertex_kernel(f: GradedElement, g: GradedElement, zvar: str = "z",
     """Vertex operation with the propagator kernel inserted: rational in z
     with poles only at 1 - c z^{+-1} (the reduced shape).  Variables stay in
     the s/t union naming; grade bookkeeping is carried by the caller.  Each
-    coset of the plan moves the block fields of the one integrand.
+    coset of the plan moves the block fields of the one integrand; the
+    identity coset is the integrand itself.
 
     When the kernel cancels completely (e.g. the one-loop quiver) this is
     the plain shuffle.
@@ -384,18 +416,15 @@ def vertex_kernel(f: GradedElement, g: GradedElement, zvar: str = "z",
     if f.quiver != g.quiver:
         raise ValueError("states live on different quivers")
     plan = _plan(f.alpha, g.alpha, zvar, convention)
-    integrand = plan.kernel(f.quiver) * _shuffle(plan, f, g, plan.st[:1])
-    N = _split(integrand.num.terms.items(), plan.src_st)
-    D = _split([(m.key, (a, m.den, n, e)) for (a, m, n), e in integrand.den.items()],
-               plan.src_st)
-    total = None
-    for tf, tg in plan.st:
-        num: dict = {}
-        for m, c in _place(N, tf + tg):
-            _acc(num, m, c)
-        factors = [(a, _mono(m, den), n, e) for m, (a, den, n, e) in _place(D, tf + tg)]
-        piece = RationalFunction(zvar, LaurentPoly(num, integrand.num.exp_den), factors)
-        total = piece if total is None else total + piece
+    integrand = plan.kernel(f.quiver) * _shuffle(plan, f, g, [((), plan.to_t)])
+    N = integrand.num.terms.items()
+    D = [(m.key, (a, m.den, n, e)) for (a, m, n), e in integrand.den.items()]
+    total = integrand
+    for moves in plan.st[1:]:
+        # a coset permutes the s/t slots, so distinct keys stay distinct
+        num = LaurentPoly(dict(_moved(N, moves)), integrand.num.exp_den)
+        factors = [(a, _mono(m, den), n, e) for m, (a, den, n, e) in _moved(D, moves)]
+        total = total + RationalFunction(zvar, num, factors)
     return total
 
 
@@ -410,8 +439,8 @@ def lie_bracket(f: GradedElement, g: GradedElement, zvar: str = "z") -> GradedEl
     block degree zero, where the output is again degree zero.
 
     The residue is taken once, of the un-symmetrized integrand
-    propagator_kernel * (translated f) * g, and each coset of the plan puts
-    its block fields at the slots s_{i,k}.  This is residue_k(vertex_kernel)
+    propagator_kernel * (translated f) * g, and each coset of the plan moves
+    its block fields to the slots s_{i,k}.  This is residue_k(vertex_kernel)
     with t_{i,b} read as s_{i,a+b}, since residue_k is linear and commutes
     with moves of block fields; no common denominator is built.
 
@@ -424,14 +453,12 @@ def lie_bracket(f: GradedElement, g: GradedElement, zvar: str = "z") -> GradedEl
     if f.quiver != g.quiver:
         raise ValueError("states live on different quivers")
     plan = _plan(f.alpha, g.alpha, zvar, "substitution")
-    res = residue_k(plan.kernel(f.quiver) * _shuffle(plan, f, g, plan.st[:1]))
-    R = _split(res.terms.items(), plan.src_st)
+    res = residue_k(plan.kernel(f.quiver) * _shuffle(plan, f, g, [((), plan.to_t)]))
     total: dict = {}
-    for tf, tg in plan.cosets:
-        for m, c in _place(R, tf + tg):
+    for moves in plan.to_s:
+        for m, c in _moved(res.terms.items(), moves):
             _acc(total, m, c)
-    return GradedElement(f.quiver, dim_add(f.alpha, g.alpha),
-                         LaurentPoly(total, res.exp_den), check=False)
+    return GradedElement._of(f.quiver, plan.grade, LaurentPoly(total, res.exp_den))
 
 
 def axiom_check(q: Quiver, which: str, f: GradedElement, g: GradedElement,
@@ -454,7 +481,7 @@ def axiom_check(q: Quiver, which: str, f: GradedElement, g: GradedElement,
         lhs = vertex_shuffle(f, g, zvar, convention)
         inner = vertex_shuffle(g, f, zvar, convention)
         inv = inner.poly.subs_mono(zvar, Monomial.var(zvar, -1))
-        rhs = translate(GradedElement(q, inner.alpha, inv, check=False), zvar, convention)
+        rhs = translate(GradedElement._of(q, inner.alpha, inv), zvar, convention)
         ok = lhs.poly == rhs.poly
         return ok, None if ok else _witness(lhs.poly, rhs.poly)
     if which == "weak_assoc":
@@ -493,32 +520,41 @@ def conner_floyd(e: VirtualCharacter, i: int):
     of the i-th Chern class.  Literal coefficient extraction; indices
     outside [0, rank] just read the series.
 
-    In u = 1 - s each factor is (1 - 1/chi) + u/chi, and a trivial chi in
-    the denominator divides by u, so the coefficient wanted sits at place
-    T = rank - i + depth of the u-series, depth the number of trivial
-    characters among e.negative.  Only places 0..T are computed: place k of
-    a u-adic product or quotient depends only on the operands' places <= k.
+    In u = 1 - s each factor is (1 - 1/chi) + u/chi, which is u for a
+    trivial chi: each trivial chi of e.positive (e.negative) shifts the
+    valuation up (down) by one.  Every other distinct chi is taken once
+    with its multiplicity m: one binomial power ((1 - 1/chi) + u/chi)^m
+    in e.positive, one division by that m-th power in e.negative.  Only
+    the places up to the one read are computed: place k of a u-adic
+    product or quotient depends only on the operands' places <= k.
 
-    Returns a LaurentPoly when the value is polynomial, else a PolyFraction.
+    Returns a LaurentPoly when the value is polynomial, else a PolyFraction
+    (its num/den depend on how the divisions are grouped, its value not).
     """
-    depth = sum(1 for chi in e.negative if chi.is_one())
-    places = e.rank - i + depth + 1
+    pos, neg = Counter(e.positive), Counter(e.negative)
+    val = pos.pop(MONO_ONE, 0) - neg.pop(MONO_ONE, 0)
+    places = e.rank - i - val + 1
     if places <= 0:
         return LP_ZERO
-    ser = USeries(0, [LP_ONE] + [LP_ZERO] * (places - 1))
-    for chi in e.positive:
-        ser = ser.times(_dual_factor(chi))
-    for chi in e.negative:
-        ser = ser.divide(_dual_factor(chi))
+    ser = USeries(val, [LP_ONE] + [LP_ZERO] * (places - 1))
+    for chi, m in pos.items():
+        ser = ser.times(_dual_power(chi, m, places))
+    for chi, m in neg.items():
+        ser = ser.divide(_dual_power(chi, 1, 2), m)
     fr = ser.coeff(e.rank - i)
     p = fr.as_poly()
     return p if p is not None else fr
 
 
-def _dual_factor(chi: Monomial) -> list:
-    """1 - s/chi in u = 1 - s, as the coefficient list [1 - 1/chi, 1/chi]."""
-    inv = LaurentPoly.term(1, chi.inv())
-    return [LP_ONE - inv, inv]
+def _dual_power(chi: Monomial, m: int, places: int) -> list:
+    """(1 - s/chi)^m in u = 1 - s, cut to its first places coefficients:
+    with x = 1/chi, place j is binom(m, j) (1 - x)^(m - j) x^j.  The keys'
+    fields are linear in the power of x, so m x is the one range check."""
+    x = chi.inv()
+    laurent._scaled(x.key, m)
+    return [LaurentPoly({(j + l) * x.key: (-1) ** l * math.comb(m, j) * math.comb(m - j, l)
+                         for l in range(m - j + 1)}, x.den)
+            for j in range(min(m, places - 1) + 1)]
 
 
 def wedge_minus_one(e: VirtualCharacter):

@@ -37,8 +37,8 @@ from fractions import Fraction
 
 from .laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction, _acc
 from .scalars import generalized_binomial
-from .series import (RationalFunction, _expand_raw, _to_u, expand_at, partial_fractions,
-                     split_poles, unit_value)
+from .series import (RationalFunction, _expand_raw, _to_u, expand_at, split_poles,
+                     unit_value)
 
 
 @dataclass(frozen=True)
@@ -73,18 +73,6 @@ def residue_k(f: RationalFunction) -> LaurentPoly:
     if f.is_poly() or f.num.is_zero():
         return LP_ZERO
     return _rho(f.num.split_var(f.var), sorted(split_poles(f).items()))
-
-
-def residue_k_via_pfrac(f: RationalFunction) -> LaurentPoly:
-    """Independent route: sum of the partial-fraction pole coefficients
-    (each term A/(1 - a z)^m has residue exactly A)."""
-    if f.is_poly():
-        return LP_ZERO
-    total = partial_fractions(f).coefficient_sum()
-    poly = total.as_poly()
-    if poly is None:
-        raise ArithmeticError("residue did not reduce to a Laurent polynomial")
-    return poly
 
 
 def residue_k_oracle(f: RationalFunction, order: int) -> LaurentPoly:

@@ -500,23 +500,21 @@ def _expand_raw(f: RationalFunction, point: str, order: int):
 def _to_u(zpows: dict, order: int) -> dict:
     """sum_k p_k z^k for zpows = {k: p_k} in the basis u = 1 - z, as
     {j: coefficient} for j < order, zero sums kept: z^k = (1 - u)^k =
-    sum_j binom(k, j) (-u)^j, which ends at j = k if k >= 0.
+    sum_j d_j u^j, d_j = (-1)^j binom(k, j), so d_0 = 1 and d_(j+1) =
+    d_j (j - k) / (j + 1) in ints; the sum ends at j = k if k >= 0.
 
     >>> {j: str(c) for j, c in _to_u({-1: LP_ONE, 2: LP_ONE}, 3).items()}
     {0: '2', 1: '-1', 2: '2'}
     """
     ser: dict = {}
     for k, p in zpows.items():
+        d = 1
         for j in range(order if k < 0 else min(order, k + 1)):
-            term = p * (generalized_binomial(k, j) * (-1) ** j)
+            term = p * d
             acc = ser.get(j)
             ser[j] = term if acc is None else acc + term
+            d = d * (j - k) // (j + 1)
     return ser
-
-
-def series_of_poly(p: LaurentPoly, var: str, point: str, order: int) -> FormalSeries:
-    """View a Laurent polynomial in var as a truncated series at the point."""
-    return expand_at(RationalFunction.from_poly(p, var), point, order)
 
 
 # -- partial fractions --------------------------------------------------------------

@@ -348,15 +348,20 @@ class TestCosetPlan:
     """The vertex operations move packed block fields by one plan per grade
     pair; the rename route above must give the same text."""
 
-    def _compare(self, rnd, q, alpha, beta, zvar="z", twist=None):
+    def _compare(self, rnd, q, alpha, beta, zvar="z", twist=None, stray=0):
+        """With a stray exponent, each state of nonzero grade also carries
+        s_{1,a+1}^stray, a field outside its vertex-1 block of size a."""
         from kvertex.suites import random_graded_element
+
+        def with_stray(p, grade):
+            return p * sv(1, grade[0] + 1, stray) if stray and any(grade) else p
 
         def state(grade):
             x, y = (random_graded_element(rnd, q, grade) for _ in range(2))
             p = x.poly + y.poly
             if twist is not None:
                 p = p * twist
-            return GradedElement(q, grade, p, check=False)
+            return GradedElement(q, grade, with_stray(p, grade), check=False)
 
         f, g = state(alpha), state(beta)
         for conv in ("substitution", "inverse_degree"):
@@ -369,6 +374,8 @@ class TestCosetPlan:
                 for grade in (alpha, beta))
         if twist is not None:
             x, y = (GradedElement(q, s.alpha, s.poly * twist, check=False) for s in (x, y))
+        x, y = (GradedElement(q, s.alpha, with_stray(s.poly, s.alpha), check=False)
+                for s in (x, y))
         assert str(lie_bracket(x, y, zvar).poly) == str(_rename_bracket(x, y, zvar)), (q, x, y)
 
     def test_every_small_quiver_up_to_total_grade_four(self, suite_seed):
@@ -379,6 +386,35 @@ class TestCosetPlan:
             pairs = [(a, b) for a in grades for b in grades if 0 < sum(a) + sum(b) <= 4]
             for alpha, beta in rnd.sample(pairs, 3):
                 self._compare(rnd, q, alpha, beta)
+
+    def test_every_grade_pair_up_to_total_two(self, suite_seed):
+        # every small quiver and every grade pair of total <= 2, the pair of
+        # vacua included: the identity cosets and the smallest moving ones
+        from kvertex.suites import small_quivers
+        rnd = random.Random(suite_seed + 2)
+        for q in small_quivers():
+            grades = [g for g in itertools.product(range(3), repeat=q.n) if sum(g) <= 2]
+            for alpha, beta in itertools.product(grades, grades):
+                if sum(alpha) + sum(beta) <= 2:
+                    self._compare(rnd, q, alpha, beta)
+
+    def test_stray_block_field_outside_the_grade(self, suite_seed):
+        # s_{1,a+1} lies outside the grade's vertex-1 block: an identity
+        # coset leaves it in place, a moving coset adds a block field to it
+        from kvertex.quiver import _plan
+        rnd = random.Random(suite_seed + 3)
+        for q in (Q1, QJ, QA2):
+            one, other = q.unit("1"), q.unit(q.vertices[-1]) if q.n > 1 else q.zero()
+            for alpha, beta in ((one, q.zero()), (q.zero(), one), (one, one), (one, other)):
+                moving = any(mf or mg for mf, mg in _plan(alpha, beta, "z", "substitution").cosets)
+                assert moving == (alpha == beta == one)
+                for stray in (1, -2):
+                    self._compare(rnd, q, alpha, beta, stray=stray)
+        f = GradedElement(Q1, (1,), sv(1, 1, 2) * sv(1, 2, 3), check=False)
+        assert translate(f).poly == sv(1, 1, 2) * sv(1, 2, 3) * LaurentPoly.var("z", 2)
+        out = vertex_shuffle(f, GradedElement(Q1, (1,), sv(1, 1), check=False))
+        assert out.poly == sv(1, 1, 2) * sv(1, 2, 4) * LaurentPoly.var("z", 2) \
+            + sv(1, 1) * sv(1, 2, 5) * LaurentPoly.var("z", 2)
 
     def test_half_integer_character_and_fresh_names(self, suite_seed):
         from kvertex.suites import small_quivers
@@ -518,13 +554,7 @@ class TestConnerFloyd:
         for e in drawn.values():
             for v in (e, VirtualCharacter.make(e.positive + (MONO_ONE,), e.negative),
                       VirtualCharacter.make(e.positive, e.negative + (MONO_ONE,))):
-                for i in range(-3, v.rank + 4):
-                    got, ref = conner_floyd(v, i), _reference_conner_floyd(v, i)
-                    assert type(got) is type(ref), (str(v), i)
-                    if isinstance(ref, LaurentPoly):
-                        assert str(got) == str(ref), (str(v), i)
-                    else:
-                        assert got == ref, (str(v), i)
+                _assert_matches_reference(v)
 
     def test_against_sympy_series(self):
         # the u^(rank - i) coefficient of prod_pos (1 - s/chi) / prod_neg (1 - s/chi)
@@ -565,6 +595,25 @@ class TestConnerFloyd:
                 want = series.coeff(u ** (e.rank - i + depth)) if e.rank - i + depth >= 0 else 0
                 assert sym(got.num) == want * sym(got.den), (str(e), i)
 
+    def test_repeated_characters_against_reference(self, suite_seed):
+        # multiplicity up to 4 of a character on each side and up to three
+        # trivial characters on each side: one binomial power or one
+        # division per distinct character, a valuation shift per trivial one
+        rnd = random.Random(suite_seed)
+        a, b = Monomial.var("a"), Monomial.var("b")
+        chars = [a, b, a ** 2, a * b.inv()]
+        cases = [VirtualCharacter.make([a] * 4 + [MONO_ONE] * 3, [b] * 4 + [MONO_ONE] * 3),
+                 VirtualCharacter.make([a] * 3 + [b], [a] * 2),
+                 VirtualCharacter.make([MONO_ONE] * 3, [a ** 2] * 4)]
+        for _ in range(6):
+            pos = [c for c in rnd.sample(chars, 2) for _ in range(rnd.randint(1, 4))]
+            neg = [c for c in rnd.sample(chars, rnd.randint(1, 2))
+                   for _ in range(rnd.randint(1, 4))]
+            cases.append(VirtualCharacter.make(pos + [MONO_ONE] * rnd.randint(0, 3),
+                                               neg + [MONO_ONE] * rnd.randint(0, 3)))
+        for e in cases:
+            _assert_matches_reference(e)
+
     def test_out_of_range_indices_literal(self):
         l = Monomial.var("l")
         e = VirtualCharacter.make([l])
@@ -596,6 +645,18 @@ class TestSymmetrizedWedge:
         lhs = wedge_minus_one(e.dual())
         rhs = wedge_minus_one(e) * LaurentPoly.term(1, e.det().inv())
         assert lhs == rhs
+
+
+def _assert_matches_reference(v: VirtualCharacter):
+    """conner_floyd against the reference at every index -3 .. rank + 3: the
+    same type, the same text for a polynomial, an equal value for a fraction."""
+    for i in range(-3, v.rank + 4):
+        got, ref = conner_floyd(v, i), _reference_conner_floyd(v, i)
+        assert type(got) is type(ref), (str(v), i)
+        if isinstance(ref, LaurentPoly):
+            assert str(got) == str(ref), (str(v), i)
+        else:
+            assert got == ref, (str(v), i)
 
 
 def _reference_conner_floyd(e: VirtualCharacter, i: int):

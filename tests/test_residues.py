@@ -9,11 +9,11 @@ from kvertex.laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, Po
 from kvertex.residues import (K_THEORY, NAIVE, ResidueKind, _pole_series, constraint_suite,
                               diagonal_w_side_residue, diagonal_z_side_residues,
                               iadic_valuation_at_least, local_residue_at_root,
-                              residue_coh, residue_k, residue_k_oracle,
-                              residue_k_via_pfrac, residue_naive,
+                              residue_coh, residue_k, residue_k_oracle, residue_naive,
                               rho_simple_product)
 from kvertex.scalars import Cyclo, generalized_binomial, root_of_unity
-from kvertex.series import RationalFunction, _ser_mul, expand_at, unit_value
+from kvertex.series import (RationalFunction, _ser_mul, expand_at, partial_fractions,
+                            unit_value)
 
 T = Monomial.var("t")
 S = Monomial.var("s")
@@ -25,6 +25,16 @@ def rf(num, factors):
 
 def one(c=1):
     return LaurentPoly.scalar(c)
+
+
+def residue_k_via_pfrac(f: RationalFunction) -> LaurentPoly:
+    """Independent route: sum of the partial-fraction pole coefficients
+    (each term A/(1 - a z)^m has residue exactly A)."""
+    if f.is_poly():
+        return LP_ZERO
+    poly = partial_fractions(f).coefficient_sum().as_poly()
+    assert poly is not None, "residue did not reduce to a Laurent polynomial"
+    return poly
 
 
 class TestResidueK:
@@ -617,7 +627,14 @@ def test_residue_k_commutes_with_character_permutations(suite_seed):
 
 def test_coset_renamings_are_bijections_of_the_union_names():
     from kvertex import laurent
-    from kvertex.quiver import _plan, block_vars
+    from kvertex.quiver import _offsets, _plan, block_vars
+
+    def targets(src, moves):
+        # each coset moves only the fields whose slot changes
+        assert all(s != t for s, t in moves) and len(dict(moves)) == len(moves)
+        to = dict(moves)
+        return tuple(to.get(s, s) for s in src)
+
     for n in (1, 2, 3):
         for grades in itertools.product(range(5), repeat=2 * n):
             alpha, beta = grades[:n], grades[n:]
@@ -628,9 +645,15 @@ def test_coset_renamings_are_bijections_of_the_union_names():
                        for v in block_vars("s", i + 1, a + b)}
             union_st = {laurent._SHIFT[v] for i, (a, b) in enumerate(zip(alpha, beta))
                         for v in block_vars("s", i + 1, a) + block_vars("t", i + 1, b)}
-            assert sorted(plan.src_st) == sorted(union_st)
-            assert plan.st[0] == (plan.src_f, plan.src_st[len(plan.src_f):])
-            for cosets, union in ((plan.cosets, union_s), (plan.st, union_st)):
+            src_f, src_g = plan.src_f, sum(_offsets("s", beta), ())
+            src_st = src_f + sum(_offsets("t", beta), ())
+            assert sorted(src_st) == sorted(union_st)
+            assert plan.st[0] == () and targets(src_g, plan.to_t) == src_st[len(src_f):]
+            k = len(src_f)
+            by_s = [(targets(src_f, mf), targets(src_g, mg)) for mf, mg in plan.cosets]
+            assert by_s == [(t[:k], t[k:]) for t in (targets(src_st, m) for m in plan.to_s)]
+            by_st = [(t[:k], t[k:]) for t in (targets(src_st, m) for m in plan.st)]
+            for cosets, union in ((by_s, union_s), (by_st, union_st)):
                 seen = set()
                 for tf, tg in cosets:
                     assert len(tf) == sum(alpha) and len(tg) == sum(beta)

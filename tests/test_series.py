@@ -9,10 +9,15 @@ from kvertex.laurent import LP_ONE, MONO_ONE, LaurentPoly, Monomial, PolyFractio
 from kvertex.residues import residue_k
 from kvertex.scalars import Cyclo
 from kvertex.series import (RationalFunction, expand_at, expand_equivariant,
-                            partial_fractions, series_of_poly)
+                            partial_fractions)
 
 Z = LaurentPoly.var("z")
 T = Monomial.var("t")
+
+
+def series_of_poly(p, var, point, order):
+    """View a Laurent polynomial in var as a truncated series at the point."""
+    return expand_at(RationalFunction.from_poly(p, var), point, order)
 
 
 def one_over(angle, mono=MONO_ONE, n=1, e=1):
