@@ -18,14 +18,14 @@ f's keys and one product; only the keys of a moving coset are range-checked.
 
 Translation convention: the shuffle substitutes s -> z s, which acts as
 z^(+deg); the opposite z^(-deg) convention is available behind a flag.
-The Chern classes group equal characters and shift by trivial ones.
+The Chern classes cancel characters common to E^0 and E^1, build the
+positive part in s and read one place of it in u = 1 - s.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -520,41 +520,73 @@ def conner_floyd(e: VirtualCharacter, i: int):
     of the i-th Chern class.  Literal coefficient extraction; indices
     outside [0, rank] just read the series.
 
-    In u = 1 - s each factor is (1 - 1/chi) + u/chi, which is u for a
-    trivial chi: each trivial chi of e.positive (e.negative) shifts the
-    valuation up (down) by one.  Every other distinct chi is taken once
-    with its multiplicity m: one binomial power ((1 - 1/chi) + u/chi)^m
-    in e.positive, one division by that m-th power in e.negative.  Only
-    the places up to the one read are computed: place k of a u-adic
-    product or quotient depends only on the operands' places <= k.
+    Characters are counted on their (key, den) pairs.  One in both
+    e.positive and e.negative cancels with its multiplicity: the rank
+    stays, and so does the series, as 1 - s/chi = (1 - 1/chi) + u/chi is a
+    unit in u = 1 - s for a non-trivial chi.  A trivial chi left is the
+    factor u: it shifts the valuation val up (positive) or down by one.
+
+    The positive part is built in s, W(s) = prod (1 - x s)^m over x = 1/chi
+    of multiplicity m, on keys lifted to the lcm of the denominators.  Each
+    factor has one monomial per s-power, so W's coefficients w_j are sums
+    of monomials, (-1)^j e_j of the x's (Macdonald, Symmetric Functions and
+    Hall Polynomials), and place K = rank - i - val in u is (-1)^K
+    sum_(j >= K) binom(j, K) w_j.  With no negative chi left that place is
+    the value; else places 0..K go through one USeries.divide by
+    ((1 - x) + x u)^m per negative chi.  Each chi left is range-checked
+    once, at x^m, whatever the index; the products building W check their
+    keys; a chi that cancels is never checked.
 
     Returns a LaurentPoly when the value is polynomial, else a PolyFraction
     (its num/den depend on how the divisions are grouped, its value not).
     """
-    pos, neg = Counter(e.positive), Counter(e.negative)
-    val = pos.pop(MONO_ONE, 0) - neg.pop(MONO_ONE, 0)
-    places = e.rank - i - val + 1
-    if places <= 0:
+    net: dict = {}
+    for chi in e.positive:
+        net[chi.key, chi.den] = net.get((chi.key, chi.den), 0) + 1
+    for chi in e.negative:
+        net[chi.key, chi.den] = net.get((chi.key, chi.den), 0) - 1
+    val = net.pop((0, 1), 0)
+    d = math.lcm(1, *(den for (_, den), m in net.items() if m > 0))
+    pos, neg = [], []
+    for (key, den), m in net.items():
+        # the fields are linear in the power of x = 1/chi: x^|m| is the one check
+        if m > 0:
+            laurent._scaled(key, -m * (d // den))
+            pos.append((-key * (d // den), m))
+        elif m < 0:
+            laurent._scaled(key, m)
+            neg.append((-key, den, -m))
+    place = e.rank - i - val
+    if place < 0:
         return LP_ZERO
-    ser = USeries(val, [LP_ONE] + [LP_ZERO] * (places - 1))
-    for chi, m in pos.items():
-        ser = ser.times(_dual_power(chi, m, places))
-    for chi, m in neg.items():
-        ser = ser.divide(_dual_power(chi, 1, 2), m)
-    fr = ser.coeff(e.rank - i)
+    w = [{0: 1}]
+    for x, m in pos:
+        out = [{} for _ in range(len(w) + m)]
+        for l in range(m + 1):
+            f = ((l * x, (-1) ** l * math.comb(m, l)),)
+            for j, wj in enumerate(w):
+                _mul_into(out[j + l], wj.items(), f)
+        w = out
+    if not neg:
+        return _u_place(w, place, d)
+    ser = USeries(0, [_u_place(w, k, d) for k in range(place + 1)])
+    for x, den, m in neg:
+        ser = ser.divide([LaurentPoly({0: 1, x: -1}, den), LaurentPoly({x: 1}, den)], m)
+    fr = ser.coeff(place)
     p = fr.as_poly()
     return p if p is not None else fr
 
 
-def _dual_power(chi: Monomial, m: int, places: int) -> list:
-    """(1 - s/chi)^m in u = 1 - s, cut to its first places coefficients:
-    with x = 1/chi, place j is binom(m, j) (1 - x)^(m - j) x^j.  The keys'
-    fields are linear in the power of x, so m x is the one range check."""
-    x = chi.inv()
-    laurent._scaled(x.key, m)
-    return [LaurentPoly({(j + l) * x.key: (-1) ** l * math.comb(m, j) * math.comb(m - j, l)
-                         for l in range(m - j + 1)}, x.den)
-            for j in range(min(m, places - 1) + 1)]
+def _u_place(w: list, k: int, d: int) -> LaurentPoly:
+    """Place k in u = 1 - s of sum_j w[j] s^j (term maps over the exponent
+    denominator d): s^j = (1 - u)^j gives (-1)^k sum_(j >= k) binom(j, k) w[j]."""
+    terms: dict = {}
+    sign = -1 if k % 2 else 1
+    for j in range(k, len(w)):
+        c = sign * math.comb(j, k)
+        for key, cw in w[j].items():
+            _acc(terms, key, c * cw)
+    return LaurentPoly(terms, d)
 
 
 def wedge_minus_one(e: VirtualCharacter):

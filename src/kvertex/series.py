@@ -151,18 +151,6 @@ class RationalFunction:
 
     # -- substitutions --------------------------------------------------------
 
-    def subs_scale(self, tmono: Monomial) -> "RationalFunction":
-        """The character substitution z -> tmono * z."""
-        num = self.num.subs_mono(self.var, tmono * Monomial.var(self.var))
-        factors = [(a, m * tmono ** n, n, e) for (a, m, n), e in self.den.items()]
-        return RationalFunction(self.var, num, factors)
-
-    def subs_invert(self) -> "RationalFunction":
-        """The substitution z -> z^-1."""
-        num = self.num.subs_mono(self.var, Monomial.var(self.var, -1))
-        return RationalFunction(self.var, num,
-                                [(a, m, -n, e) for (a, m, n), e in self.den.items()])
-
     def shift(self, k: int) -> "RationalFunction":
         return self * LaurentPoly.var(self.var, k)
 
@@ -240,31 +228,22 @@ class USeries(NamedTuple):
     num[k] over B C^k (B and C Laurent polynomials, or None for 1), and
     the places kept are exact.
 
-    Place k of a u-adic product or quotient depends only on the operands'
-    places <= k, so products and quotients keep the number of places, and
-    each is a polynomial recurrence on the numerators (fraction-free in the
-    sense of Geddes, Czapor and Labahn, Algorithms for Computer Algebra,
-    1992).  Dividing by the e-th power of a u-polynomial whose constant
-    term c is not a scalar multiplies B by c^e and C by c, so denominators
-    grow linearly in k.  A scalar c is divided out in the field and leaves
-    B and C alone; a zero c strips a u.
+    Its one operation is division, used by the expansion at z = 1 and by
+    the negative characters of quiver.conner_floyd; both build the
+    numerators they start from.  Place k of a u-adic quotient depends only
+    on the operands' places <= k, so a quotient keeps the number of places,
+    and it is a polynomial recurrence on the numerators (fraction-free in
+    the sense of Geddes, Czapor and Labahn, Algorithms for Computer
+    Algebra, 1992).  Dividing by the e-th power of a u-polynomial whose
+    constant term c is not a scalar multiplies B by c^e and C by c, so
+    denominators grow linearly in k.  A scalar c is divided out in the
+    field and leaves B and C alone; a zero c strips a u.
     """
 
     val: int
     num: list
     B: LaurentPoly = None
     C: LaurentPoly = None
-
-    def times(self, base: list) -> "USeries":
-        """The product with sum_j base[j] u^j, before any division (B = C = 1)."""
-        assert self.B is None and self.C is None
-        K = len(self.num)
-        out = [LP_ZERO] * K
-        for i, n in enumerate(self.num):
-            if n.terms:
-                for j, b in enumerate(base[:K - i], i):
-                    out[j] = out[j] + b * n if out[j].terms else b * n
-        return USeries(self.val, out)
 
     def divide(self, base: list, e: int = 1) -> "USeries":
         """The quotient by (sum_j base[j] u^j)^e, base not zero.  With c its

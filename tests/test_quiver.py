@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -614,6 +615,91 @@ class TestConnerFloyd:
         for e in cases:
             _assert_matches_reference(e)
 
+    def test_common_characters_cancel(self, suite_seed):
+        # shared characters of multiplicity up to 3 on both sides: they
+        # cancel fully, leave only positives or leave only negatives
+        rnd = random.Random(suite_seed)
+        a, b = Monomial.var("a"), Monomial.var("b")
+        ab = a * b.inv()
+        cases = [VirtualCharacter.make([a] * 3 + [b], [a] * 3 + [b]),
+                 VirtualCharacter.make([a] * 3 + [ab] * 2, [a] * 2 + [ab] * 2),
+                 VirtualCharacter.make([a, b] * 2, [a] * 3 + [b] * 3),
+                 VirtualCharacter.make([a, MONO_ONE], [a, a, MONO_ONE, MONO_ONE])]
+        chars = [a, b, a ** 2, ab]
+        for _ in range(8):
+            shared = [c for c in rnd.sample(chars, rnd.randint(1, 2))
+                      for _ in range(rnd.randint(1, 3))]
+            extra = [rnd.choice(chars) for _ in range(rnd.randint(0, 3))]
+            side = rnd.choice((0, 1))
+            pos = shared + (extra if side == 0 else [])
+            neg = shared + (extra if side == 1 else [])
+            cases.append(VirtualCharacter.make(pos + [MONO_ONE] * rnd.randint(0, 2),
+                                               neg + [MONO_ONE] * rnd.randint(0, 2)))
+        for e in cases:
+            _assert_matches_reference(e)
+        # a full cancellation leaves the series 1
+        assert conner_floyd(cases[0], 0) == LP_ONE
+        assert conner_floyd(cases[0], 1) == LP_ZERO
+
+    def test_fractional_exponents_against_reference(self):
+        a, t = Monomial.var("a"), Monomial.var("t")
+        half, third = t ** Fraction(1, 2), a * t ** Fraction(-1, 3)
+        for e in (VirtualCharacter.make([half, third]),
+                  VirtualCharacter.make([half] * 2 + [third], [third, t]),
+                  VirtualCharacter.make([half, t, MONO_ONE], [third] * 2),
+                  VirtualCharacter.make([half, third, a], [half, third ** 2]),
+                  VirtualCharacter.make([third] * 3, [half, third, MONO_ONE])):
+            _assert_matches_reference(e)
+
+    def test_overflow_where_the_reference_overflows(self):
+        # x = 1/chi = a^(2^28): x^4 = a^(2^30) leaves the range, x^3 does not;
+        # no character is common to both sides
+        big = Monomial.var("a", -(2 ** 28))
+        b = Monomial.var("b")
+        for m in (3, 4):
+            for extra, neg in (([], []), ([MONO_ONE], []), ([b], [MONO_ONE]), ([], [b])):
+                e = VirtualCharacter.make([big] * m + extra, neg)
+                for i in range(-3, e.rank + 4):
+                    assert _raises(conner_floyd, e, i) == _raises(_reference_conner_floyd, e, i), \
+                        (m, str(e), i)
+                    assert _raises(conner_floyd, e, i) == (m == 4)
+        # a negative character is checked at its multiplicity too
+        e = VirtualCharacter.make([b], [big] * 4)
+        for i in range(-3, e.rank + 4):
+            assert _raises(conner_floyd, e, i) and _raises(_reference_conner_floyd, e, i)
+        # two characters whose product leaves the range: raised wherever the
+        # series is read; past it the value is 0 and no product is formed,
+        # while the reference builds its whole series at every index
+        c = Monomial.var("a", -(2 ** 29))
+        e = VirtualCharacter.make([c, c * b])
+        for i in range(-3, e.rank + 1):
+            assert _raises(conner_floyd, e, i) and _raises(_reference_conner_floyd, e, i)
+        assert conner_floyd(e, e.rank + 1) == LP_ZERO
+
+    def test_huge_character_cancels_without_overflow(self):
+        big = Monomial.var("a", -(2 ** 28))
+        l = Monomial.var("l")
+        e = VirtualCharacter.make([big] * 4 + [l], [big] * 4)
+        assert _raises(_reference_conner_floyd, e, 1)
+        for i in range(-3, e.rank + 4):
+            assert str(conner_floyd(e, i)) == str(conner_floyd(VirtualCharacter.make([l]), i))
+
+    def test_positive_part_matches_the_u_basis_product(self, suite_seed):
+        # the s-basis build and the product of binomial powers in u give the
+        # same place, in text and type
+        rnd = random.Random(suite_seed)
+        a, b, t = Monomial.var("a"), Monomial.var("b"), Monomial.var("t")
+        chars = [a, b, a ** 2, a * b.inv(), t ** Fraction(1, 2), a * t ** Fraction(-1, 3)]
+        cases = [VirtualCharacter.make([a] * 4 + [b] * 2 + [MONO_ONE], [MONO_ONE] * 2)]
+        for _ in range(12):
+            pos = [c for c in rnd.sample(chars, rnd.randint(1, 3)) for _ in range(rnd.randint(1, 4))]
+            cases.append(VirtualCharacter.make(pos + [MONO_ONE] * rnd.randint(0, 2),
+                                               [MONO_ONE] * rnd.randint(0, 2)))
+        for e in cases:
+            for i in range(-3, e.rank + 4):
+                got, ref = conner_floyd(e, i), _u_basis_conner_floyd(e, i)
+                assert type(got) is type(ref) and str(got) == str(ref), (str(e), i)
+
     def test_out_of_range_indices_literal(self):
         l = Monomial.var("l")
         e = VirtualCharacter.make([l])
@@ -657,6 +743,43 @@ def _assert_matches_reference(v: VirtualCharacter):
             assert str(got) == str(ref), (str(v), i)
         else:
             assert got == ref, (str(v), i)
+
+
+def _raises(f, *args) -> bool:
+    try:
+        f(*args)
+    except OverflowError:
+        return True
+    return False
+
+
+def _u_basis_conner_floyd(e: VirtualCharacter, i: int):
+    """The u-basis route for characters whose negative ones are trivial:
+    the product in u = 1 - s of the binomial powers (1 - s/chi)^m, place j
+    binom(m, j) (1 - x)^(m - j) x^j with x = 1/chi, cut to the places up to
+    the one read."""
+    val = sum(1 for chi in e.positive if chi.is_one()) - len(e.negative)
+    assert all(chi.is_one() for chi in e.negative)
+    places = e.rank - i - val + 1
+    if places <= 0:
+        return LP_ZERO
+    ser = [LP_ONE] + [LP_ZERO] * (places - 1)
+    counts: dict = {}
+    for chi in e.positive:
+        if not chi.is_one():
+            counts[chi] = counts.get(chi, 0) + 1
+    for chi, m in counts.items():
+        x = chi.inv()
+        base = [LaurentPoly({(j + l) * x.key: (-1) ** l * math.comb(m, j) * math.comb(m - j, l)
+                             for l in range(m - j + 1)}, x.den)
+                for j in range(min(m, places - 1) + 1)]
+        out = [LP_ZERO] * places
+        for k, n in enumerate(ser):
+            if n.terms:
+                for j, bj in enumerate(base[:places - k], k):
+                    out[j] = out[j] + bj * n if out[j].terms else bj * n
+        ser = out
+    return ser[-1]
 
 
 def _reference_conner_floyd(e: VirtualCharacter, i: int):

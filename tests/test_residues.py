@@ -27,6 +27,19 @@ def one(c=1):
     return LaurentPoly.scalar(c)
 
 
+def _subs_scale(f: RationalFunction, tmono: Monomial) -> RationalFunction:
+    """The character substitution z -> tmono * z."""
+    num = f.num.subs_mono(f.var, tmono * Monomial.var(f.var))
+    factors = [(a, m * tmono ** n, n, e) for (a, m, n), e in f.den.items()]
+    return RationalFunction(f.var, num, factors)
+
+
+def _subs_invert(f: RationalFunction) -> RationalFunction:
+    """The substitution z -> z^-1."""
+    num = f.num.subs_mono(f.var, Monomial.var(f.var, -1))
+    return RationalFunction(f.var, num, [(a, m, -n, e) for (a, m, n), e in f.den.items()])
+
+
 def residue_k_via_pfrac(f: RationalFunction) -> LaurentPoly:
     """Independent route: sum of the partial-fraction pole coefficients
     (each term A/(1 - a z)^m has residue exactly A)."""
@@ -60,7 +73,7 @@ class TestResidueK:
 
     def test_inversion_antisymmetry_example(self):
         f = rf(one(), [(0, MONO_ONE, 1, 1)])
-        assert residue_k(f.subs_invert()) == -1 * one()
+        assert residue_k(_subs_invert(f)) == -1 * one()
 
     def test_oracle_order_guard(self):
         f = rf(one(), [(0, MONO_ONE, 1, 3)])
@@ -240,14 +253,14 @@ class TestClosedFormVsOracle:
         u = Monomial.var("u")
         for _ in range(20):
             f = random_rational(rnd)
-            assert residue_k(f.subs_scale(u)) == residue_k(f)
+            assert residue_k(_subs_scale(f, u)) == residue_k(f)
 
     def test_inversion_antisymmetry_random(self, suite_seed):
         from kvertex.suites import random_rational
         rnd = random.Random(suite_seed + 2)
         for _ in range(20):
             f = random_rational(rnd)
-            assert residue_k(f.subs_invert()) == -1 * residue_k(f)
+            assert residue_k(_subs_invert(f)) == -1 * residue_k(f)
 
 
 class TestRhoSimpleProduct:
