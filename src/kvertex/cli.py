@@ -3,7 +3,15 @@
 Verbs: residue, expand, pfrac, hopf, vertex, bracket, axioms, wallcross,
 suite.  Output is deterministic (exact fractions, sorted terms, no
 timestamps); exit codes: 0 success, 1 evaluation/suite failure, 2 parse
-error.  KVERTEX_SUITE_SEED seeds the randomized suites.
+error.  KVERTEX_SUITE_SEED seeds the randomized suites when `suite` has no
+--seed; a value that is no integer exits 2.
+
+`main` builds the subparser of the verb it runs and no other (all nine
+when the first argument names no verb, so `kvertex -h` and "invalid
+choice" errors are unchanged).  Building every verb's parser took most of
+the time of a short command line such as `kvertex residue "1/(1-z)^2"`,
+and a fresh parser per call keeps `main` free of state between calls.
+Help and error output are byte-identical to the all-verb parser.
 """
 from __future__ import annotations
 
@@ -178,23 +186,31 @@ def cmd_axioms(args) -> int:
     return 0 if ok else 1
 
 
+# the options each wallcross action needs beyond --stability, --table and --k
+WALLCROSS_ARGS = {"forward": ("alpha",), "invert": (), "master": ("k2", "alpha")}
+
+
 def cmd_wallcross(args) -> int:
+    names = WALLCROSS_ARGS[args.action]
+    missing = [f"--{n}" for n in names if getattr(args, n) is None]
+    if missing:
+        print(f"usage: kvertex wallcross {args.action} --stability STABILITY --table TABLE --k K"
+              + "".join(f" --{n} {n.upper()}" for n in names), file=sys.stderr)
+        print(f"kvertex wallcross: error: {args.action} requires {' and '.join(missing)}",
+              file=sys.stderr)
+        return 2
     stability = load_stability(args.stability)
+    table = load_table(args.table)
     if args.action == "forward":
-        table = load_table(args.table)
         alpha = tuple(int(x) for x in args.alpha.strip("()").split(","))
         print(lie_to_text(forward_transform(table, args.k, alpha, stability)))
     elif args.action == "invert":
-        table = load_table(args.table)
         print(dump_table(invert_transform(table, args.k, stability)))
-    elif args.action == "master":
-        table = load_table(args.table)
+    else:  # master
         table2 = load_table(args.table2) if args.table2 else table
         alpha = tuple(int(x) for x in args.alpha.strip("()").split(","))
         print(lie_to_text(master_identity_residual(table, table2, args.k, args.k2,
                                                    alpha, stability)))
-    else:
-        raise EvalError(f"unknown wallcross action {args.action!r}")
     return 0
 
 
@@ -202,19 +218,30 @@ def cmd_suite(args) -> int:
     fn = SUITES.get(args.name)
     if fn is None:
         raise EvalError(f"unknown suite {args.name!r}; choose from {sorted(SUITES)}")
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("KVERTEX_SUITE_SEED", str(DEFAULT_SEED))
+        try:
+            seed = int(text)
+        except ValueError:
+            print(f"kvertex suite: error: KVERTEX_SUITE_SEED must be an integer, got {text!r}",
+                  file=sys.stderr)
+            return 2
     kwargs = {}
     if args.name == "residue-constraints":
         kwargs = {"n_max": args.nmax, "k_max": args.kmax}
     elif args.name == "residue-oracle":
-        kwargs = {"count": args.count, "seed": args.seed}
+        kwargs = {"count": args.count, "seed": seed}
     elif args.name == "residue-theorem":
-        kwargs = {"seed": args.seed}
+        kwargs = {"seed": seed}
     elif args.name == "diagonal-expansion":
         kwargs = {"order": args.order}
     elif args.name in ("vertex-axioms", "reduced"):
-        kwargs = {"seed": args.seed, "per_config": args.count if args.count != 200 else 20}
+        kwargs = {"seed": seed, "per_config": args.count}
     elif args.name == "conner-floyd":
-        kwargs = {"count": args.count if args.count != 200 else 50, "seed": args.seed}
+        kwargs = {"count": args.count, "seed": seed}
+    # without --count each suite keeps its own default
+    kwargs = {k: v for k, v in kwargs.items() if v is not None}
     cases = fn(**kwargs)
     npass = 0
     for name, ok, detail in cases:
@@ -228,82 +255,122 @@ def cmd_suite(args) -> int:
     return 0 if npass == len(cases) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _residue_arguments(p):
+    p.add_argument("expr")
+    p.add_argument("--kind", choices=("k", "naive", "coh"), default="k")
+    p.add_argument("--var", default=None)
+    p.set_defaults(fn=cmd_residue)
+
+
+def _expand_arguments(p):
+    p.add_argument("expr")
+    p.add_argument("--point", choices=("zero", "infinity", "one"), required=True)
+    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--var", default="z")
+    p.set_defaults(fn=cmd_expand)
+
+
+def _pfrac_arguments(p):
+    p.add_argument("expr")
+    p.add_argument("--var", default="z")
+    p.set_defaults(fn=cmd_pfrac)
+
+
+def _hopf_arguments(p):
+    p.add_argument("action", choices=("star", "pair", "coproduct", "chern", "translation"))
+    p.add_argument("args", nargs="*", type=int)
+    p.set_defaults(fn=cmd_hopf)
+
+
+def _vertex_arguments(p):
+    p.add_argument("--quiver", required=True)
+    p.add_argument("--f", required=True)
+    p.add_argument("--g", required=True)
+    p.add_argument("--kernel", action="store_true")
+    p.set_defaults(fn=cmd_vertex)
+
+
+def _bracket_arguments(p):
+    p.add_argument("--quiver", required=True)
+    p.add_argument("--f", required=True)
+    p.add_argument("--g", required=True)
+    p.set_defaults(fn=cmd_bracket)
+
+
+def _axioms_arguments(p):
+    p.add_argument("--quiver", required=True)
+    p.add_argument("--which", choices=("vacuum", "skew", "weak_assoc", "locality"),
+                   required=True)
+    p.add_argument("--f", required=True)
+    p.add_argument("--g", required=True)
+    p.add_argument("--h", default=None)
+    p.set_defaults(fn=cmd_axioms)
+
+
+def _wallcross_arguments(p):
+    p.add_argument("action", choices=("forward", "invert", "master"))
+    p.add_argument("--stability", required=True)
+    p.add_argument("--table", required=True)
+    p.add_argument("--table2", default=None)
+    p.add_argument("--k", required=True)
+    p.add_argument("--k2", default=None)
+    p.add_argument("--alpha", default=None)
+    p.set_defaults(fn=cmd_wallcross)
+
+
+def _suite_arguments(p):
+    p.add_argument("name")
+    p.add_argument("--nmax", type=int, default=6)
+    p.add_argument("--kmax", type=int, default=4)
+    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--order", type=int, default=12)
+    p.add_argument("--seed", type=int, default=None)
+    p.set_defaults(fn=cmd_suite)
+
+
+# verb -> (help text, function adding the verb's arguments), in help order
+VERBS = {
+    "residue": ("apply a residue map to a rational expression", _residue_arguments),
+    "expand": ("formal series expansion at 0, infinity or 1", _expand_arguments),
+    "pfrac": ("partial fractions over the cyclotomic cover", _pfrac_arguments),
+    "hopf": ("dual Hopf algebra operations", _hopf_arguments),
+    "vertex": ("vertex operation on quiver states", _vertex_arguments),
+    "bracket": ("residue bracket of degree-0 states", _bracket_arguments),
+    "axioms": ("check one vertex-algebra axiom", _axioms_arguments),
+    "wallcross": ("framed-invariant transforms", _wallcross_arguments),
+    "suite": ("run a batch property suite", _suite_arguments),
+}
+
+
+def build_parser(verb=None) -> argparse.ArgumentParser:
+    """The `kvertex` parser with every verb, or with `verb` alone.
+
+    A one-verb parser gives the subparsers the metavar that argparse
+    derives from all nine choices, so that the usage line of an error the
+    top-level parser reports (an unknown option after the verb) reads as
+    with every verb.  The all-verb parser passes no metavar: it would
+    replace `verb` in "required: verb" and "argument verb: invalid
+    choice"."""
     p = argparse.ArgumentParser(
         prog="kvertex",
         description="Exact engine for residues, multiplicative expansions and "
                     "vertex operations on quiver character rings.")
-    sub = p.add_subparsers(dest="verb", required=True)
-
-    pr = sub.add_parser("residue", help="apply a residue map to a rational expression")
-    pr.add_argument("expr")
-    pr.add_argument("--kind", choices=("k", "naive", "coh"), default="k")
-    pr.add_argument("--var", default=None)
-    pr.set_defaults(fn=cmd_residue)
-
-    pe = sub.add_parser("expand", help="formal series expansion at 0, infinity or 1")
-    pe.add_argument("expr")
-    pe.add_argument("--point", choices=("zero", "infinity", "one"), required=True)
-    pe.add_argument("--order", type=int, required=True)
-    pe.add_argument("--var", default="z")
-    pe.set_defaults(fn=cmd_expand)
-
-    pp = sub.add_parser("pfrac", help="partial fractions over the cyclotomic cover")
-    pp.add_argument("expr")
-    pp.add_argument("--var", default="z")
-    pp.set_defaults(fn=cmd_pfrac)
-
-    ph = sub.add_parser("hopf", help="dual Hopf algebra operations")
-    ph.add_argument("action", choices=("star", "pair", "coproduct", "chern", "translation"))
-    ph.add_argument("args", nargs="*", type=int)
-    ph.set_defaults(fn=cmd_hopf)
-
-    pv = sub.add_parser("vertex", help="vertex operation on quiver states")
-    pv.add_argument("--quiver", required=True)
-    pv.add_argument("--f", required=True)
-    pv.add_argument("--g", required=True)
-    pv.add_argument("--kernel", action="store_true")
-    pv.set_defaults(fn=cmd_vertex)
-
-    pb = sub.add_parser("bracket", help="residue bracket of degree-0 states")
-    pb.add_argument("--quiver", required=True)
-    pb.add_argument("--f", required=True)
-    pb.add_argument("--g", required=True)
-    pb.set_defaults(fn=cmd_bracket)
-
-    pa = sub.add_parser("axioms", help="check one vertex-algebra axiom")
-    pa.add_argument("--quiver", required=True)
-    pa.add_argument("--which", choices=("vacuum", "skew", "weak_assoc", "locality"),
-                    required=True)
-    pa.add_argument("--f", required=True)
-    pa.add_argument("--g", required=True)
-    pa.add_argument("--h", default=None)
-    pa.set_defaults(fn=cmd_axioms)
-
-    pw = sub.add_parser("wallcross", help="framed-invariant transforms")
-    pw.add_argument("action", choices=("forward", "invert", "master"))
-    pw.add_argument("--stability", required=True)
-    pw.add_argument("--table", required=True)
-    pw.add_argument("--table2", default=None)
-    pw.add_argument("--k", required=True)
-    pw.add_argument("--k2", default=None)
-    pw.add_argument("--alpha", default=None)
-    pw.set_defaults(fn=cmd_wallcross)
-
-    ps = sub.add_parser("suite", help="run a batch property suite")
-    ps.add_argument("name")
-    ps.add_argument("--nmax", type=int, default=6)
-    ps.add_argument("--kmax", type=int, default=4)
-    ps.add_argument("--count", type=int, default=200)
-    ps.add_argument("--order", type=int, default=12)
-    ps.add_argument("--seed", type=int,
-                    default=int(os.environ.get("KVERTEX_SUITE_SEED", DEFAULT_SEED)))
-    ps.set_defaults(fn=cmd_suite)
+    if verb is None:
+        sub = p.add_subparsers(dest="verb", required=True)
+        verbs = VERBS
+    else:
+        sub = p.add_subparsers(dest="verb", required=True,
+                               metavar="{" + ",".join(VERBS) + "}")
+        verbs = (verb,)
+    for name in verbs:
+        help_text, add_arguments = VERBS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in VERBS else None)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
