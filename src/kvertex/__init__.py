@@ -14,9 +14,8 @@ from .residues import (K_THEORY, NAIVE, COHOMOLOGICAL, ResidueKind,
                        constraint_suite, residue_coh, residue_k,
                        residue_k_oracle, residue_naive)
 from .scalars import Cyclo, cyclotomic_poly, generalized_binomial, root_of_unity
-from .series import (EquivariantExpansion, FormalSeries, PartialFractions,
-                     RationalFunction, expand_at, expand_equivariant,
-                     partial_fractions)
+from .series import (FormalSeries, PartialFractions, RationalFunction,
+                     expand_at, partial_fractions)
 from .wallcross import (StabilityData, forward_transform, invert_transform,
                         master_identity_residual, ordered_partitions)
 

@@ -318,12 +318,23 @@ def _wallcross_arguments(p):
     p.set_defaults(fn=cmd_wallcross)
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of the suite sizes: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _suite_arguments(p):
     p.add_argument("name")
-    p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--order", type=int, default=12)
+    p.add_argument("--nmax", type=_positive_int, default=6)
+    p.add_argument("--kmax", type=_positive_int, default=4)
+    p.add_argument("--count", type=_positive_int, default=None)
+    p.add_argument("--order", type=_positive_int, default=12)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_suite)
 

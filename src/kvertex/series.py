@@ -2,10 +2,10 @@
 
 A RationalFunction is a Laurent-polynomial prefactor over a multiset of
 factors (1 - c*z^n)^e, where c is a root of unity times a monomial in the
-other variables.  It can be expanded as a formal series at z=0, z=infinity
-and at the multiplicative point z=1 (series in 1-z), and decomposed into
-partial fractions over a cyclotomic cover that splits every 1 - c*z^n into
-linear factors.
+other variables.  It can be expanded as a formal series at z=0, at z=infinity
+(the expansion of f(z^-1) at zero) and at the multiplicative point z=1
+(series in 1-z), and decomposed into partial fractions over a cyclotomic
+cover that splits every 1 - c*z^n into linear factors.
 
 Truncation orders are explicit arguments everywhere; no ambient state.
 """
@@ -395,7 +395,8 @@ class FormalSeries:
 
 def expand_at(f: RationalFunction, point: str, order: int) -> FormalSeries:
     """Expand f at z=0, z=infinity or z=1 with `order` exact coefficients
-    counted from the leading term.
+    counted from the leading term.  The expansion at infinity is that of
+    f(z^-1) at zero, its index k the power of z^-1.
 
     _expand_raw(f, point, n) is exact below its bound, n places above the
     valuation of the denominator's expansion.  So one call gives `order`
@@ -407,6 +408,8 @@ def expand_at(f: RationalFunction, point: str, order: int) -> FormalSeries:
     >>> f = RationalFunction.one_over_factor("z", 0, MONO_ONE)
     >>> str(expand_at(f, "zero", 3))
     '1 + z + z^2 + O(z^3)'
+    >>> str(expand_at(f, "infinity", 3))
+    '-z^-1 - z^-2 - z^-3 + O(z^-4)'
     """
     if order <= 0:
         raise ValueError("order must be positive")
@@ -414,21 +417,42 @@ def expand_at(f: RationalFunction, point: str, order: int) -> FormalSeries:
         raise ValueError(f"unknown expansion point {point!r}")
     if f.is_zero():
         return FormalSeries(point, f.var, {}, order)
+    g, at = (_inverted(f), "zero") if point == "infinity" else (f, point)
     zdegs = [m.exponent(f.var) for m in f.num.monomials()]
     span = max(zdegs) - min(zdegs)
     slack = 0
     while True:
-        coeffs, tbound = _expand_raw(f, point, order + slack)
+        coeffs, tbound = _expand_raw(g, at, order + slack)
         if coeffs and tbound - min(coeffs) >= order:
             t = min(coeffs) + order
             return FormalSeries(point, f.var, {k: c for k, c in coeffs.items() if k < t}, t)
         slack = min(slack * 2 + order, span)
 
 
+def _inverted(f: RationalFunction) -> RationalFunction:
+    """f(z^-1): 1/(1 - c z^-n)^e = (-1)^e c^-e z^(ne) / (1 - c^-1 z^n)^e, so
+    one pass over the factors collects a one-term prefactor, which multiplies
+    the numerator (z^-1 for z) once.  The turned factors are distinct and
+    normal, so they skip the constructor's checks.  With c^-e apart from
+    the c^-j of the series, a coefficient at infinity may print a root of
+    unity in a multiple of its own order, never for angle orders <= 3."""
+    var, den, coeff, mono, zexp = f.var, {}, 1, MONO_ONE, 0
+    for (a, m, n), e in f.den.items():
+        if a:
+            coeff = coeff * scalar_pow(cyclo_root(a), -e)
+        mi = m.inv()
+        den[(1 - a if a else a, mi, n)] = e
+        coeff, mono, zexp = coeff * (-1) ** e, mono * mi ** e, zexp + n * e
+    g = RationalFunction(var, f.num.subs_mono(var, Monomial.var(var, -1)) *
+                         LaurentPoly.term(coeff, mono * Monomial.var(var, zexp)))
+    g.den = den
+    return g
+
+
 def _expand_raw(f: RationalFunction, point: str, order: int):
-    """The expansion of f at the point as ({index: coefficient}, tbound):
-    exact below tbound, which is `order` above the valuation of the
-    expansion of the denominator alone."""
+    """The expansion of f at the point "zero" or "one" as
+    ({index: coefficient}, tbound): exact below tbound, which is `order`
+    above the valuation of the expansion of the denominator alone."""
     num_split = f.num.split_var(f.var)
     if point == "zero":
         v0 = min(num_split)
@@ -439,23 +463,6 @@ def _expand_raw(f: RationalFunction, point: str, order: int):
             j = 0
             while n * j < tbound - v0:
                 fac[n * j] = unit_value(a, m, j) * generalized_binomial(e - 1 + j, e - 1)
-                j += 1
-            ser = _ser_mul(ser, fac, tbound)
-        return ser, tbound
-
-    if point == "infinity":
-        # keys are powers of 1/z
-        shift = sum(n * e for (_a, _m, n), e in f.den.items())
-        v0 = -max(num_split) + shift
-        tbound = v0 + order
-        ser = {-k: p for k, p in num_split.items()}
-        for (a, m, n), e in f.den.items():
-            # 1/(1-u z^n)^e = (-1)^e u^-e Z^(ne) sum_j binom(e-1+j, e-1) u^-j Z^(nj)
-            sign = (-1) ** e
-            fac = {}
-            j = 0
-            while n * (e + j) < tbound - (v0 - n * e):
-                fac[n * (e + j)] = unit_value(a, m, -(e + j)) * (sign * generalized_binomial(e - 1 + j, e - 1))
                 j += 1
             ser = _ser_mul(ser, fac, tbound)
         return ser, tbound
@@ -480,7 +487,8 @@ def _to_u(zpows: dict, order: int) -> dict:
     """sum_k p_k z^k for zpows = {k: p_k} in the basis u = 1 - z, as
     {j: coefficient} for j < order, zero sums kept: z^k = (1 - u)^k =
     sum_j d_j u^j, d_j = (-1)^j binom(k, j), so d_0 = 1 and d_(j+1) =
-    d_j (j - k) / (j + 1) in ints; the sum ends at j = k if k >= 0.
+    d_j (j - k) / (j + 1) in ints; the sum ends at j = k if k >= 0.  With
+    p_k = A_k a^-k these are the digits of sum_k A_k z^k in w = 1 - a z.
 
     >>> {j: str(c) for j, c in _to_u({-1: LP_ONE, 2: LP_ONE}, 3).items()}
     {0: '2', 1: '-1', 2: '2'}
@@ -517,16 +525,6 @@ class PartialFractions:
         self.poly_part = poly_part
         self.terms = terms
 
-    def poly_part_as_laurent(self):
-        """Polynomial part as a LaurentPoly, or None when fractions remain."""
-        out = LP_ZERO
-        for k, c in self.poly_part.items():
-            p = c.as_poly() if isinstance(c, PolyFraction) else c
-            if p is None:
-                return None
-            out = out + p * LaurentPoly.var(self.var, k)
-        return out
-
     def recombines_to(self, f: RationalFunction) -> bool:
         """Exact identity N = Q D + sum_t A_t D / (1 - a_t z)^(m_t) for
         f = N / D, checked pole by pole without a common denominator.
@@ -534,8 +532,8 @@ class PartialFractions:
         R = N - Q D must have its z-powers in [0, deg D), as the sum has.
         Then R equals the sum once they agree modulo every (1 - a z)^m in
         D (Chinese remainder theorem).  Modulo it the terms at the other
-        poles vanish, and in base w = 1 - a z the first m digits must
-        satisfy R_i = sum_t A_t (D / w^m)_(i - m + m_t).
+        poles vanish, and in base w = 1 - a z (digits from _to_u) the first
+        m digits must satisfy R_i = sum_t A_t (D / w^m)_(i - m + m_t).
         """
         poles, roots, D, _L = _cover(f)
         R = dict(f.num.split_var(f.var))
@@ -549,13 +547,13 @@ class PartialFractions:
            any(t.mult > poles.get((t.angle, t.mono), 0) for t in self.terms):
             return False
         for pole, m in poles.items():
-            r = _w_digits(R, *pole, m)
-            d = _w_digits(_divide_out(D, roots[pole], m), *pole, m)
+            r, d = (_to_u({k: c * unit_value(*pole, -k) for k, c in A.items()}, m)
+                    for A in (R, _divide_out(D, roots[pole], m)))
             for i in range(m):
-                rhs = sum((t.coeff * d[i - m + t.mult] for t in self.terms
+                rhs = sum((t.coeff * d.get(i - m + t.mult, LP_ZERO) for t in self.terms
                            if (t.angle, t.mono) == pole and i - m + t.mult >= 0),
                           PolyFraction.of(LP_ZERO))
-                if not rhs == r[i]:
+                if not rhs == r.get(i, LP_ZERO):
                     return False
         return True
 
@@ -645,15 +643,6 @@ def _divide_out(D: dict, a: LaurentPoly, mult: int) -> dict:
                 q[k] = prev
         D = q
     return D
-
-
-def _w_digits(A: dict, angle, mono: Monomial, count: int) -> list:
-    """The first `count` digits of a z-split polynomial from z^0 in base
-    w = 1 - a z, a = root(angle) * mono: with z = (1 - w)/a, digit i is
-    (-1)^i sum_k binom(k, i) A_k a^-k."""
-    scaled = [(k, c * unit_value(angle, mono, -k)) for k, c in A.items()]
-    return [sum((c * ((-1) ** i * math.comb(k, i)) for k, c in scaled if k >= i), LP_ZERO)
-            for i in range(count)]
 
 
 def _zpoly_derivs_inv(A: dict, angle, mono: Monomial, count: int, pw: list) -> list:
@@ -829,80 +818,3 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
             terms.extend(PoleTerm(angle, mono, t.mult, t.coeff.conjugate(k)) for t in rep[1])
     poly_part = {k: c for k, c in Q.items() if not c.is_zero()}
     return PartialFractions(f.var, poly_part, terms)
-
-
-# -- the parametrized equivariant expansion ---------------------------------------
-
-
-class EquivariantExpansion:
-    """Truncated pivot expansion of 1/(1 - t z w): the k-th term is
-    (-s z)^k / (1 - s z)^(k+1) * (1 - (t/s) w)^k for a chosen pivot s.
-
-    Any character pivot gives a valid expansion; the truncation defect after
-    multiplying back by (1 - t z w) is the geometric tail r^order.
-    """
-
-    __slots__ = ("t", "pivot", "order", "zvar", "wvar")
-
-    def __init__(self, t: Monomial, pivot: Monomial, order: int, zvar="z", wvar="w"):
-        if order <= 0:
-            raise ValueError("order must be positive")
-        if not isinstance(pivot, Monomial):
-            raise ValueError("pivot must be a character monomial")
-        self.t = t
-        self.pivot = pivot
-        self.order = order
-        self.zvar = zvar
-        self.wvar = wvar
-
-    def z_coefficient(self, k: int) -> RationalFunction:
-        """(-s z)^k / (1 - s z)^(k+1)."""
-        num = LaurentPoly.term((-1) ** k, (self.pivot ** k) * Monomial.var(self.zvar, k))
-        return RationalFunction(self.zvar, num, [(0, self.pivot, 1, k + 1)])
-
-    def kernel_factor(self) -> LaurentPoly:
-        """1 - (t/s) w."""
-        return LP_ONE - LaurentPoly.term(1, self.t * self.pivot.inv() * Monomial.var(self.wvar))
-
-    def terms(self):
-        fac = self.kernel_factor()
-        return [(k, self.z_coefficient(k), fac ** k) for k in range(self.order)]
-
-    def w_series_coefficient(self, j: int) -> RationalFunction:
-        """Coefficient of (1-w)^j as one rational function in z."""
-        c = self.t * self.pivot.inv()
-        out = None
-        for k in range(self.order):
-            b = generalized_binomial(k, j)
-            if not b:
-                continue
-            scale = LaurentPoly.term(b, c ** j) * ((LP_ONE - LaurentPoly.term(1, c)) ** (k - j))
-            if scale.is_zero():
-                continue
-            rf = self.z_coefficient(k) * scale
-            out = rf if out is None else out + rf
-        return out if out is not None else RationalFunction.from_poly(LP_ZERO, self.zvar)
-
-    def product_defect(self) -> PolyFraction:
-        """(1 - t z w) * partial_sum - 1 as an exact fraction."""
-        z = LaurentPoly.var(self.zvar)
-        w = LaurentPoly.var(self.wvar)
-        szf = LP_ONE - LaurentPoly.term(1, self.pivot) * z
-        fac = self.kernel_factor()
-        total = PolyFraction.of(LP_ZERO)
-        for k in range(self.order):
-            num = LaurentPoly.term((-1) ** k, (self.pivot ** k) * Monomial.var(self.zvar, k)) * (fac ** k)
-            total = total + PolyFraction(num, szf ** (k + 1))
-        tzw = LP_ONE - LaurentPoly.term(1, self.t) * z * w
-        return PolyFraction.of(tzw) * total - 1
-
-    def defect_is_geometric_tail(self) -> bool:
-        r_num = LaurentPoly.term(-1, self.pivot) * LaurentPoly.var(self.zvar) * self.kernel_factor()
-        szf = LP_ONE - LaurentPoly.term(1, self.pivot) * LaurentPoly.var(self.zvar)
-        return self.product_defect() == -PolyFraction(r_num ** self.order, szf ** self.order)
-
-
-def expand_equivariant(t: Monomial, pivot: Monomial, order: int,
-                       zvar: str = "z", wvar: str = "w") -> EquivariantExpansion:
-    """Pivot-parametrized expansion of 1/(1 - t z w)."""
-    return EquivariantExpansion(t, pivot, order, zvar, wvar)

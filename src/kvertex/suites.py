@@ -385,6 +385,13 @@ def suite_wallcross_roundtrip():
     T2 = {a: forward_transform(Zc, "k2", a, stm) for a in [(1,), (2,)]}
     r = master_identity_residual(T1, T2, "k1", "k2", (2,), stm)
     cases.append(("master residual vanishes for matched framings", r.is_zero(), str(r)))
+    # with distinct framings the residual does not vanish by antisymmetry alone
+    std = StabilityData.make((1,), (0,), {"k1": (2,), "k2": (3,)})
+    T1 = {a: forward_transform(Z1, "k1", a, std) for a in alphas1}
+    T2 = {a: forward_transform(Z1, "k2", a, std) for a in alphas1}
+    rs = [master_identity_residual(T1, T2, "k1", "k2", a, std) for a in alphas1]
+    cases.append(("master residual vanishes for framings (2,)/(3,), totals <= 4",
+                  all(r.is_zero() for r in rs), "; ".join(str(r) for r in rs if not r.is_zero())))
     return cases
 
 

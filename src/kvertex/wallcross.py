@@ -8,6 +8,7 @@ bracket is the residue pairing.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -84,7 +85,6 @@ def ordered_partitions(alpha, stability: StabilityData):
     if all(a == 0 for a in alpha):
         raise ValueError("ordered partitions of the zero class are not defined")
     target = stability.slope(alpha)
-    import itertools
     candidates = []
     for v in itertools.product(*(range(a + 1) for a in alpha)):
         if any(v) and stability.slope(v) == target:
@@ -201,18 +201,22 @@ def invert_transform(Ztilde: dict, k, stability: StabilityData) -> dict:
 def master_identity_residual(Zt1: dict, Zt2: dict, k1, k2, alpha,
                              stability: StabilityData):
     """lambda_{k2}(alpha) Zt1_alpha - lambda_{k1}(alpha) Zt2_alpha
-    + sum_{a1+a2=alpha} [Zt1_{a1}, Zt2_{a2}]; zero exactly when the
-    two-framing identity holds for the supplied tables."""
+    + sum_{a1+a2=alpha} [Zt1_{a1}, Zt2_{a2}] over the nonzero splits with
+    a1 (so also a2) of the slope of alpha; zero exactly when the
+    two-framing identity holds for the supplied tables.  Splits across
+    slopes are left out, as in ordered_partitions: the tables that
+    forward_transform makes from one Z satisfy the identity only within
+    the slope class."""
     alpha = tuple(alpha)
     for table, key in ((Zt1, alpha), (Zt2, alpha)):
         if key not in table:
             raise MissingEntryError(key)
     out = stability.frame_dim(k2, alpha) * Zt1[alpha] \
         - stability.frame_dim(k1, alpha) * Zt2[alpha]
-    import itertools
+    target = stability.slope(alpha)
     for a1 in itertools.product(*(range(a + 1) for a in alpha)):
         a2 = tuple(x - y for x, y in zip(alpha, a1))
-        if not any(a1) or not any(a2):
+        if not any(a1) or not any(a2) or stability.slope(a1) != target:
             continue
         if a1 not in Zt1:
             raise MissingEntryError(a1)

@@ -2,7 +2,8 @@
 only, and every help text and argparse error it prints matches the parser
 with all nine verbs.  Also the usage errors `main` reports itself
 (`wallcross` options, `KVERTEX_SUITE_SEED`), the `suite --count` default,
-and what reading GOLDEN_CASES of test_cli.py imports.
+the positive `suite` sizes, and what reading GOLDEN_CASES of test_cli.py
+imports.
 
 Kept apart from test_cli.py: perfbench/workloads.py executes that file to
 read its GOLDEN_CASES, so its imports count in the `cli` workload."""
@@ -81,6 +82,10 @@ ARGV_CASES = [
     ["suite", "hopf", "--bogus"],
     ["suite"],
     ["suite", "hopf", "--count", "x"],
+    ["suite", "residue-oracle", "--count", "-1"],
+    ["suite", "diagonal-expansion", "--order", "0"],
+    ["suite", "residue-constraints", "--nmax", "0"],
+    ["suite", "residue-constraints", "--kmax", "-2"],
     [],
     ["-h"],
     ["--help"],
@@ -167,6 +172,18 @@ def test_malformed_suite_seed(monkeypatch, value):
     assert run(main, ["suite", "residue-oracle", "--count", "2"]) == (0, out, "")
 
 
+def test_malformed_suite_seed_stops_the_test_session():
+    # conftest.py reads the variable once, before collecting any test
+    env = dict(os.environ, KVERTEX_SUITE_SEED="abc")
+    res = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "tests/test_tracer_targets.py"],
+                         cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == pytest.ExitCode.USAGE_ERROR
+    assert res.stdout == ""
+    assert res.stderr.strip().splitlines() == [
+        "ERROR: KVERTEX_SUITE_SEED must be an integer, got 'abc'"]
+
+
 @pytest.mark.parametrize("name,keyword", [("residue-oracle", "count"),
                                           ("vertex-axioms", "per_config"),
                                           ("reduced", "per_config"),
@@ -184,6 +201,21 @@ def test_suite_count_reaches_the_suite(monkeypatch, name, keyword):
         assert run(main, argv) == (0, "PASS 0/0\n", "")
     # an omitted --count leaves the suite's own default
     assert [c.get(keyword) for c in calls[:2]] == [200, 7] and keyword not in calls[2]
+
+
+@pytest.mark.parametrize("option,value", [("--count", "-1"), ("--count", "0"),
+                                          ("--order", "0"), ("--nmax", "0"),
+                                          ("--kmax", "-2")])
+def test_suite_sizes_must_be_positive(monkeypatch, option, value):
+    # every suite rejects the size before it runs, the ones that ignore it too
+    monkeypatch.setenv("COLUMNS", "200")
+    for name in ("residue-oracle", "diagonal-expansion", "residue-constraints", "hopf"):
+        code, out, err = run(main, ["suite", name, option, value])
+        assert (code, out) == (2, "")
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: kvertex suite ")
+        assert error == (f"kvertex suite: error: argument {option}: "
+                         f"must be a positive integer, got '{value}'")
 
 
 def test_reading_golden_cases_imports_no_hypothesis():

@@ -7,9 +7,10 @@ import pytest
 from kvertex.exprparse import parse_rational
 from kvertex.laurent import LP_ONE, MONO_ONE, LaurentPoly, Monomial, PolyFraction
 from kvertex.residues import residue_k
-from kvertex.scalars import Cyclo
-from kvertex.series import (RationalFunction, expand_at, expand_equivariant,
-                            partial_fractions)
+from kvertex.scalars import Cyclo, generalized_binomial
+from kvertex.series import (FormalSeries, RationalFunction, _ser_mul, expand_at,
+                            partial_fractions, unit_value)
+from kvertex.suites import random_rational
 
 Z = LaurentPoly.var("z")
 T = Monomial.var("t")
@@ -42,6 +43,62 @@ def test_expand_at_infinity():
         " + (5*t^-6 + 4*t^-3)*z^-3 + O(z^-4)")
     assert str(expand_at(f, "infinity", 1)) == "t^-2*z + O(1)"
     assert str(expand_at(f * Z, "infinity", 1)) == "t^-2*z^2 + O(z)"
+
+
+def _expand_at_infinity_termwise(f, order):
+    """The expansion at infinity built factor by factor in z^-1, as
+    expand_at did before it expanded f(z^-1) at zero:
+    1/(1 - u z^n)^e = (-1)^e u^-e z^-ne sum_j binom(e-1+j, e-1) u^-j z^-nj."""
+    num_split = f.num.split_var(f.var)
+    v0 = f.total_pole_mult() - max(num_split)
+    tbound = v0 + order
+    ser = {-k: p for k, p in num_split.items()}
+    for (a, m, n), e in f.den.items():
+        fac = {}
+        j = 0
+        while n * j < order:
+            fac[n * (e + j)] = unit_value(a, m, -(e + j)) * \
+                ((-1) ** e * generalized_binomial(e - 1 + j, e - 1))
+            j += 1
+        ser = _ser_mul(ser, fac, tbound)
+    return FormalSeries("infinity", f.var, {k: c for k, c in ser.items() if k < tbound}, tbound)
+
+
+def _infinity_inputs(seed):
+    rnd = random.Random(seed)
+    out = [random_rational(rnd) for _ in range(300)]
+    # angles 1/2 and 1/3, a half-integral character, several numerator terms
+    chars = [MONO_ONE, T, Monomial.var("t", Fraction(1, 2)), Monomial.var("s") * T.inv()]
+    for _ in range(60):
+        factors = [(rnd.choice([0, Fraction(1, 2), Fraction(1, 3)]), c, rnd.randint(1, 3),
+                    rnd.randint(1, 3)) for c in rnd.sample(chars, rnd.randint(1, 3))]
+        num = LaurentPoly.from_terms(
+            (Monomial.var("z", rnd.randint(-3, 3)) * rnd.choice([MONO_ONE, T, T.inv()]),
+             rnd.choice([1, -2, Fraction(1, 2)])) for _i in range(rnd.randint(1, 3)))
+        out.append(RationalFunction("z", num, factors))
+    return [f for f in out if not f.is_zero()]
+
+
+def test_expansion_at_infinity_is_the_termwise_one(suite_seed):
+    # same text, so the same coefficients, labels and truncation
+    for f in _infinity_inputs(suite_seed):
+        for order in (1, 4, 9):
+            assert str(expand_at(f, "infinity", order)) == \
+                str(_expand_at_infinity_termwise(f, order)), (str(f), order)
+
+
+@pytest.mark.parametrize("angles", [(Fraction(1, 6),), (Fraction(1, 8), Fraction(3, 8)),
+                                    (Fraction(1, 4), Fraction(1, 3))])
+def test_expansion_at_infinity_keeps_values_at_composite_orders(angles):
+    # the prefactor c^-e of f(z^-1) may lift a root to a multiple of its
+    # order, so only the values and the truncation are the termwise ones
+    chars = [T, T ** 2, Monomial.var("s")]
+    for e in (1, 2, 3):
+        f = RationalFunction("z", 1 + Z ** 2,
+                             [(a, c, 1 + i % 2, e) for i, (a, c) in enumerate(zip(angles, chars))])
+        for order in (1, 4, 9):
+            got, ref = expand_at(f, "infinity", order), _expand_at_infinity_termwise(f, order)
+            assert got.trunc == ref.trunc and got.same_up_to(ref), (str(f), order)
 
 
 def test_expand_at_one_of_inverse_z():
@@ -113,8 +170,6 @@ def test_remultiplying_reproduces_numerator():
 
 def test_expansion_termwise_matches_closed_form_per_pole():
     # expansions of a pure pole agree with the binomial closed forms to order 12
-    from kvertex.scalars import generalized_binomial
-
     def aspoly(c):
         return c if isinstance(c, LaurentPoly) else LaurentPoly.scalar(c)
 
@@ -185,7 +240,7 @@ def test_partial_fractions_spec_examples():
     f3 = RationalFunction.from_poly(Z ** 3)
     pf3 = partial_fractions(f3)
     assert not pf3.terms
-    assert pf3.poly_part_as_laurent() == Z ** 3
+    assert pf3.poly_part == {3: LP_ONE}
 
 
 def test_partial_fractions_distinct_output_poles():
@@ -563,43 +618,3 @@ def test_expand_at_one_denominators_grow_linearly():
         assert isinstance(c, PolyFraction)
         assert c.den == (LP_ONE - LaurentPoly.term(1, x)) ** j
         assert max(m.exponent("x") for m in c.num.monomials()) <= j
-
-
-def test_equivariant_expansion_defining_property():
-    t, s = Monomial.var("t"), Monomial.var("s")
-    for pivot in (s, t, s * t):
-        for order in (1, 2, 5):
-            ee = expand_equivariant(t, pivot, order)
-            assert ee.defect_is_geometric_tail()
-
-
-def test_equivariant_expansion_k0_term():
-    # trivial character, pivot 1, order 1: the single term is 1/(1-z)
-    ee = expand_equivariant(MONO_ONE, MONO_ONE, 1)
-    k, rf, fac = ee.terms()[0]
-    assert k == 0 and fac == LP_ONE
-    assert rf == RationalFunction.one_over_factor("z", 0, MONO_ONE)
-
-
-def test_equivariant_expansion_pivot_equals_character():
-    t = Monomial.var("t")
-    ee = expand_equivariant(t, t, 2)
-    terms = ee.terms()
-    assert terms[0][1] == RationalFunction.one_over_factor("z", 0, t)
-    # k=1 coefficient: (-t z)/(1 - t z)^2 against the kernel factor (1 - w)
-    expect = RationalFunction("z", -1 * LaurentPoly.term(1, t) * Z, [(0, t, 1, 2)])
-    assert terms[1][1] == expect
-    assert terms[1][2] == LP_ONE - LaurentPoly.var("w")
-
-
-def test_equivariant_w_series_coefficients_are_rational():
-    t, s = Monomial.var("t"), Monomial.var("s")
-    ee = expand_equivariant(t, s, 4)
-    c0 = ee.w_series_coefficient(0)
-    assert not c0.is_zero() and c0.var == "z"
-    assert ee.w_series_coefficient(5).is_zero()
-
-
-def test_zero_pivot_rejected():
-    with pytest.raises(ValueError):
-        expand_equivariant(T, None, 3)

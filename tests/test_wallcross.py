@@ -137,6 +137,31 @@ class TestMasterIdentity:
         r = master_identity_residual(T1, T2, "k1", "k2", (2,), st)
         assert not r.is_zero()
 
+    # two vertices of slopes 0 and 1, distinct framings
+    SLOPES = StabilityData.make((1, 1), (0, 1), {"k1": (1, 3), "k2": (2, 1)})
+
+    def _forward_tables(self, Z):
+        T1 = {a: forward_transform(Z, "k1", a, self.SLOPES) for a in Z}
+        T2 = {a: forward_transform(Z, "k2", a, self.SLOPES) for a in Z}
+        return T1, T2
+
+    def test_identity_within_the_slope_class_free_mode(self):
+        alphas = [a for a in itertools.product(range(5), range(5)) if 0 < sum(a) <= 4]
+        T1, T2 = self._forward_tables(free_table(alphas))
+        for a in alphas:
+            assert master_identity_residual(T1, T2, "k1", "k2", a, self.SLOPES).is_zero(), a
+        # the splits of (1,1) across the slopes 0 and 1 do not cancel, so
+        # leaving them out is what makes the residual vanish there
+        cross = T1[(1, 0)].bracket(T2[(0, 1)]) + T1[(0, 1)].bracket(T2[(1, 0)])
+        assert not cross.is_zero()
+
+    def test_identity_within_the_slope_class_quiver_mode(self):
+        q = a2_quiver()
+        alphas = [a for a in itertools.product(range(4), range(4)) if 0 < sum(a) <= 3]
+        T1, T2 = self._forward_tables({a: QuiverState(GradedElement.unit(q, a)) for a in alphas})
+        for a in alphas:
+            assert master_identity_residual(T1, T2, "k1", "k2", a, self.SLOPES).is_zero(), a
+
     def test_missing_entries_reported(self):
         st = StabilityData.make((1,), (0,), {"k1": (2,), "k2": (3,)})
         T = free_table([(2,)])
