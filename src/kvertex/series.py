@@ -55,11 +55,13 @@ class RationalFunction:
                 raise ValueError("factor exponent n must be nonzero")
             if n < 0:
                 # 1/(1 - u z^-n)^e = (-1)^e u^-e z^(ne) / (1 - u^-1 z^n)^e
-                scale = LaurentPoly.term(
-                    (-1) ** e * scalar_pow(cyclo_root(angle), -e),
-                    (mono.inv() ** e) * Monomial.var(var, -n * e))
+                c = (-1) ** e
+                if angle:
+                    c = c * scalar_pow(cyclo_root(angle), -e)
+                    angle = 1 - angle
+                mono, n = mono.inv(), -n
+                scale = LaurentPoly.term(c, mono ** e * Monomial.var(var, n * e))
                 extra = scale if extra is None else extra * scale
-                angle, mono, n = (-angle) % 1, mono.inv(), -n
             key = (angle, mono, n)
             den[key] = den.get(key, 0) + e
         if extra is not None:
@@ -396,7 +398,11 @@ class FormalSeries:
 def expand_at(f: RationalFunction, point: str, order: int) -> FormalSeries:
     """Expand f at z=0, z=infinity or z=1 with `order` exact coefficients
     counted from the leading term.  The expansion at infinity is that of
-    f(z^-1) at zero, its index k the power of z^-1.
+    f(z^-1) at zero, its index k the power of z^-1.  Its values are the
+    termwise ones, but with a root of unity of order above 3 in f a
+    coefficient may print in a multiple of that order (the prefactor c^-e
+    of f(z^-1) and the series' c^-j are multiplied apart), so its text
+    can differ from that of the termwise expansion.
 
     _expand_raw(f, point, n) is exact below its bound, n places above the
     valuation of the denominator's expansion.  So one call gives `order`
@@ -430,23 +436,10 @@ def expand_at(f: RationalFunction, point: str, order: int) -> FormalSeries:
 
 
 def _inverted(f: RationalFunction) -> RationalFunction:
-    """f(z^-1): 1/(1 - c z^-n)^e = (-1)^e c^-e z^(ne) / (1 - c^-1 z^n)^e, so
-    one pass over the factors collects a one-term prefactor, which multiplies
-    the numerator (z^-1 for z) once.  The turned factors are distinct and
-    normal, so they skip the constructor's checks.  With c^-e apart from
-    the c^-j of the series, a coefficient at infinity may print a root of
-    unity in a multiple of its own order, never for angle orders <= 3."""
-    var, den, coeff, mono, zexp = f.var, {}, 1, MONO_ONE, 0
-    for (a, m, n), e in f.den.items():
-        if a:
-            coeff = coeff * scalar_pow(cyclo_root(a), -e)
-        mi = m.inv()
-        den[(1 - a if a else a, mi, n)] = e
-        coeff, mono, zexp = coeff * (-1) ** e, mono * mi ** e, zexp + n * e
-    g = RationalFunction(var, f.num.subs_mono(var, Monomial.var(var, -1)) *
-                         LaurentPoly.term(coeff, mono * Monomial.var(var, zexp)))
-    g.den = den
-    return g
+    """f(z^-1): the numerator at z^-1 over the factors with n turned to -n,
+    which the constructor turns back in one pass."""
+    return RationalFunction(f.var, f.num.subs_mono(f.var, Monomial.var(f.var, -1)),
+                            [(a, m, -n, e) for (a, m, n), e in f.den.items()])
 
 
 def _expand_raw(f: RationalFunction, point: str, order: int):
