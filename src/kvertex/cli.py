@@ -6,18 +6,24 @@ timestamps); exit codes: 0 success, 1 evaluation/suite failure, 2 parse
 error.  KVERTEX_SUITE_SEED seeds the randomized suites when `suite` has no
 --seed; a value that is no integer exits 2.
 
-`main` builds the subparser of the verb it runs and no other (all nine
-when the first argument names no verb, so `kvertex -h` and "invalid
-choice" errors are unchanged).  Building every verb's parser took most of
-the time of a short command line such as `kvertex residue "1/(1-z)^2"`,
-and a fresh parser per call keeps `main` free of state between calls.
-Help and error output are byte-identical to the all-verb parser.
+VERBS is the one table of the command line: each verb's help text, its
+`cmd_*` function and the (name, keywords) specs of its arguments.  Two
+readers use it.  `_parse` reads a well-formed line straight from the specs
+and returns the namespace argparse would give; building an argparse parser
+took about half the time of a short command line such as
+`kvertex residue "1/(1-z)^2"`.  When `_parse` declines a line (help, `--`,
+an abbreviation, any usage error), `main` builds the argparse parser of
+the named verb alone with `build_parser` (all nine verbs when the first
+argument names none), so help and error output are argparse's own and
+byte-identical to the all-verb parser.  No parser outlives a call, and
+`main` keeps no state between calls.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import re
 import sys
 
 from .exprparse import EvalError, ParseError, parse_laurent, parse_rational
@@ -56,12 +62,23 @@ def load_quiver(path: str) -> Quiver:
         return parse_quiver_text(fh.read())
 
 
+def parse_class(text: str) -> tuple:
+    """A dimension vector `(d1,d2,...)` of integers; the parentheses may be
+    left out."""
+    try:
+        return tuple(int(x) for x in text.strip("()").split(","))
+    except ValueError:
+        raise EvalError(f"bad class {text!r}; use (d1,d2,...) with integer entries") from None
+
+
 def parse_grade(q: Quiver, text: str) -> tuple:
     text = text.strip()
     if text.startswith("e"):
+        if text[1:] not in q.vertices:
+            raise EvalError(f"bad grade {text!r}: the quiver has no vertex {text[1:]!r}")
         return q.unit(text[1:])
     if text.startswith("(") and text.endswith(")"):
-        return tuple(int(x) for x in text[1:-1].split(","))
+        return parse_class(text)
     raise EvalError(f"bad grade {text!r}; use e<vertex> or (d1,d2,...)")
 
 
@@ -86,8 +103,7 @@ def load_table(path: str) -> dict:
         data = json.load(fh)
     out = {}
     for key, expr in data.items():
-        alpha = tuple(int(x) for x in key.strip("()").split(","))
-        out[alpha] = parse_lie_text(expr)
+        out[parse_class(key)] = parse_lie_text(expr)
     return out
 
 
@@ -105,7 +121,7 @@ def cmd_residue(args) -> int:
     f, content = parse_rational(args.expr, args.var or "z")
     kind = K_THEORY if args.kind == "k" else NAIVE
     value = residue(f, kind)
-    if not (content == LP_ONE):
+    if not (content == LP_ONE or value.is_zero()):
         value = PolyFraction.of(value) / PolyFraction.of(content)
     print(value)
     return 0
@@ -202,13 +218,13 @@ def cmd_wallcross(args) -> int:
     stability = load_stability(args.stability)
     table = load_table(args.table)
     if args.action == "forward":
-        alpha = tuple(int(x) for x in args.alpha.strip("()").split(","))
+        alpha = parse_class(args.alpha)
         print(lie_to_text(forward_transform(table, args.k, alpha, stability)))
     elif args.action == "invert":
         print(dump_table(invert_transform(table, args.k, stability)))
     else:  # master
         table2 = load_table(args.table2) if args.table2 else table
-        alpha = tuple(int(x) for x in args.alpha.strip("()").split(","))
+        alpha = parse_class(args.alpha)
         print(lie_to_text(master_identity_residual(table, table2, args.k, args.k2,
                                                    alpha, stability)))
     return 0
@@ -255,71 +271,9 @@ def cmd_suite(args) -> int:
     return 0 if npass == len(cases) else 1
 
 
-def _residue_arguments(p):
-    p.add_argument("expr")
-    p.add_argument("--kind", choices=("k", "naive", "coh"), default="k")
-    p.add_argument("--var", default=None)
-    p.set_defaults(fn=cmd_residue)
-
-
-def _expand_arguments(p):
-    p.add_argument("expr")
-    p.add_argument("--point", choices=("zero", "infinity", "one"), required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--var", default="z")
-    p.set_defaults(fn=cmd_expand)
-
-
-def _pfrac_arguments(p):
-    p.add_argument("expr")
-    p.add_argument("--var", default="z")
-    p.set_defaults(fn=cmd_pfrac)
-
-
-def _hopf_arguments(p):
-    p.add_argument("action", choices=("star", "pair", "coproduct", "chern", "translation"))
-    p.add_argument("args", nargs="*", type=int)
-    p.set_defaults(fn=cmd_hopf)
-
-
-def _vertex_arguments(p):
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--kernel", action="store_true")
-    p.set_defaults(fn=cmd_vertex)
-
-
-def _bracket_arguments(p):
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.set_defaults(fn=cmd_bracket)
-
-
-def _axioms_arguments(p):
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--which", choices=("vacuum", "skew", "weak_assoc", "locality"),
-                   required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", default=None)
-    p.set_defaults(fn=cmd_axioms)
-
-
-def _wallcross_arguments(p):
-    p.add_argument("action", choices=("forward", "invert", "master"))
-    p.add_argument("--stability", required=True)
-    p.add_argument("--table", required=True)
-    p.add_argument("--table2", default=None)
-    p.add_argument("--k", required=True)
-    p.add_argument("--k2", default=None)
-    p.add_argument("--alpha", default=None)
-    p.set_defaults(fn=cmd_wallcross)
-
-
 def _positive_int(text: str) -> int:
-    """The argparse type of the suite sizes: an integer of at least 1."""
+    """The argparse type of the suite sizes and the expansion order: an
+    integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -329,27 +283,53 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _suite_arguments(p):
-    p.add_argument("name")
-    p.add_argument("--nmax", type=_positive_int, default=6)
-    p.add_argument("--kmax", type=_positive_int, default=4)
-    p.add_argument("--count", type=_positive_int, default=None)
-    p.add_argument("--order", type=_positive_int, default=12)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(fn=cmd_suite)
+# the quiver file and the two states of `vertex` and `bracket`
+STATE_ARGUMENTS = (("--quiver", {"required": True}), ("--f", {"required": True}),
+                   ("--g", {"required": True}))
 
-
-# verb -> (help text, function adding the verb's arguments), in help order
+# verb -> (help text, command, argument specs), in help order; each spec is
+# the (name, keywords) of one add_argument call, in the order of the help
 VERBS = {
-    "residue": ("apply a residue map to a rational expression", _residue_arguments),
-    "expand": ("formal series expansion at 0, infinity or 1", _expand_arguments),
-    "pfrac": ("partial fractions over the cyclotomic cover", _pfrac_arguments),
-    "hopf": ("dual Hopf algebra operations", _hopf_arguments),
-    "vertex": ("vertex operation on quiver states", _vertex_arguments),
-    "bracket": ("residue bracket of degree-0 states", _bracket_arguments),
-    "axioms": ("check one vertex-algebra axiom", _axioms_arguments),
-    "wallcross": ("framed-invariant transforms", _wallcross_arguments),
-    "suite": ("run a batch property suite", _suite_arguments),
+    "residue": ("apply a residue map to a rational expression", cmd_residue, (
+        ("expr", {}),
+        ("--kind", {"choices": ("k", "naive", "coh"), "default": "k"}),
+        ("--var", {"default": None}))),
+    "expand": ("formal series expansion at 0, infinity or 1", cmd_expand, (
+        ("expr", {}),
+        ("--point", {"choices": ("zero", "infinity", "one"), "required": True}),
+        ("--order", {"type": _positive_int, "required": True}),
+        ("--var", {"default": "z"}))),
+    "pfrac": ("partial fractions over the cyclotomic cover", cmd_pfrac, (
+        ("expr", {}),
+        ("--var", {"default": "z"}))),
+    "hopf": ("dual Hopf algebra operations", cmd_hopf, (
+        ("action", {"choices": ("star", "pair", "coproduct", "chern", "translation")}),
+        ("args", {"nargs": "*", "type": int}))),
+    "vertex": ("vertex operation on quiver states", cmd_vertex, STATE_ARGUMENTS + (
+        ("--kernel", {"action": "store_true"}),)),
+    "bracket": ("residue bracket of degree-0 states", cmd_bracket, STATE_ARGUMENTS),
+    "axioms": ("check one vertex-algebra axiom", cmd_axioms, (
+        ("--quiver", {"required": True}),
+        ("--which", {"choices": ("vacuum", "skew", "weak_assoc", "locality"),
+                     "required": True}),
+        ("--f", {"required": True}),
+        ("--g", {"required": True}),
+        ("--h", {"default": None}))),
+    "wallcross": ("framed-invariant transforms", cmd_wallcross, (
+        ("action", {"choices": ("forward", "invert", "master")}),
+        ("--stability", {"required": True}),
+        ("--table", {"required": True}),
+        ("--table2", {"default": None}),
+        ("--k", {"required": True}),
+        ("--k2", {"default": None}),
+        ("--alpha", {"default": None}))),
+    "suite": ("run a batch property suite", cmd_suite, (
+        ("name", {}),
+        ("--nmax", {"type": _positive_int, "default": 6}),
+        ("--kmax", {"type": _positive_int, "default": 4}),
+        ("--count", {"type": _positive_int, "default": None}),
+        ("--order", {"type": _positive_int, "default": 12}),
+        ("--seed", {"type": int, "default": None}))),
 }
 
 
@@ -374,15 +354,95 @@ def build_parser(verb=None) -> argparse.ArgumentParser:
                                metavar="{" + ",".join(VERBS) + "}")
         verbs = (verb,)
     for name in verbs:
-        help_text, add_arguments = VERBS[name]
-        add_arguments(sub.add_parser(name, help=help_text))
+        help_text, fn, specs = VERBS[name]
+        verb_parser = sub.add_parser(name, help=help_text)
+        for arg, kwargs in specs:
+            verb_parser.add_argument(arg, **kwargs)
+        verb_parser.set_defaults(fn=fn)
     return p
+
+
+# the strings argparse reads as negative numbers, hence as values, in a
+# parser that has no option which looks like one (no verb has)
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _value(kwargs, text):
+    """`text` converted by the spec's type and checked against its choices."""
+    value = kwargs.get("type", str)(text)
+    choices = kwargs.get("choices")
+    if choices is not None and value not in choices:
+        raise ValueError(f"invalid choice: {text!r}")
+    return value
+
+
+def _parse(argv):
+    """The namespace `build_parser().parse_args(argv)` returns, read from
+    the specs of VERBS without building a parser; None for any line that
+    this reader does not read exactly as argparse does.
+
+    It reads exact long options, as `--name value` or `--name=value`,
+    `store_true` flags without `=`, and values that do not start with `-`
+    or are negative numbers.  Help, `--`, abbreviations, unknown options, a
+    value argparse would reject and a missing or extra argument all give
+    None, and `main` leaves the line to argparse, which prints the help or
+    the error."""
+    if not argv or argv[0] not in VERBS:
+        return None
+    _help, fn, specs = VERBS[argv[0]]
+    options = {name: kwargs for name, kwargs in specs if name.startswith("-")}
+    values = {}
+    for name, kwargs in options.items():
+        # argparse's default where a spec names none: False for a flag, else None
+        flag = kwargs.get("action") == "store_true"
+        values[name.lstrip("-")] = kwargs.get("default", False if flag else None)
+    seen = set()
+    words = []
+    rest = iter(argv[1:])
+    try:
+        for arg in rest:
+            if not arg.startswith("-") or _NEGATIVE_NUMBER.match(arg):
+                words.append(arg)
+                continue
+            name, eq, text = arg.partition("=")
+            kwargs = options.get(name)
+            if kwargs is None:
+                return None
+            if kwargs.get("action") == "store_true":
+                if eq:
+                    return None
+                values[name.lstrip("-")] = True
+            else:
+                if not eq:
+                    text = next(rest, None)
+                    if text is None or (text.startswith("-")
+                                        and not _NEGATIVE_NUMBER.match(text)):
+                        return None
+                values[name.lstrip("-")] = _value(kwargs, text)
+            seen.add(name)
+        for name, kwargs in specs:
+            if name in options:
+                if kwargs.get("required") and name not in seen:
+                    return None
+            elif kwargs.get("nargs") == "*":
+                values[name] = [_value(kwargs, word) for word in words]
+                words = []
+            elif words:
+                values[name] = _value(kwargs, words.pop(0))
+            else:
+                return None
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    if words:
+        return None
+    return argparse.Namespace(verb=argv[0], fn=fn, **values)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in VERBS else None)
-    args = parser.parse_args(argv)
+    args = _parse(argv)
+    if args is None:
+        args = build_parser(argv[0] if argv and argv[0] in VERBS else None).parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

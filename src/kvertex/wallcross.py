@@ -82,6 +82,12 @@ def ordered_partitions(alpha, stability: StabilityData):
     [((1,), (1,)), ((2,),)]
     """
     alpha = tuple(alpha)
+    n = len(stability.rank_weights)
+    if len(alpha) != n:
+        raise ValueError(f"class {alpha} has {len(alpha)} entries, but the stability data "
+                         f"has {n} {'vertex' if n == 1 else 'vertices'}")
+    if any(a < 0 for a in alpha):
+        raise ValueError(f"class {alpha} has a negative entry")
     if all(a == 0 for a in alpha):
         raise ValueError("ordered partitions of the zero class are not defined")
     target = stability.slope(alpha)

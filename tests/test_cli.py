@@ -180,6 +180,63 @@ def test_state_parse_errors():
     assert code == 1
 
 
+def test_zero_residue_is_not_divided_by_the_content():
+    # with --var t the z-factors are content; a zero value prints as 0
+    assert run_cli(["residue", "1/(1-z)", "--var", "t"]) == (0, "0\n")
+    assert run_cli(["residue", "--kind", "naive", "z/(1-z)", "--var", "t"]) == (0, "0\n")
+    assert run_cli(["residue", "1/((1-z)*(1-t))", "--var", "t"]) == (0, "(1)/(1 - z)\n")
+
+
+def run_cli_error(argv):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(argv)
+    assert out == ""
+    return code, err.getvalue()
+
+
+WALLCROSS_FILES = ["--stability", os.path.join(DATA, "stability.json"),
+                   "--table", os.path.join(DATA, "table.json"), "--k", "k1"]
+
+
+def test_unknown_vertex_in_a_grade():
+    argv = ["vertex", "--quiver", quiver("a2.quiver"), "--f", "1@ex", "--g", "1@e2"]
+    assert run_cli_error(argv) == (1, "error: bad grade 'ex': the quiver has no vertex 'x'\n")
+
+
+def test_non_integer_entry_in_a_grade():
+    argv = ["vertex", "--quiver", quiver("a2.quiver"), "--f", "1@(1,x)", "--g", "1@e2"]
+    assert run_cli_error(argv) == (
+        1, "error: bad class '(1,x)'; use (d1,d2,...) with integer entries\n")
+
+
+@pytest.mark.parametrize("action", ["forward", "master"])
+def test_malformed_wallcross_class(action):
+    argv = ["wallcross", action] + WALLCROSS_FILES + ["--k2", "k2", "--alpha", "(1,"]
+    assert run_cli_error(argv) == (
+        1, "error: bad class '(1,'; use (d1,d2,...) with integer entries\n")
+
+
+def test_malformed_class_in_a_table(tmp_path):
+    table = tmp_path / "table.json"
+    table.write_text('{"(1)": "Z(1)", "(2,x)": "Z(2)"}', encoding="utf-8")
+    argv = ["wallcross", "invert", "--stability", os.path.join(DATA, "stability.json"),
+            "--table", str(table), "--k", "k1"]
+    assert run_cli_error(argv) == (
+        1, "error: bad class '(2,x)'; use (d1,d2,...) with integer entries\n")
+
+
+def test_wallcross_class_of_another_length():
+    argv = ["wallcross", "forward"] + WALLCROSS_FILES + ["--alpha", "(2,5)"]
+    assert run_cli_error(argv) == (
+        1, "error: class (2, 5) has 2 entries, but the stability data has 1 vertex\n")
+
+
+def test_wallcross_class_with_a_negative_entry():
+    argv = ["wallcross", "forward"] + WALLCROSS_FILES + ["--alpha", "(-2)"]
+    assert run_cli_error(argv) == (1, "error: class (-2,) has a negative entry\n")
+
+
 def regenerate():
     os.makedirs(GOLDEN, exist_ok=True)
     for name, argv in GOLDEN_CASES:

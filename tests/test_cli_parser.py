@@ -1,9 +1,10 @@
-"""The command-line parser: `main` builds the parser of the verb it runs
-only, and every help text and argparse error it prints matches the parser
-with all nine verbs.  Also the usage errors `main` reports itself
-(`wallcross` options, `KVERTEX_SUITE_SEED`), the `suite --count` default,
-the positive `suite` sizes, and what reading GOLDEN_CASES of test_cli.py
-imports.
+"""The command-line parser: `_parse` reads a line from the verb table as
+argparse does or declines it; `main` builds an argparse parser, of the verb
+it runs only, for declined lines alone, and every help text and argparse
+error it prints matches the parser with all nine verbs.  Also the usage
+errors `main` reports itself (`wallcross` options, `KVERTEX_SUITE_SEED`),
+the `suite --count` default, the positive `suite` sizes and expansion
+order, and what reading GOLDEN_CASES of test_cli.py imports.
 
 Kept apart from test_cli.py: perfbench/workloads.py executes that file to
 read its GOLDEN_CASES, so its imports count in the `cli` workload."""
@@ -14,9 +15,12 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kvertex import cli
-from kvertex.cli import build_parser, main
+from kvertex.cli import VERBS, _parse, build_parser, main
+from test_cli import GOLDEN_CASES
 
 REPO = os.path.join(os.path.dirname(__file__), "..")
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -55,6 +59,8 @@ ARGV_CASES = [
     ["expand", "1/(1-z)"],
     ["expand", "1/(1-z)", "--point", "two", "--order", "3"],
     ["expand", "1/(1-z)", "--point", "zero", "--order", "x"],
+    ["expand", "1/(1-z)", "--point", "zero", "--order", "0"],
+    ["expand", "1/(1-z)", "--point", "zero", "--order=-3"],
     ["pfrac", "-h"],
     ["pfrac", "1/(1-z)", "--bogus"],
     ["pfrac"],
@@ -126,6 +132,8 @@ def test_one_verb_parser_reads_as_the_all_verb_parser(argv):
 
 
 def test_main_builds_a_fresh_parser_of_the_named_verb(monkeypatch):
+    # a well-formed line builds no parser; a line the reader declines builds
+    # a fresh parser of the named verb on each call
     built = []
 
     def recording(verb=None):
@@ -134,10 +142,141 @@ def test_main_builds_a_fresh_parser_of_the_named_verb(monkeypatch):
         return parser
 
     monkeypatch.setattr(cli, "build_parser", recording)
-    for argv in (["hopf", "star", "1", "1"], ["hopf", "pair", "3", "5"], ["bogus"]):
-        run(main, argv)
-    assert [verb for verb, _ in built] == ["hopf", "hopf", None]
+    for argv in (["hopf", "star", "1", "1"], ["hopf", "pair", "3", "5"]):
+        assert run(main, argv)[0] == 0
+    assert built == []
+    # a bad integer is left to argparse, which rejects it, and an
+    # abbreviation too, which it reads
+    assert run(main, ["hopf", "star", "x"])[0] == 2
+    assert run(main, ["expand", "1/(1-z)", "--point", "zero", "--ord", "2"]) == (
+        0, "1 + z + O(z^2)\n", "")
+    run(main, ["bogus"])
+    assert [verb for verb, _ in built] == ["hopf", "expand", None]
     assert built[0][1] is not built[1][1]
+
+
+# the goldens, the succeeding lines, and negative numbers, `=` forms,
+# repeats and options before positionals
+@pytest.mark.parametrize("argv", [argv for _name, argv in GOLDEN_CASES] + SUCCEEDING + [
+    ["hopf", "pair", "-0", "-12"],
+    ["hopf", "pair", "-0", "-12"],
+    ["residue", "--var", "-1", "1/(1-z)"],
+    ["residue", "1/(1-z)", "--var="],
+    ["residue", "--kind=naive", "--kind", "coh", "1/u"],
+    ["suite", "hopf", "--count", "5", "--count=3", "--seed", "-4"],
+    ["expand", "--order=2", "1/(1-z)", "--point=one"],
+    ["vertex", "--kernel", "--quiver", QUIVER] + STATES + ["--kernel"],
+    ["axioms", "--quiver", QUIVER, "--which", "skew", "--h", "1@e1"] + STATES,
+    ["wallcross", "--k", "k1", "invert", "--stability", STABILITY, "--table=" + TABLE],
+], ids=lambda argv: " ".join(argv).replace(DATA + os.sep, "").replace(DATA, ""))
+def test_reader_reads_as_argparse(argv):
+    args = _parse(argv)
+    assert args is not None
+    assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["residue", "--", "1/(1-z)"],
+    ["residue", "1/(1-z)", "-h"],
+    ["residue", "-1x"],
+    ["residue", "- z"],
+    ["residue", "-"],
+    ["residue", "--var", "-t", "1/(1-z)"],
+    ["residue", "1/(1-z)", "--var"],
+    ["residue", "1/(1-z)", "--kind", "q"],
+    ["residue", "1/(1-z)", "--point", "zero"],
+    ["expand", "1/(1-z)", "--po", "zero", "--order", "3"],
+    ["expand", "1/(1-z)", "--point", "zero", "--order", "-3"],
+    ["hopf", "translation", "-1_0", "4"],
+    ["hopf", "star", "1.5", "1"],
+    ["vertex", "--quiver", QUIVER] + STATES + ["--kernel=1"],
+    ["wallcross", "invert", "--t", TABLE, "--stability", STABILITY, "--k", "k1"],
+    ["suite", "hopf", "--count", "x", "--count", "3"],
+    ["suite", "hopf", "extra"],
+    ["suite"],
+    ["--", "residue", "1/(1-z)"],
+    ["Residue", "1/(1-z)"],
+    [],
+], ids=lambda argv: " ".join(argv).replace(DATA + os.sep, "") or "none")
+def test_reader_declines(argv):
+    # argparse reads some of these (`--po`, `- z`, `--`), and rejects the rest
+    assert _parse(argv) is None
+
+
+# Tokens of a fuzzed command line: option strings, as they are, with `=`
+# and abbreviated; help, `--`, `-` and the empty string; negative numbers;
+# every choice and a bad one; integers, non-integers and words.
+_OPTIONS = sorted({name for _help, _fn, specs in VERBS.values()
+                   for name, _kwargs in specs if name.startswith("-")})
+_CHOICES = sorted({c for _help, _fn, specs in VERBS.values()
+                   for _name, kwargs in specs for c in kwargs.get("choices", ())})
+_VALUES = _CHOICES + ["q", "two", "commute", "0", "1", "3", "12", "x", "1.5", "1/(1-z)",
+                      "k1", "(2)", "1@e1", "-1", "-3", "-0", "-1.5", "-.5", "-1_0", "-1x",
+                      "-x", "- z", "", "-", "1 2"]
+
+
+def _tokens(options):
+    return st.one_of(
+        st.sampled_from(options + ["-h", "--help", "--", "-", "", "-k", "---kind"]),
+        st.builds("{}={}".format, st.sampled_from(options), st.sampled_from(_VALUES)),
+        st.builds(lambda name, cut: name[:max(3, len(name) - cut)],
+                  st.sampled_from(options), st.integers(1, 4)),
+        st.sampled_from(_VALUES))
+
+
+_TOKENS = _tokens(_OPTIONS)
+
+
+@st.composite
+def _command_lines(draw):
+    """A well-formed line of one verb, from its specs, with a few tokens
+    inserted, replaced or deleted; now and then free tokens alone."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.lists(st.one_of(st.sampled_from(list(VERBS)), _TOKENS), max_size=6))
+    verb = draw(st.sampled_from(list(VERBS)))
+    argv = []
+    for name, kwargs in VERBS[verb][2]:
+        if kwargs.get("action") == "store_true":
+            value = []
+        elif "choices" in kwargs:
+            value = [draw(st.sampled_from(kwargs["choices"]))]
+        elif kwargs.get("type") is not None:
+            value = [draw(st.sampled_from(["1", "2", "3"]))]
+        else:
+            value = [draw(st.sampled_from(["1/(1-z)", "k1", "(2)", "1@e1"]))]
+        if kwargs.get("nargs") == "*":
+            value = draw(st.lists(st.sampled_from(["1", "-1", "4"]), max_size=3))
+        if not name.startswith("-"):
+            argv.append(value)
+        elif kwargs.get("required") or draw(st.booleans()):
+            argv.append([name] + value)
+    argv = [verb] + [token for group in draw(st.permutations(argv)) for token in group]
+    own = [name for name, _kwargs in VERBS[verb][2] if name.startswith("-")]
+    tokens = st.one_of(_tokens(own), _TOKENS) if own else _TOKENS
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(1, len(argv)))
+        how = draw(st.sampled_from(["insert", "replace", "delete"]))
+        token = draw(tokens)
+        if how == "insert":
+            argv.insert(i, token)
+        elif i < len(argv):
+            argv[i:i + 1] = [token] if how == "replace" else []
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_command_lines())
+def test_reader_declines_or_reads_as_argparse(argv):
+    args = _parse(argv)
+    if args is None:
+        return
+    try:
+        with redirect_stderr(io.StringIO()), redirect_stdout(io.StringIO()):
+            expected = build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"argparse rejects {argv}, which the reader read")
+    assert vars(args) == vars(expected)
 
 
 @pytest.mark.parametrize("argv,missing", [
@@ -201,6 +340,17 @@ def test_suite_count_reaches_the_suite(monkeypatch, name, keyword):
         assert run(main, argv) == (0, "PASS 0/0\n", "")
     # an omitted --count leaves the suite's own default
     assert [c.get(keyword) for c in calls[:2]] == [200, 7] and keyword not in calls[2]
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_expand_order_must_be_positive(monkeypatch, value):
+    monkeypatch.setenv("COLUMNS", "200")
+    code, out, err = run(main, ["expand", "1/(1-z)", "--point", "zero", "--order", value])
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: kvertex expand ")
+    assert error == (f"kvertex expand: error: argument --order: "
+                     f"must be a positive integer, got '{value}'")
 
 
 @pytest.mark.parametrize("option,value", [("--count", "-1"), ("--count", "0"),

@@ -51,6 +51,22 @@ class TestOrderedPartitions:
         with pytest.raises(ValueError):
             ordered_partitions((0,), ST1)
 
+    def test_class_of_another_length_rejected(self):
+        # (2, 5) has rank 2 under the one-vertex data, which reads only 2
+        with pytest.raises(ValueError, match=r"class \(2, 5\) has 2 entries, but the "
+                                             r"stability data has 1 vertex"):
+            ordered_partitions((2, 5), ST1)
+        with pytest.raises(ValueError, match="has 2 vertices"):
+            ordered_partitions((1,), StabilityData.make((1, 1), (1, 0), {"k": (1, 1)}))
+
+    def test_negative_entry_rejected(self):
+        # it has no partitions, and forward_transform returned None for it
+        with pytest.raises(ValueError, match=r"class \(-2,\) has a negative entry"):
+            ordered_partitions((-2,), ST1)
+        st = StabilityData.make((1, 1), (1, 0), {"k": (1, 1)})
+        with pytest.raises(ValueError, match="negative"):
+            forward_transform(free_table([(1, 0)]), "k", (2, -1), st)
+
 
 class TestForwardTransform:
     def test_indecomposable_closed_form(self):
