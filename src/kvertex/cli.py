@@ -11,12 +11,11 @@ VERBS is the one table of the command line: each verb's help text, its
 readers use it.  `_parse` reads a well-formed line straight from the specs
 and returns the namespace argparse would give; building an argparse parser
 took about half the time of a short command line such as
-`kvertex residue "1/(1-z)^2"`.  When `_parse` declines a line (help, `--`,
-an abbreviation, any usage error), `main` builds the argparse parser of
-the named verb alone with `build_parser` (all nine verbs when the first
-argument names none), so help and error output are argparse's own and
-byte-identical to the all-verb parser.  No parser outlives a call, and
-`main` keeps no state between calls.
+`kvertex residue "1/(1-z)^2"`.  Only when `_parse` declines a line (help,
+`--`, an abbreviation, any usage error) does `main` build the argparse
+parser of all nine verbs with `build_parser`, so help and error output are
+argparse's own.  No parser outlives a call, and `main` keeps no state
+between calls.
 """
 from __future__ import annotations
 
@@ -63,10 +62,11 @@ def load_quiver(path: str) -> Quiver:
 
 
 def parse_class(text: str) -> tuple:
-    """A dimension vector `(d1,d2,...)` of integers; the parentheses may be
-    left out."""
+    """A dimension vector `d1,d2,...` of integers, bare or inside one pair of
+    parentheses."""
+    inner = text[1:-1] if text.startswith("(") and text.endswith(")") else text
     try:
-        return tuple(int(x) for x in text.strip("()").split(","))
+        return tuple(int(x) for x in inner.split(","))
     except ValueError:
         raise EvalError(f"bad class {text!r}; use (d1,d2,...) with integer entries") from None
 
@@ -333,28 +333,14 @@ VERBS = {
 }
 
 
-def build_parser(verb=None) -> argparse.ArgumentParser:
-    """The `kvertex` parser with every verb, or with `verb` alone.
-
-    A one-verb parser gives the subparsers the metavar that argparse
-    derives from all nine choices, so that the usage line of an error the
-    top-level parser reports (an unknown option after the verb) reads as
-    with every verb.  The all-verb parser passes no metavar: it would
-    replace `verb` in "required: verb" and "argument verb: invalid
-    choice"."""
+def build_parser() -> argparse.ArgumentParser:
+    """The `kvertex` argparse parser, with every verb of VERBS."""
     p = argparse.ArgumentParser(
         prog="kvertex",
         description="Exact engine for residues, multiplicative expansions and "
                     "vertex operations on quiver character rings.")
-    if verb is None:
-        sub = p.add_subparsers(dest="verb", required=True)
-        verbs = VERBS
-    else:
-        sub = p.add_subparsers(dest="verb", required=True,
-                               metavar="{" + ",".join(VERBS) + "}")
-        verbs = (verb,)
-    for name in verbs:
-        help_text, fn, specs = VERBS[name]
+    sub = p.add_subparsers(dest="verb", required=True)
+    for name, (help_text, fn, specs) in VERBS.items():
         verb_parser = sub.add_parser(name, help=help_text)
         for arg, kwargs in specs:
             verb_parser.add_argument(arg, **kwargs)
@@ -442,7 +428,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse(argv)
     if args is None:
-        args = build_parser(argv[0] if argv and argv[0] in VERBS else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

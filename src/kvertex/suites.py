@@ -392,6 +392,14 @@ def suite_wallcross_roundtrip():
     rs = [master_identity_residual(T1, T2, "k1", "k2", a, std) for a in alphas1]
     cases.append(("master residual vanishes for framings (2,)/(3,), totals <= 4",
                   all(r.is_zero() for r in rs), "; ".join(str(r) for r in rs if not r.is_zero())))
+    # two vertices of slopes 0 and 1: the splits across slopes are left out
+    sts = StabilityData.make((1, 1), (0, 1), {"k1": (1, 3), "k2": (2, 1)})
+    T1 = {a: forward_transform(Z2, "k1", a, sts) for a in alphas2}
+    T2 = {a: forward_transform(Z2, "k2", a, sts) for a in alphas2}
+    rs = [master_identity_residual(T1, T2, "k1", "k2", a, sts) for a in alphas2]
+    cases.append(("master residual vanishes for slopes (0,1), framings (1,3)/(2,1), "
+                  "totals <= 3", all(r.is_zero() for r in rs),
+                  "; ".join(str(r) for r in rs if not r.is_zero())))
     return cases
 
 

@@ -2,6 +2,11 @@
 nested-bracket transform from framed to unframed invariants, its
 upper-triangular inversion, and the two-framing master identity evaluator.
 
+Every sum runs over the equal-slope sub-classes of one class.  The forward
+transform and the inversion share one recursion on the last part of the
+ordered partitions (Reineke, Invent. Math. 2003), so they take polynomially
+many brackets where the partitions are exponentially many.
+
 Invariant tables map dimension vectors to Lie-algebra values, either free
 symbolic ones (Lyndon normal form) or quiver-realized degree-0 states whose
 bracket is the residue pairing.
@@ -11,15 +16,16 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .freelie import LieElement, tree_str
+from .freelie import LieElement
 from .quiver import GradedElement, lie_bracket
 
 
 class MissingEntryError(KeyError):
-    """An invariant table lacks a class required by the transform."""
+    """An invariant table lacks a class required by the transform; it names
+    the lexicographically first equal-slope sub-class that is missing."""
 
     def __init__(self, alpha):
         super().__init__(alpha)
@@ -73,14 +79,9 @@ class StabilityData:
         raise KeyError(f"unknown framing index {k!r}")
 
 
-def ordered_partitions(alpha, stability: StabilityData):
-    """All ordered tuples of nonzero classes summing to alpha with every
-    part of the same slope as alpha, in lexicographic order.
-
-    >>> st = StabilityData.make((1,), (0,), {"k": (1,)})
-    >>> ordered_partitions((2,), st)
-    [((1,), (1,)), ((2,),)]
-    """
+def _equal_slope_classes(alpha, stability: StabilityData) -> list:
+    """The nonzero classes b <= alpha (entrywise) of the slope of alpha, in
+    lexicographic order, so alpha comes last."""
     alpha = tuple(alpha)
     n = len(stability.rank_weights)
     if len(alpha) != n:
@@ -91,23 +92,29 @@ def ordered_partitions(alpha, stability: StabilityData):
     if all(a == 0 for a in alpha):
         raise ValueError("ordered partitions of the zero class are not defined")
     target = stability.slope(alpha)
-    candidates = []
-    for v in itertools.product(*(range(a + 1) for a in alpha)):
-        if any(v) and stability.slope(v) == target:
-            candidates.append(v)
-    candidates.sort()
-    out = []
+    return [b for b in itertools.product(*(range(a + 1) for a in alpha))
+            if any(b) and stability.slope(b) == target]
 
-    def rec(remaining, acc):
-        if not any(remaining):
-            out.append(tuple(acc))
-            return
-        for v in candidates:
-            if all(x <= r for x, r in zip(v, remaining)):
-                rec(tuple(r - x for r, x in zip(remaining, v)), acc + [v])
 
-    rec(alpha, [])
-    return out
+def _splits(classes) -> dict:
+    """Each equal-slope class b -> its splits (a, b - a), a in lex order."""
+    return {b: [(a, tuple(y - x for x, y in zip(a, b))) for a in classes
+                if a != b and all(x <= y for x, y in zip(a, b))] for b in classes}
+
+
+def ordered_partitions(alpha, stability: StabilityData):
+    """All ordered tuples of nonzero classes summing to alpha with every
+    part of the same slope as alpha, in lexicographic order.
+
+    >>> st = StabilityData.make((1,), (0,), {"k": (1,)})
+    >>> ordered_partitions((2,), st)
+    [((1,), (1,)), ((2,),)]
+    """
+    classes = _equal_slope_classes(alpha, stability)
+    parts: dict = {}
+    for b, splits in _splits(classes).items():
+        parts[b] = [(a,) + p for a, c in splits for p in parts[c]] + [(b,)]
+    return parts[classes[-1]]
 
 
 class QuiverState:
@@ -140,18 +147,12 @@ class QuiverState:
     def __eq__(self, other):
         return isinstance(other, QuiverState) and self.element == other.element
 
-    __hash__ = None
-
     def __str__(self):
         return str(self.element)
 
 
-def generator_name(alpha) -> str:
-    return "Z(" + ",".join(str(a) for a in alpha) + ")"
-
-
 def free_generator(alpha) -> LieElement:
-    return LieElement.generator(generator_name(alpha))
+    return LieElement.generator("Z(" + ",".join(str(a) for a in alpha) + ")")
 
 
 def free_table(alphas) -> dict:
@@ -159,28 +160,41 @@ def free_table(alphas) -> dict:
     return {tuple(a): free_generator(a) for a in alphas}
 
 
-def _nested_term(values, parts, lam1) -> object:
-    term = lam1 * values[parts[0]]
-    for a in parts[1:]:
-        term = values[a].bracket(term)
-    return term
+def _partition_sum(Z: dict, k, alpha, stability: StabilityData, first: int):
+    """sum_(n >= first) T_n(alpha)/n!, or None, where T_n(b) is the sum of
+    the n-part terms: T_1(b) = lambda_k(b) Z_b and
+    T_n(b) = sum_a [Z_a, T_(n-1)(b - a)] over the equal-slope splits of b."""
+    classes = _equal_slope_classes(alpha, stability)
+    alpha = classes[-1]
+    needed = classes if first == 1 else classes[:-1]
+    for b in needed:
+        if b not in Z:
+            raise MissingEntryError(b)
+    splits_of = _splits(classes)
+    level = {b: stability.frame_dim(k, b) * Z[b] for b in needed}
+    total, n = None, 1
+    while level:
+        if alpha in level:  # at n = 1 only when first == 1
+            term = Fraction(1, math.factorial(n)) * level[alpha]
+            total = term if total is None else total + term
+        n += 1
+        previous, level = level, {}
+        for b, splits in splits_of.items():
+            terms = [Z[a].bracket(previous[c]) for a, c in splits if c in previous]
+            if terms:
+                level[b] = sum(terms[1:], terms[0])
+    return total
 
 
 def forward_transform(Z: dict, k, alpha, stability: StabilityData):
     """sum over equal-slope ordered partitions of
     (1/n!) ad(Z_{a_n}) ... ad(Z_{a_2}) (lambda_k(a_1) Z_{a_1});
     the n=1 term is lambda_k(alpha) Z_alpha.
+
+    Z needs every equal-slope class b <= alpha; a MissingEntryError names
+    the lexicographically first one it lacks.
     """
-    alpha = tuple(alpha)
-    total = None
-    for parts in ordered_partitions(alpha, stability):
-        for a in parts:
-            if a not in Z:
-                raise MissingEntryError(a)
-        term = _nested_term(Z, parts, stability.frame_dim(k, parts[0]))
-        term = Fraction(1, math.factorial(len(parts))) * term
-        total = term if total is None else total + term
-    return total
+    return _partition_sum(Z, k, alpha, stability, 1)
 
 
 def invert_transform(Ztilde: dict, k, stability: StabilityData) -> dict:
@@ -189,16 +203,7 @@ def invert_transform(Ztilde: dict, k, stability: StabilityData) -> dict:
     """
     Z: dict = {}
     for alpha in sorted(Ztilde, key=lambda a: (sum(a), a)):
-        corr = None
-        for parts in ordered_partitions(alpha, stability):
-            if len(parts) == 1:
-                continue
-            for a in parts:
-                if a not in Z:
-                    raise MissingEntryError(a)
-            term = _nested_term(Z, parts, stability.frame_dim(k, parts[0]))
-            term = Fraction(1, math.factorial(len(parts))) * term
-            corr = term if corr is None else corr + term
+        corr = _partition_sum(Z, k, alpha, stability, 2)
         val = Ztilde[alpha] if corr is None else Ztilde[alpha] - corr
         Z[alpha] = Fraction(1, stability.frame_dim(k, alpha)) * val
     return Z
@@ -213,17 +218,14 @@ def master_identity_residual(Zt1: dict, Zt2: dict, k1, k2, alpha,
     slopes are left out, as in ordered_partitions: the tables that
     forward_transform makes from one Z satisfy the identity only within
     the slope class."""
-    alpha = tuple(alpha)
-    for table, key in ((Zt1, alpha), (Zt2, alpha)):
-        if key not in table:
-            raise MissingEntryError(key)
+    classes = _equal_slope_classes(alpha, stability)
+    alpha = classes[-1]
+    for table in (Zt1, Zt2):
+        if alpha not in table:
+            raise MissingEntryError(alpha)
     out = stability.frame_dim(k2, alpha) * Zt1[alpha] \
         - stability.frame_dim(k1, alpha) * Zt2[alpha]
-    target = stability.slope(alpha)
-    for a1 in itertools.product(*(range(a + 1) for a in alpha)):
-        a2 = tuple(x - y for x, y in zip(alpha, a1))
-        if not any(a1) or not any(a2) or stability.slope(a1) != target:
-            continue
+    for a1, a2 in _splits(classes)[alpha]:
         if a1 not in Zt1:
             raise MissingEntryError(a1)
         if a2 not in Zt2:
@@ -292,11 +294,7 @@ def parse_lie_text(text: str) -> LieElement:
 
     out = parse_term()
     while peek() in ("+", "-"):
-        if peek() == "+":
-            take()
-            out = out + parse_term()
-        else:
-            out = out + parse_term()  # sign handled inside parse_term
+        out = out + parse_term()  # parse_term reads the sign
     if peek() is not None:
         raise ValueError(f"trailing tokens: {tokens[idx:-1]}")
     return out

@@ -204,26 +204,37 @@ def test_unknown_vertex_in_a_grade():
     assert run_cli_error(argv) == (1, "error: bad grade 'ex': the quiver has no vertex 'x'\n")
 
 
-def test_non_integer_entry_in_a_grade():
-    argv = ["vertex", "--quiver", quiver("a2.quiver"), "--f", "1@(1,x)", "--g", "1@e2"]
+@pytest.mark.parametrize("grade", ["(1,x)", "((1,0))", "((1,0)", "(1,0))"])
+def test_non_integer_entry_in_a_grade(grade):
+    argv = ["vertex", "--quiver", quiver("a2.quiver"), "--f", f"1@{grade}", "--g", "1@e2"]
     assert run_cli_error(argv) == (
-        1, "error: bad class '(1,x)'; use (d1,d2,...) with integer entries\n")
+        1, f"error: bad class '{grade}'; use (d1,d2,...) with integer entries\n")
 
 
+# a class is d1,...,dn, bare or inside exactly one pair of parentheses
+@pytest.mark.parametrize("alpha", ["(1,", "((2", "(2))", "(2", "2)", "((2))", "()"])
 @pytest.mark.parametrize("action", ["forward", "master"])
-def test_malformed_wallcross_class(action):
-    argv = ["wallcross", action] + WALLCROSS_FILES + ["--k2", "k2", "--alpha", "(1,"]
+def test_malformed_wallcross_class(action, alpha):
+    argv = ["wallcross", action] + WALLCROSS_FILES + ["--k2", "k2", "--alpha", alpha]
     assert run_cli_error(argv) == (
-        1, "error: bad class '(1,'; use (d1,d2,...) with integer entries\n")
+        1, f"error: bad class '{alpha}'; use (d1,d2,...) with integer entries\n")
 
 
-def test_malformed_class_in_a_table(tmp_path):
+def test_class_bare_or_in_parentheses():
+    argv = ["wallcross", "forward"] + WALLCROSS_FILES + ["--alpha"]
+    assert run_cli(argv + ["2"]) == run_cli(argv + ["(2)"]) == (0, "4*Z(2)\n")
+    states = ["vertex", "--quiver", quiver("a2.quiver"), "--g", "1@e2", "--f"]
+    assert run_cli(states + ["1@(1,0)"]) == run_cli(states + ["1@e1"])
+
+
+@pytest.mark.parametrize("key", ["(2,x)", "((2)", "(2))"])
+def test_malformed_class_in_a_table(tmp_path, key):
     table = tmp_path / "table.json"
-    table.write_text('{"(1)": "Z(1)", "(2,x)": "Z(2)"}', encoding="utf-8")
+    table.write_text(f'{{"(1)": "Z(1)", "{key}": "Z(2)"}}', encoding="utf-8")
     argv = ["wallcross", "invert", "--stability", os.path.join(DATA, "stability.json"),
             "--table", str(table), "--k", "k1"]
     assert run_cli_error(argv) == (
-        1, "error: bad class '(2,x)'; use (d1,d2,...) with integer entries\n")
+        1, f"error: bad class '{key}'; use (d1,d2,...) with integer entries\n")
 
 
 def test_wallcross_class_of_another_length():

@@ -1,10 +1,10 @@
 """The command-line parser: `_parse` reads a line from the verb table as
-argparse does or declines it; `main` builds an argparse parser, of the verb
-it runs only, for declined lines alone, and every help text and argparse
-error it prints matches the parser with all nine verbs.  Also the usage
-errors `main` reports itself (`wallcross` options, `KVERTEX_SUITE_SEED`),
-the `suite --count` default, the positive `suite` sizes and expansion
-order, and what reading GOLDEN_CASES of test_cli.py imports.
+argparse does or declines it; `main` builds the argparse parser of all nine
+verbs for declined lines alone, and prints argparse's help and errors.
+Also the usage errors `main` reports itself (`wallcross` options,
+`KVERTEX_SUITE_SEED`), the `suite --count` default, the positive `suite`
+sizes and expansion order, and what reading GOLDEN_CASES of test_cli.py
+imports.
 
 Kept apart from test_cli.py: perfbench/workloads.py executes that file to
 read its GOLDEN_CASES, so its imports count in the `cli` workload."""
@@ -126,23 +126,18 @@ SUCCEEDING = [
 ]
 
 
-@pytest.mark.parametrize("argv", SUCCEEDING, ids=lambda argv: argv[0])
-def test_one_verb_parser_reads_as_the_all_verb_parser(argv):
-    assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
-
-
-def test_main_builds_a_fresh_parser_of_the_named_verb(monkeypatch):
-    # a well-formed line builds no parser; a line the reader declines builds
-    # a fresh parser of the named verb on each call
+def test_main_builds_a_parser_for_declined_lines_only(monkeypatch):
+    # well-formed lines build no parser; each line the reader declines
+    # builds a fresh all-verb parser
     built = []
 
-    def recording(verb=None):
-        parser = build_parser(verb)
-        built.append((verb, parser))
+    def recording():
+        parser = build_parser()
+        built.append(parser)
         return parser
 
     monkeypatch.setattr(cli, "build_parser", recording)
-    for argv in (["hopf", "star", "1", "1"], ["hopf", "pair", "3", "5"]):
+    for argv in SUCCEEDING + [argv for _name, argv in GOLDEN_CASES]:
         assert run(main, argv)[0] == 0
     assert built == []
     # a bad integer is left to argparse, which rejects it, and an
@@ -150,9 +145,10 @@ def test_main_builds_a_fresh_parser_of_the_named_verb(monkeypatch):
     assert run(main, ["hopf", "star", "x"])[0] == 2
     assert run(main, ["expand", "1/(1-z)", "--point", "zero", "--ord", "2"]) == (
         0, "1 + z + O(z^2)\n", "")
-    run(main, ["bogus"])
-    assert [verb for verb, _ in built] == ["hopf", "expand", None]
-    assert built[0][1] is not built[1][1]
+    assert run(main, ["bogus"])[0] == 2
+    assert len(built) == 3 and len({id(parser) for parser in built}) == 3
+    assert all(vars(parser.parse_args(argv)) == vars(_parse(argv))
+               for parser in built for argv in SUCCEEDING)
 
 
 # the goldens, the succeeding lines, and negative numbers, `=` forms,

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,16 @@ class TestForwardTransform:
             forward_transform(Z, "k", (2,), ST1)
         assert exc.value.alpha == (1,)
 
+    def test_missing_entry_is_the_lex_first_missing_class(self):
+        # the first partition with a missing part, ((0,1),(0,1),(1,0),(1,0)),
+        # misses (1,0); (0,2) comes first in lexicographic order
+        st = StabilityData.make((1, 1), (0, 0), {"k": (1, 3)})
+        Z = free_table(a for a in itertools.product(range(3), range(3))
+                       if any(a) and a not in ((1, 0), (0, 2)))
+        with pytest.raises(MissingEntryError) as exc:
+            forward_transform(Z, "k", (2, 2), st)
+        assert exc.value.alpha == (0, 2)
+
 
 class TestInversion:
     def test_roundtrip_one_vertex_total_4(self):
@@ -119,6 +130,14 @@ class TestInversion:
         Z2 = dict(Z)
         Z2[(3,)] = Z2[(3,)] + free_generator((1,))
         assert forward_transform(Z2, "k", (2,), ST1) == base
+
+    def test_missing_entry_is_the_lex_first_missing_class(self):
+        # (1,2) lacks (0,2) and (1,1); its first partition with a missing part,
+        # ((0,1),(1,1)), misses (1,1)
+        st = StabilityData.make((1, 1), (0, 0), {"k": (1, 3)})
+        with pytest.raises(MissingEntryError) as exc:
+            invert_transform(free_table([(0, 1), (1, 0), (1, 2)]), "k", st)
+        assert exc.value.alpha == (0, 2)
 
     def test_linear_in_table(self):
         alphas = [(1,), (2,)]
@@ -183,6 +202,132 @@ class TestMasterIdentity:
         T = free_table([(2,)])
         with pytest.raises(MissingEntryError):
             master_identity_residual(T, T, "k1", "k2", (2,), st)
+
+
+def _enumerated_partitions(alpha, stability):
+    """The equal-slope ordered partitions of alpha by depth-first search over
+    the sorted candidate parts, as ordered_partitions once listed them."""
+    target = stability.slope(alpha)
+    candidates = sorted(v for v in itertools.product(*(range(a + 1) for a in alpha))
+                        if any(v) and stability.slope(v) == target)
+    out = []
+
+    def rec(remaining, acc):
+        if not any(remaining):
+            out.append(tuple(acc))
+        for v in candidates:
+            if all(x <= r for x, r in zip(v, remaining)):
+                rec(tuple(r - x for r, x in zip(remaining, v)), acc + [v])
+
+    rec(tuple(alpha), [])
+    return out
+
+
+def _partition_by_partition(Z, k, alpha, stability, first=1):
+    """sum over the enumerated partitions of n >= first parts of
+    (1/n!) ad(Z_{a_n}) ... ad(Z_{a_2}) (lambda_k(a_1) Z_{a_1}), one
+    nested term per partition."""
+    total = None
+    for parts in _enumerated_partitions(alpha, stability):
+        if len(parts) < first:
+            continue
+        term = stability.frame_dim(k, parts[0]) * Z[parts[0]]
+        for a in parts[1:]:
+            term = Z[a].bracket(term)
+        term = Fraction(1, math.factorial(len(parts))) * term
+        total = term if total is None else total + term
+    return total
+
+
+def _invert_by_partitions(Ztilde, k, stability):
+    Z = {}
+    for alpha in sorted(Ztilde, key=lambda a: (sum(a), a)):
+        corr = _partition_by_partition(Z, k, alpha, stability, first=2)
+        val = Ztilde[alpha] if corr is None else Ztilde[alpha] - corr
+        Z[alpha] = Fraction(1, stability.frame_dim(k, alpha)) * val
+    return Z
+
+
+def _master_by_product(Zt1, Zt2, k1, k2, alpha, stability):
+    out = stability.frame_dim(k2, alpha) * Zt1[alpha] \
+        - stability.frame_dim(k1, alpha) * Zt2[alpha]
+    for a1 in itertools.product(*(range(a + 1) for a in alpha)):
+        a2 = tuple(x - y for x, y in zip(alpha, a1))
+        if any(a1) and any(a2) and stability.slope(a1) == stability.slope(alpha):
+            out = out + Zt1[a1].bracket(Zt2[a2])
+    return out
+
+
+def _classes(*bounds, total):
+    return [a for a in itertools.product(*(range(b + 1) for b in bounds))
+            if 0 < sum(a) <= total]
+
+
+TWO_SLOPES = {"k": (1, 3), "j": (2, 1)}
+
+
+class TestRecursionAgainstPartitions:
+    """The recursion over sub-classes prints what the sum over enumerated
+    partitions prints, in both modes."""
+
+    @pytest.mark.parametrize("stability,alphas,quiver_mode", [
+        pytest.param(StabilityData.make((1,), (0,), {"k": (2,), "j": (5,)}),
+                     _classes(8, total=8), False, id="one vertex"),
+        pytest.param(StabilityData.make((1, 1), (0, 0), TWO_SLOPES), _classes(5, 5, total=5),
+                     False, id="slopes (0,0)"),
+        pytest.param(StabilityData.make((1, 1), (0, 1), TWO_SLOPES), _classes(5, 5, total=5),
+                     False, id="slopes (0,1)"),
+        pytest.param(StabilityData.make((1, 1), (0, 0), TWO_SLOPES), _classes(3, 3, total=3),
+                     True, id="A2 quiver, slopes (0,0)"),
+        pytest.param(StabilityData.make((1, 1), (0, 1), TWO_SLOPES), _classes(3, 3, total=3),
+                     True, id="A2 quiver, slopes (0,1)"),
+    ])
+    def test_same_text(self, stability, alphas, quiver_mode):
+        if quiver_mode:
+            q = a2_quiver()
+            Z = {a: QuiverState(GradedElement.unit(q, a)) for a in alphas}
+        else:
+            Z = free_table(alphas)
+        fk = {a: forward_transform(Z, "k", a, stability) for a in alphas}
+        assert [str(fk[a]) for a in alphas] == \
+            [str(_partition_by_partition(Z, "k", a, stability)) for a in alphas]
+        inverse = invert_transform(Z, "j", stability)
+        expected = _invert_by_partitions(Z, "j", stability)
+        assert [str(inverse[a]) for a in alphas] == [str(expected[a]) for a in alphas]
+        assert [str(master_identity_residual(Z, fk, "j", "k", a, stability)) for a in alphas] \
+            == [str(_master_by_product(Z, fk, "j", "k", a, stability)) for a in alphas]
+
+    @pytest.mark.parametrize("rank,slope,bounds", [
+        ((1,), (0,), (7,)),
+        ((1, 1), (0, 0), (3, 3)),
+        ((1, 1), (0, 1), (3, 3)),
+        ((2, 1), (1, 0), (3, 3)),
+        ((1, 2, 1), (0, 1, 0), (2, 2, 2)),
+    ])
+    def test_ordered_partitions_in_the_enumerated_order(self, rank, slope, bounds):
+        st = StabilityData.make(rank, slope, {"k": (1,) * len(rank)})
+        for alpha in _classes(*bounds, total=sum(bounds)):
+            assert ordered_partitions(alpha, st) == _enumerated_partitions(alpha, st), alpha
+
+    def test_brackets_grow_polynomially(self, monkeypatch):
+        calls = []
+        bracket = LieElement.bracket
+
+        def counting(self, other):
+            calls.append(1)
+            return bracket(self, other)
+
+        monkeypatch.setattr(LieElement, "bracket", counting)
+        forward_transform(free_table(_classes(12, total=12)), "k", (12,), ST1)
+        # 2,048 partitions, 11,264 brackets term by term
+        assert len(calls) <= 300
+
+    def test_roundtrip_at_5_5(self):
+        st = StabilityData.make((1, 1), (0, 0), {"k": (1, 3)})
+        alphas = _classes(5, 5, total=10)
+        Z = free_table(alphas)
+        rec = invert_transform({a: forward_transform(Z, "k", a, st) for a in alphas}, "k", st)
+        assert all(rec[a] == Z[a] for a in alphas)
 
 
 class TestQuiverModeAgreement:
