@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .scalars import exact
+from .scalars import exact, signed_sum
 
 
 def tree_word(t) -> tuple:
@@ -172,10 +172,7 @@ class LieElement:
                 parts.append("-" + body)
             else:
                 parts.append(f"{c}*{body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return signed_sum(parts)
 
     def __repr__(self):
         return f"<LieElement {self}>"

@@ -13,12 +13,30 @@ import math
 from fractions import Fraction
 
 from .laurent import LaurentPoly
-from .scalars import exact, generalized_binomial
+from .scalars import exact, generalized_binomial, signed_sum
 from .series import FormalSeries
 
 
 def _clean(d: dict) -> dict:
     return {k: c for k, c in d.items() if c}
+
+
+def _power_sum_str(coeffs: dict, name: str) -> str:
+    """sum_k c_k name^k as text, the highest power first."""
+    if not coeffs:
+        return "0"
+    parts = []
+    for k in sorted(coeffs, reverse=True):
+        c = coeffs[k]
+        if not k:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(f"{name}^{k}")
+        elif c == -1:
+            parts.append(f"-{name}^{k}")
+        else:
+            parts.append(f"{c}*{name}^{k}")
+    return signed_sum(parts)
 
 
 class PhiElement:
@@ -65,24 +83,7 @@ class PhiElement:
         return bool(self.coeffs)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[k]
-            body = f"phi^{k}" if k else "1"
-            if c == 1 and k:
-                parts.append(body)
-            elif c == -1 and k:
-                parts.append("-" + body)
-            elif k:
-                parts.append(f"{c}*{body}")
-            else:
-                parts.append(str(c))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return _power_sum_str(self.coeffs, "phi")
 
     def __repr__(self):
         return f"<PhiElement {self}>"
@@ -212,10 +213,7 @@ class NumericalPoly:
                 parts.append("-" + body)
             else:
                 parts.append(f"{c}*{body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return signed_sum(parts)
 
 
 def _binomial_poly(k: int) -> NumericalPoly:
@@ -304,24 +302,7 @@ class XiElement:
     __hash__ = None
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[k]
-            body = f"xi^{k}" if k else "1"
-            if c == 1 and k:
-                parts.append(body)
-            elif c == -1 and k:
-                parts.append("-" + body)
-            elif k:
-                parts.append(f"{c}*{body}")
-            else:
-                parts.append(str(c))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return _power_sum_str(self.coeffs, "xi")
 
     def __repr__(self):
         return f"<XiElement {self}>"

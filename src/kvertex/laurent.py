@@ -40,7 +40,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .scalars import RATIONAL, Cyclo, exact, scalar_inv, scalar_pow, scalar_str
+from .scalars import RATIONAL, Cyclo, exact, scalar_inv, scalar_pow, scalar_str, signed_sum
 
 
 # -- the variable registry and the packed keys -------------------------------
@@ -629,10 +629,7 @@ class LaurentPoly:
                 parts.append("-" + _mono_text(pairs))
             else:
                 parts.append(f"{cs}*{_mono_text(pairs)}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return signed_sum(parts)
 
     def __repr__(self):
         return f"<LaurentPoly {self}>"
@@ -852,19 +849,15 @@ def distinct_permutations(seq):
     yield from rec(tuple(seq))
 
 
-def symmetrize(p: LaurentPoly, blocks, normalization: str = "orbit_sum") -> LaurentPoly:
-    """Sum of p over the product of symmetric groups permuting each block.
-
-    orbit_sum is the full group sum (|S_b1| x |S_b2| x ... terms, counted
-    with stabilizers so only distinct images are enumerated); averaged
-    divides by the group order and is idempotent.
+def symmetrize(p: LaurentPoly, blocks) -> LaurentPoly:
+    """Sum of p over the product of symmetric groups permuting each block:
+    the full group sum of |S_b1| x |S_b2| x ... terms, counted with
+    stabilizers so only distinct images are enumerated.
 
     >>> p = LaurentPoly.var("s1")
     >>> str(symmetrize(p, [["s1", "s2"]]))
     's1 + s2'
     """
-    if normalization not in ("orbit_sum", "averaged"):
-        raise ValueError(f"unknown normalization {normalization!r}")
     seen: set = set()
     for block in blocks:
         for v in block:
@@ -872,11 +865,9 @@ def symmetrize(p: LaurentPoly, blocks, normalization: str = "orbit_sum") -> Laur
                 raise ValueError(f"variable {v!r} appears in more than one block")
             seen.add(v)
     result = p
-    group_order = 1
     for block in blocks:
         shifts = [_shift(v) for v in block]
         h = _HALVES
-        group_order *= math.factorial(len(block))
         out: dict = {}
         for m, c in result.terms.items():
             # the block's fields are permuted; the others stay in place
@@ -888,7 +879,5 @@ def symmetrize(p: LaurentPoly, blocks, normalization: str = "orbit_sum") -> Laur
             for img in images:
                 _acc(out, rest + sum(e << s for e, s in zip(img, shifts)), cc)
         result = LaurentPoly(out, result.exp_den)
-    if normalization == "averaged":
-        result = result * Fraction(1, group_order)
     return result
 

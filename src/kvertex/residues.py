@@ -34,10 +34,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction, _acc
 from .scalars import generalized_binomial
-from .series import (RationalFunction, _expand_raw, _to_u, expand_at, split_poles,
+from .series import (RationalFunction, _expand_raw, _u_digits, expand_at, split_poles,
                      unit_value)
 
 
@@ -163,7 +164,10 @@ def _rho(num: dict, poles) -> LaurentPoly:
 def residue_naive(f: RationalFunction):
     """-Res_{z=1}(z^-1 f(z) dz), read off the multiplicative expansion:
     with u = 1-z the value is the u^-1 coefficient of z^-1 f (the sign from
-    dz = -du cancels against (z-1)^-1 = -u^-1).
+    dz = -du cancels against (z-1)^-1 = -u^-1).  The expansion keeps as many
+    places as the pole's order `depth` from the numerator's valuation v0 at
+    z=1, so it is exact below u^v0 and reaches u^-1; a zero numerator is
+    answered before expanding, as its u-digits never turn nonzero.
 
     Returns a LaurentPoly when polynomial in the characters, else the exact
     PolyFraction.
@@ -175,9 +179,8 @@ def residue_naive(f: RationalFunction):
     """
     g = f.shift(-1)
     depth = g.unit_pole_depth()
-    if depth == 0:
+    if depth == 0 or g.is_zero():
         return LP_ZERO
-    # the z=1 expansion with `depth` places is exact below u^0
     c = _expand_raw(g, "one", depth)[0].get(-1)
     if c is None:
         return LP_ZERO
@@ -324,7 +327,7 @@ def diagonal_w_side_residue(a_pow: int, s: Monomial, n: int, pivots, w_order: in
         return acc
 
     wpows = {e - a_pow: c for e, c in horner([]).split_var(_W).items()}
-    return {j: c for j, c in _to_u(wpows, w_order).items() if c}
+    return {j: c for j, c in enumerate(islice(_u_digits(wpows), w_order)) if c}
 
 
 def diagonal_z_side_residues(a_pow: int, s: Monomial, n: int, pivots, order: int) -> list:

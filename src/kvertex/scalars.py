@@ -365,10 +365,7 @@ class Cyclo:
                 parts.append(f"-zeta{self.order}^{k}")
             else:
                 parts.append(f"{c}*zeta{self.order}^{k}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return signed_sum(parts)
 
 
 def root_of_unity(order: int, j: int):
@@ -409,3 +406,12 @@ def scalar_str(c) -> str:
         s = str(c)
         return f"({s})" if (" + " in s or " - " in s) else s
     return str(c)
+
+
+def signed_sum(parts) -> str:
+    """The printed terms joined by " + ", or by " - " before a term that
+    starts with a minus sign, whose sign it takes."""
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out

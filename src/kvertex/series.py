@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 from .laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction
-from .scalars import RATIONAL, Cyclo, cyclo_root, generalized_binomial, scalar_inv, scalar_pow
+from .scalars import (RATIONAL, Cyclo, cyclo_root, generalized_binomial, scalar_inv, scalar_pow,
+                      signed_sum)
 
 POINTS = ("zero", "infinity", "one")
 
@@ -380,12 +382,7 @@ class FormalSeries:
                 if " " in cs or "/" in cs:
                     cs = f"({cs})"
                 parts.append(f"{cs}*{self._upow(k)}")
-        if not parts:
-            body = "0"
-        else:
-            body = parts[0]
-            for p in parts[1:]:
-                body += " - " + p[1:] if p.startswith("-") else " + " + p
+        body = signed_sum(parts) if parts else "0"
         return f"{body} + O({self._upow(self.trunc)})"
 
     def __repr__(self):
@@ -404,12 +401,8 @@ def expand_at(f: RationalFunction, point: str, order: int) -> FormalSeries:
     of f(z^-1) and the series' c^-j are multiplied apart), so its text
     can differ from that of the termwise expansion.
 
-    _expand_raw(f, point, n) is exact below its bound, n places above the
-    valuation of the denominator's expansion.  So one call gives `order`
-    coefficients unless the numerator vanishes at the point, which only
-    happens at z=1; then the call is repeated with more places.  The
-    numerator vanishes there to an order no larger than its z-degree span,
-    so the retries end.
+    One call of _expand_raw, which keeps `order` places from the exact
+    valuation of the numerator at the point.
 
     >>> f = RationalFunction.one_over_factor("z", 0, MONO_ONE)
     >>> str(expand_at(f, "zero", 3))
@@ -424,15 +417,8 @@ def expand_at(f: RationalFunction, point: str, order: int) -> FormalSeries:
     if f.is_zero():
         return FormalSeries(point, f.var, {}, order)
     g, at = (_inverted(f), "zero") if point == "infinity" else (f, point)
-    zdegs = [m.exponent(f.var) for m in f.num.monomials()]
-    span = max(zdegs) - min(zdegs)
-    slack = 0
-    while True:
-        coeffs, tbound = _expand_raw(g, at, order + slack)
-        if coeffs and tbound - min(coeffs) >= order:
-            t = min(coeffs) + order
-            return FormalSeries(point, f.var, {k: c for k, c in coeffs.items() if k < t}, t)
-        slack = min(slack * 2 + order, span)
+    coeffs, tbound = _expand_raw(g, at, order)
+    return FormalSeries(point, f.var, coeffs, tbound)
 
 
 def _inverted(f: RationalFunction) -> RationalFunction:
@@ -443,9 +429,12 @@ def _inverted(f: RationalFunction) -> RationalFunction:
 
 
 def _expand_raw(f: RationalFunction, point: str, order: int):
-    """The expansion of f at the point "zero" or "one" as
-    ({index: coefficient}, tbound): exact below tbound, which is `order`
-    above the valuation of the expansion of the denominator alone."""
+    """The expansion of f, numerator not zero, at the point "zero" or "one"
+    as ({index: coefficient}, tbound).  It keeps `order` places from the
+    numerator's exact valuation v0 at the point (its lowest z-power, or its
+    first nonzero u-digit), so its leading coefficient is at v0 minus the
+    denominator's valuation and it is exact below tbound, `order` places
+    above that."""
     num_split = f.num.split_var(f.var)
     if point == "zero":
         v0 = min(num_split)
@@ -460,41 +449,46 @@ def _expand_raw(f: RationalFunction, point: str, order: int):
             ser = _ser_mul(ser, fac, tbound)
         return ser, tbound
 
-    # point == "one": series in u = 1-z; coefficients live in the fraction field
-    tbound = order - f.unit_pole_depth()
-    ser = _to_u(num_split, order)
-    # `order` - v0 places from the valuation v0; each factor u that a
-    # (1 - z^n) strips lowers the valuation, so they end below tbound
-    v0 = min((j for j, c in ser.items() if c), default=order)
-    useries = USeries(v0, [ser.get(j, LP_ZERO) for j in range(v0, order)])
+    # point == "one": series in u = 1-z; coefficients live in the fraction
+    # field.  Each factor u that a (1 - z^n) strips lowers the valuation.
+    digits = enumerate(_u_digits(num_split))
+    v0, lead = next(digits)
+    while not lead:
+        v0, lead = next(digits)
+    useries = USeries(v0, [lead] + [c for _j, c in islice(digits, order - 1)])
     for (a, m, n), e in f.den.items():
         # 1 - u_root*m*(1-u)^n as a u-polynomial
         c = unit_value(a, m)
         base = [LP_ONE - c] + [c * (generalized_binomial(n, j) * (-1) ** (j + 1))
                                for j in range(1, n + 1)]
         useries = useries.divide(base, e)
-    return dict(useries.items()), tbound
+    return dict(useries.items()), v0 + order - f.unit_pole_depth()
 
 
-def _to_u(zpows: dict, order: int) -> dict:
-    """sum_k p_k z^k for zpows = {k: p_k} in the basis u = 1 - z, as
-    {j: coefficient} for j < order, zero sums kept: z^k = (1 - u)^k =
-    sum_j d_j u^j, d_j = (-1)^j binom(k, j), so d_0 = 1 and d_(j+1) =
-    d_j (j - k) / (j + 1) in ints; the sum ends at j = k if k >= 0.  With
-    p_k = A_k a^-k these are the digits of sum_k A_k z^k in w = 1 - a z.
+def _u_digits(zpows: dict):
+    """The digits of sum_k p_k z^k for zpows = {k: p_k} in the basis
+    u = 1 - z, one place at a time and without end, zero sums included:
+    z^k = (1 - u)^k = sum_j d_j u^j, d_j = (-1)^j binom(k, j), so d_0 = 1
+    and d_(j+1) = d_j (j - k) / (j + 1) in ints; z^k leaves the sum after
+    j = k if k >= 0.  With p_k = A_k a^-k these are the digits of
+    sum_k A_k z^k in w = 1 - a z.
 
-    >>> {j: str(c) for j, c in _to_u({-1: LP_ONE, 2: LP_ONE}, 3).items()}
-    {0: '2', 1: '-1', 2: '2'}
+    >>> [str(c) for c in islice(_u_digits({-1: LP_ONE, 2: LP_ONE}), 4)]
+    ['2', '-1', '2', '1']
     """
-    ser: dict = {}
-    for k, p in zpows.items():
-        d = 1
-        for j in range(order if k < 0 else min(order, k + 1)):
+    live = [(k, p, 1) for k, p in zpows.items()]
+    j = 0
+    while True:
+        acc, kept = None, []
+        for k, p, d in live:
             term = p * d
-            acc = ser.get(j)
-            ser[j] = term if acc is None else acc + term
+            acc = term if acc is None else acc + term
             d = d * (j - k) // (j + 1)
-    return ser
+            if d:
+                kept.append((k, p, d))
+        yield LP_ZERO if acc is None else acc
+        live = kept
+        j += 1
 
 
 # -- partial fractions --------------------------------------------------------------
@@ -525,8 +519,8 @@ class PartialFractions:
         R = N - Q D must have its z-powers in [0, deg D), as the sum has.
         Then R equals the sum once they agree modulo every (1 - a z)^m in
         D (Chinese remainder theorem).  Modulo it the terms at the other
-        poles vanish, and in base w = 1 - a z (digits from _to_u) the first
-        m digits must satisfy R_i = sum_t A_t (D / w^m)_(i - m + m_t).
+        poles vanish, and in base w = 1 - a z (digits from _u_digits) the
+        first m digits must satisfy R_i = sum_t A_t (D / w^m)_(i - m + m_t).
         """
         poles, roots, D, _L = _cover(f)
         R = dict(f.num.split_var(f.var))
@@ -540,13 +534,14 @@ class PartialFractions:
            any(t.mult > poles.get((t.angle, t.mono), 0) for t in self.terms):
             return False
         for pole, m in poles.items():
-            r, d = (_to_u({k: c * unit_value(*pole, -k) for k, c in A.items()}, m)
+            r, d = (list(islice(_u_digits({k: c * unit_value(*pole, -k)
+                                           for k, c in A.items()}), m))
                     for A in (R, _divide_out(D, roots[pole], m)))
             for i in range(m):
-                rhs = sum((t.coeff * d.get(i - m + t.mult, LP_ZERO) for t in self.terms
+                rhs = sum((t.coeff * d[i - m + t.mult] for t in self.terms
                            if (t.angle, t.mono) == pole and i - m + t.mult >= 0),
                           PolyFraction.of(LP_ZERO))
-                if not rhs == r.get(i, LP_ZERO):
+                if not rhs == r[i]:
                     return False
         return True
 

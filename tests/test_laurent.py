@@ -179,13 +179,15 @@ def test_symmetrize_examples():
     p2 = z * LaurentPoly.var("s1") * LaurentPoly.var("s2")
     assert symmetrize(p2, [["s1", "s2"]]) == 2 * p2
     sym = symmetrize(LaurentPoly.var("s1", 2) * LaurentPoly.var("s2", -1), [["s1", "s2"]])
-    assert symmetrize(sym, [["s1", "s2"]], "averaged") == sym
+    assert symmetrize(sym, [["s1", "s2"]]) == 2 * sym
 
 
-def test_symmetrize_averaged_idempotent():
-    p = LaurentPoly.var("s1", 2) + 3 * LaurentPoly.var("s2") * t
-    once = symmetrize(p, [["s1", "s2"]], "averaged")
-    assert symmetrize(once, [["s1", "s2"]], "averaged") == once
+def test_symmetrize_of_symmetric_scales_by_group_order():
+    # the group sum of a symmetric polynomial is |S_2| x |S_3| copies of it
+    p = LaurentPoly.var("s1", 2) + 3 * LaurentPoly.var("s2") * t * LaurentPoly.var("a1", -1)
+    blocks = [["s1", "s2"], ["a1", "a2", "a3"]]
+    once = symmetrize(p, blocks)
+    assert symmetrize(once, blocks) == 12 * once
 
 
 def test_symmetrize_rejects_overlapping_blocks():

@@ -670,3 +670,12 @@ def test_coset_renamings_are_bijections_of_the_union_names():
                 for a, b in zip(alpha, beta):
                     count *= generalized_binomial(a + b, a)
                 assert len(seen) == len(cosets) == count, (alpha, beta)
+
+
+def test_zero_numerator_with_a_pole_at_one_has_zero_residues():
+    # the u-digits of a zero numerator never turn nonzero, so the residues
+    # at z=1 must answer before expanding
+    f = rf(LP_ZERO, [(0, MONO_ONE, 1, 2), (0, MONO_ONE, 3, 1)])
+    assert residue_naive(f) == LP_ZERO
+    assert local_residue_at_root(f, Fraction(0)) == LP_ZERO
+    assert local_residue_at_root(f, Fraction(1, 3)) == LP_ZERO

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from kvertex.exprparse import parse_rational
-from kvertex.laurent import LP_ONE, MONO_ONE, LaurentPoly, Monomial, PolyFraction
+from kvertex.laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction
 from kvertex.residues import residue_k
 from kvertex.scalars import Cyclo, generalized_binomial
-from kvertex.series import (FormalSeries, RationalFunction, _ser_mul, expand_at,
-                            partial_fractions, unit_value)
+from kvertex.series import (FormalSeries, RationalFunction, USeries, _ser_mul, _u_digits,
+                            expand_at, partial_fractions, unit_value)
 from kvertex.suites import random_rational
 
 Z = LaurentPoly.var("z")
@@ -109,9 +109,84 @@ def test_expand_at_one_of_inverse_z():
 
 
 def test_expand_at_one_numerator_vanishing_to_high_order():
-    # the retries at z=1 end once the slack reaches the numerator's z-degree span
+    # the u-digits of the numerator are read up to its valuation 390
     f = RationalFunction.from_poly((1 - Z) ** 390)
     assert str(expand_at(f, "one", 1)) == "(1-z)^390 + O((1-z)^391)"
+
+
+def test_expand_at_one_reads_the_digit_stream_once(monkeypatch):
+    from kvertex import series
+    starts = []
+
+    def counting(zpows):
+        starts.append(len(zpows))
+        return _u_digits(zpows)
+
+    monkeypatch.setattr(series, "_u_digits", counting)
+    f = RationalFunction.from_poly((1 - Z) ** 390)
+    assert str(expand_at(f, "one", 1)) == "(1-z)^390 + O((1-z)^391)"
+    assert starts == [391]
+
+
+def _expand_at_one_by_retries(f, order):
+    """The expansion at z=1 as expand_at computed it before it read the
+    numerator's exact valuation: the numerator's u-digits below a guessed
+    count of places, retried with the slack doubled up to the numerator's
+    z-degree span until `order` coefficients come out."""
+    def to_u(zpows, count):
+        ser = {}
+        for k, p in zpows.items():
+            d = 1
+            for j in range(count if k < 0 else min(count, k + 1)):
+                ser[j] = p * d if j not in ser else ser[j] + p * d
+                d = d * (j - k) // (j + 1)
+        return ser
+
+    def raw(count):
+        ser = to_u(f.num.split_var(f.var), count)
+        v0 = min((j for j, c in ser.items() if c), default=count)
+        useries = USeries(v0, [ser.get(j, LP_ZERO) for j in range(v0, count)])
+        for (a, m, n), e in f.den.items():
+            c = unit_value(a, m)
+            base = [LP_ONE - c] + [c * (generalized_binomial(n, j) * (-1) ** (j + 1))
+                                   for j in range(1, n + 1)]
+            useries = useries.divide(base, e)
+        return dict(useries.items()), count - f.unit_pole_depth()
+
+    zdegs = [m.exponent(f.var) for m in f.num.monomials()]
+    span = max(zdegs) - min(zdegs)
+    slack = 0
+    while True:
+        coeffs, tbound = raw(order + slack)
+        if coeffs and tbound - min(coeffs) >= order:
+            t = min(coeffs) + order
+            return FormalSeries("one", f.var, {k: c for k, c in coeffs.items() if k < t}, t)
+        slack = min(slack * 2 + order, span)
+
+
+def test_expand_at_one_matches_the_retry_route(suite_seed):
+    # numerators (1-z)^k N, N with negative and positive z-powers and
+    # character coefficients, over factors with and without characters
+    rnd = random.Random(suite_seed)
+    chars = [MONO_ONE, T, Monomial.var("s"), T * Monomial.var("s", -1)]
+    vanishing = 0
+    for _ in range(24):
+        N = LP_ZERO
+        for _i in range(rnd.randint(1, 4)):
+            coeff = LaurentPoly.term(rnd.choice([1, -1, 2, -3, Fraction(1, 2)]), rnd.choice(chars))
+            N = N + coeff * LaurentPoly.var("z", rnd.randint(-4, 4))
+        if N.is_zero():
+            continue
+        k = rnd.randint(0, 40)
+        factors = [(rnd.choice([0, 0, Fraction(1, 2)]), rnd.choice(chars),
+                    rnd.randint(1, 3), rnd.randint(1, 2))
+                   for _i in range(rnd.randint(0, 3))]
+        f = RationalFunction("z", N * (1 - Z) ** k, factors)
+        vanishing += k > 0
+        for order in range(1, 7):
+            assert str(expand_at(f, "one", order)) == str(_expand_at_one_by_retries(f, order)), \
+                (str(f), order)
+    assert vanishing
 
 
 def test_expand_at_one_against_sympy(suite_seed):
