@@ -164,10 +164,12 @@ def _rho(num: dict, poles) -> LaurentPoly:
 def residue_naive(f: RationalFunction):
     """-Res_{z=1}(z^-1 f(z) dz), read off the multiplicative expansion:
     with u = 1-z the value is the u^-1 coefficient of z^-1 f (the sign from
-    dz = -du cancels against (z-1)^-1 = -u^-1).  The expansion keeps as many
-    places as the pole's order `depth` from the numerator's valuation v0 at
-    z=1, so it is exact below u^v0 and reaches u^-1; a zero numerator is
-    answered before expanding, as its u-digits never turn nonzero.
+    dz = -du cancels against (z-1)^-1 = -u^-1).  With `depth` the pole's
+    order, u^-1 is kept only when the numerator's valuation v0 at z=1 is
+    below depth, which the first depth u-digits of the numerator show; a
+    zero numerator, whose digits never turn nonzero, is answered there too.
+    Otherwise the expansion keeps depth places from v0, so it is exact
+    below u^v0 and reaches u^-1.
 
     Returns a LaurentPoly when polynomial in the characters, else the exact
     PolyFraction.
@@ -179,7 +181,7 @@ def residue_naive(f: RationalFunction):
     """
     g = f.shift(-1)
     depth = g.unit_pole_depth()
-    if depth == 0 or g.is_zero():
+    if depth == 0 or not any(islice(_u_digits(g.num.split_var(g.var)), depth)):
         return LP_ZERO
     c = _expand_raw(g, "one", depth)[0].get(-1)
     if c is None:

@@ -12,7 +12,7 @@ from kvertex.residues import (K_THEORY, NAIVE, ResidueKind, _pole_series, constr
                               residue_coh, residue_k, residue_k_oracle, residue_naive,
                               rho_simple_product)
 from kvertex.scalars import Cyclo, generalized_binomial, root_of_unity
-from kvertex.series import (RationalFunction, _inverted, _ser_mul, expand_at,
+from kvertex.series import (RationalFunction, _inverted, _ser_mul, _u_digits, expand_at,
                             partial_fractions, unit_value)
 
 T = Monomial.var("t")
@@ -670,6 +670,23 @@ def test_coset_renamings_are_bijections_of_the_union_names():
                 for a, b in zip(alpha, beta):
                     count *= generalized_binomial(a + b, a)
                 assert len(seen) == len(cosets) == count, (alpha, beta)
+
+
+def test_residue_naive_reads_depth_digits_of_a_numerator_vanishing_at_one(monkeypatch):
+    # v0 = 400 >= depth = 2: the residue is 0 after two u-digits, not after
+    # reading the numerator up to its valuation
+    from kvertex import residues
+    drawn = []
+
+    def counting(zpows):
+        for c in _u_digits(zpows):
+            drawn.append(c)
+            yield c
+
+    monkeypatch.setattr(residues, "_u_digits", counting)
+    f = rf((LP_ONE - LaurentPoly.var("z")) ** 400, [(0, MONO_ONE, 1, 2)])
+    assert residue_naive(f) == LP_ZERO
+    assert len(drawn) == 2
 
 
 def test_zero_numerator_with_a_pole_at_one_has_zero_residues():
