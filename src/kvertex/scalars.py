@@ -8,11 +8,18 @@ the N-th cyclotomic polynomial (d = deg Phi_N), over one positive common
 denominator.  Every operation that can land in Q demotes its result to an
 ``int`` or a ``Fraction``; ``exact`` is the one demotion of an integral
 ``Fraction`` to ``int``, and ``RATIONAL`` the one type test for Q.
+
+Storage is per order: N is whatever order the last operation lifted to.
+Text is per value: a ``Cyclo`` prints in the power basis of its conductor,
+the least zeta_d whose field holds it (as GAP stores a cyclotomic number;
+T. Breuer, Integral bases for subfields of cyclotomic fields, AAECC 8,
+1997), so equal values print alike whatever route computed them.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 RATIONAL = (int, Fraction)
 
@@ -139,7 +146,9 @@ class Cyclo:
     equal fields.
 
     Arithmetic between different orders lifts both operands to the lcm
-    order; results that land in Q come back as an int or a Fraction.
+    order; results that land in Q come back as an int or a Fraction.  The
+    order N is storage only: the text is that of the value, printed in its
+    conductor, so one value has one text at every N.
     """
 
     __slots__ = ("order", "num", "den")
@@ -352,20 +361,74 @@ class Cyclo:
         return f"Cyclo({self.order}, {self.num!r}, {self.den})"
 
     def __str__(self):
+        """The value in the power basis of its conductor, the least order
+        d | N whose field Q(zeta_d) holds it (never 2 mod 4, as
+        Q(zeta_2d) = Q(zeta_d) for odd d); a prime N is its own conductor.
+
+        >>> print(Cyclo.make(6, {1: 1}))
+        1 + zeta3^1
+        """
+        order, num = self.order, self.num
+        # the conductor divides every order whose field holds the value, so
+        # dropping primes while the value stays inside reaches it
+        for p in _primes(order):
+            while order % p == 0 and order // p > 2:
+                sub = _subfield_coords(order, num, p)
+                if sub is None:
+                    break
+                order, num = order // p, sub
         parts = []
-        for k, n in enumerate(self.num):
+        for k, n in enumerate(num):
             if not n:
                 continue
             c = Fraction(n, self.den)
             if k == 0:
                 parts.append(str(c))
             elif c == 1:
-                parts.append(f"zeta{self.order}^{k}")
+                parts.append(f"zeta{order}^{k}")
             elif c == -1:
-                parts.append(f"-zeta{self.order}^{k}")
+                parts.append(f"-zeta{order}^{k}")
             else:
-                parts.append(f"{c}*zeta{self.order}^{k}")
+                parts.append(f"{c}*zeta{order}^{k}")
         return signed_sum(parts)
+
+
+@lru_cache(maxsize=None)
+def _primes(n: int) -> tuple:
+    """The distinct primes of n, ascending."""
+    ps, m, p = [], n, 2
+    while p * p <= m:
+        if m % p == 0:
+            ps.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return tuple(ps + [m] if m > 1 else ps)
+
+
+def _subfield_coords(order: int, num, p: int):
+    """The coordinates of sum num[k] zeta_order^k in the power basis of
+    zeta_m, m = order / p for a prime p | order, or None when Q(zeta_m)
+    does not hold the value.
+
+    If p divides m, Phi_order(x) = Phi_m(x^p): the value lies in Q(zeta_m)
+    exactly when its coordinates sit at multiples of p, and those are its
+    zeta_m coordinates.  Otherwise, with u p + v m = 1, zeta_order^k is
+    zeta_m^(u k) zeta_p^(v k), so the value is sum_(j < p) y_j zeta_p^j
+    with y_j in Q(zeta_m).  The only relation over Q(zeta_m) among the
+    zeta_p^j is that they sum to 0, so the value lies in Q(zeta_m) exactly
+    when y_1 = ... = y_(p-1), and it is then y_0 - y_1."""
+    m = order // p
+    if m % p == 0:
+        return None if any(c for k, c in enumerate(num) if k % p) else num[::p]
+    u, v = pow(p, -1, m), pow(m, -1, p)
+    y = [[0] * m for _ in range(p)]
+    for k, c in enumerate(num):
+        if c:
+            y[v * k % p][u * k % m] += c
+    if any(any(_reduce_mod_cyclo(m, [a - b for a, b in zip(yj, y[1])])) for yj in y[2:]):
+        return None
+    return _reduce_mod_cyclo(m, [a - b for a, b in zip(y[0], y[1])])
 
 
 def root_of_unity(order: int, j: int):

@@ -17,7 +17,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction
-from .scalars import (RATIONAL, Cyclo, cyclo_root, generalized_binomial, scalar_inv, scalar_pow,
+from .scalars import (RATIONAL, cyclo_root, generalized_binomial, scalar_inv, scalar_pow,
                       signed_sum)
 
 POINTS = ("zero", "infinity", "one")
@@ -232,16 +232,17 @@ class USeries(NamedTuple):
     num[k] over B C^k (B and C Laurent polynomials, or None for 1), and
     the places kept are exact.
 
-    Its one operation is division, used by the expansion at z = 1 and by
-    the negative characters of quiver.conner_floyd; both build the
-    numerators they start from.  Place k of a u-adic quotient depends only
-    on the operands' places <= k, so a quotient keeps the number of places,
-    and it is a polynomial recurrence on the numerators (fraction-free in
-    the sense of Geddes, Czapor and Labahn, Algorithms for Computer
-    Algebra, 1992).  Dividing by the e-th power of a u-polynomial whose
-    constant term c is not a scalar multiplies B by c^e and C by c, so
-    denominators grow linearly in k.  A scalar c is divided out in the
-    field and leaves B and C alone; a zero c strips a u.
+    Its one operation is division, used by the expansion at z = 1, by the
+    pole terms of partial fractions and by the negative characters of
+    quiver.conner_floyd; each builds the numerators it starts from.  Place
+    k of a u-adic quotient depends only on the operands' places <= k, so a
+    quotient keeps the number of places, and it is a polynomial recurrence
+    on the numerators (fraction-free in the sense of Geddes, Czapor and
+    Labahn, Algorithms for Computer Algebra, 1992).  Dividing by the e-th
+    power of a u-polynomial whose constant term c is not a scalar
+    multiplies B by c^e and C by c, so denominators grow linearly in k.  A
+    scalar c is divided out in the field and leaves B and C alone; a zero c
+    strips a u.
     """
 
     val: int
@@ -395,14 +396,9 @@ class FormalSeries:
 def expand_at(f: RationalFunction, point: str, order: int) -> FormalSeries:
     """Expand f at z=0, z=infinity or z=1 with `order` exact coefficients
     counted from the leading term.  The expansion at infinity is that of
-    f(z^-1) at zero, its index k the power of z^-1.  Its values are the
-    termwise ones, but with a root of unity of order above 3 in f a
-    coefficient may print in a multiple of that order (the prefactor c^-e
-    of f(z^-1) and the series' c^-j are multiplied apart), so its text
-    can differ from that of the termwise expansion.
-
-    One call of _expand_raw, which keeps `order` places from the exact
-    valuation of the numerator at the point.
+    f(z^-1) at zero, its index k the power of z^-1.  One call of
+    _expand_raw, which keeps `order` places from the exact valuation of the
+    numerator at the point.
 
     >>> f = RationalFunction.one_over_factor("z", 0, MONO_ONE)
     >>> str(expand_at(f, "zero", 3))
@@ -519,10 +515,10 @@ class PartialFractions:
         R = N - Q D must have its z-powers in [0, deg D), as the sum has.
         Then R equals the sum once they agree modulo every (1 - a z)^m in
         D (Chinese remainder theorem).  Modulo it the terms at the other
-        poles vanish, and in base w = 1 - a z (digits from _u_digits) the
+        poles vanish, and in base w = 1 - a z (digits from _pole_digits) the
         first m digits must satisfy R_i = sum_t A_t (D / w^m)_(i - m + m_t).
         """
-        poles, roots, D, _L = _cover(f)
+        poles, D = _cover(f)
         R = dict(f.num.split_var(f.var))
         for k, c in self.poly_part.items():
             p = c.as_poly() if isinstance(c, PolyFraction) else c
@@ -534,9 +530,8 @@ class PartialFractions:
            any(t.mult > poles.get((t.angle, t.mono), 0) for t in self.terms):
             return False
         for pole, m in poles.items():
-            r, d = (list(islice(_u_digits({k: c * unit_value(*pole, -k)
-                                           for k, c in A.items()}), m))
-                    for A in (R, _divide_out(D, roots[pole], m)))
+            Di = _divide_out(D, unit_value(*pole), m)
+            r, d = _pole_digits(R, pole, m), _pole_digits(Di, pole, m)
             for i in range(m):
                 rhs = sum((t.coeff * d[i - m + t.mult] for t in self.terms
                            if (t.angle, t.mono) == pole and i - m + t.mult >= 0),
@@ -594,29 +589,12 @@ def split_poles(f: RationalFunction) -> dict:
 
 
 def _cover(f: RationalFunction):
-    """The cover poles of f as {pole: mult}, each pole's root
-    a = root(angle) * mono as a one-term Laurent polynomial (in display
-    order), the denominator D = prod (1 - a z)^mult split by z, and the
-    lift order L.
-
-    D is f.den_poly(), whose coefficients are those of the original factors
-    (1 - c z^n)^e.  Every irrational scalar of the roots and of D is lifted
-    to the order L, the lcm of the root orders above 2 (+-1 are ints and
-    never lift).  Then the cofactors of _divide_out print the cyclotomic
-    orders that a product of the other linear factors would give them when
-    every c is +- a character and at most one factor has irrational roots;
-    otherwise only their values are sure to agree with that product."""
+    """The cover poles of f as {(angle, mono): mult} in display order, and
+    the denominator D = prod (1 - a z)^mult split by z: f.den_poly(), whose
+    coefficients are those of the original factors (1 - c z^n)^e."""
     poles = split_poles(f)
-    L = math.lcm(1, *(a.denominator for a, _m in poles if a.denominator > 2))
-
-    def lift(c):
-        return c.lift(L) if isinstance(c, Cyclo) else c
-
-    roots = {(angle, mono): LaurentPoly.term(lift(cyclo_root(angle)), mono)
-             for angle, mono in sorted(poles, key=lambda km: (km[1].items(), km[0]))}
-    D = {k: LaurentPoly({m: lift(c) for m, c in p.terms.items()}, p.exp_den)
-         for k, p in f.den_poly().split_var(f.var).items()}
-    return poles, roots, D, L
+    return ({pole: poles[pole] for pole in sorted(poles, key=lambda km: (km[1].items(), km[0]))},
+            f.den_poly().split_var(f.var))
 
 
 def _divide_out(D: dict, a: LaurentPoly, mult: int) -> dict:
@@ -633,22 +611,10 @@ def _divide_out(D: dict, a: LaurentPoly, mult: int) -> dict:
     return D
 
 
-def _zpoly_derivs_inv(A: dict, angle, mono: Monomial, count: int, pw: list) -> list:
-    """The values A(1/a), A'(1/a), ..., A^(count-1)(1/a) of a z-split
-    polynomial from z^0 at z = 1/a, a = root(angle)*mono:
-    A^(i)(1/a) = sum_k k!/(k-i)! A_k a^-(k-i).  pw holds the powers a^-k
-    built so far and gets the missing ones appended, so that all the
-    evaluations at one root share them."""
-    out = [LP_ZERO] * count
-    for k, c in A.items():
-        while len(pw) <= k:
-            pw.append(unit_value(angle, mono, -len(pw)))
-        out[0] = out[0] + c * pw[k]
-        falling = 1
-        for i in range(1, min(count, k + 1)):
-            falling *= k - i + 1
-            out[i] = out[i] + c * pw[k - i] * falling
-    return out
+def _pole_digits(A: dict, pole, count: int) -> list:
+    """The first count digits of a z-split polynomial A in w = 1 - a z,
+    a = root(angle) * mono for pole = (angle, mono)."""
+    return list(islice(_u_digits({k: c * unit_value(*pole, -k) for k, c in A.items()}), count))
 
 
 def _galois_exponent(rep: Fraction, angle: Fraction, L: int) -> int:
@@ -662,44 +628,18 @@ def _galois_exponent(rep: Fraction, angle: Fraction, L: int) -> int:
     return k
 
 
-def _pole_terms(N: dict, D: dict, a: LaurentPoly, angle, mono: Monomial, m: int,
-                L: int) -> list:
+def _pole_terms(N: dict, D: dict, pole, m: int) -> list:
     """The terms A_(m-j) / (1 - a z)^(m-j), j < m, of N / D at the pole
-    a = root(angle) * mono of multiplicity m.
+    a = root(angle) * mono of multiplicity m, pole = (angle, mono).
 
-    With the cofactor D_i = D / (1 - a z)^m and g = N / D_i,
-    A_(m-j) = (-1/a)^j / j! g^(j)(1/a) = (-1/a)^j / j! v_j / d0^(j+1), where
-    d0 = D_i(1/a) and v_j = g^(j)(1/a) d0^(j+1).  Leibniz's rule on
-    N = g D_i gives v_0 = N(1/a) and
-
-        v_j = d0^j N^(j)(1/a) - sum_(1<=i<=j) C(j, i) D_i^(i)(1/a) d0^(i-1) v_(j-i),
-
-    so only the first m derivatives of N and D_i at 1/a are needed.  For
-    j >= 1 the scalars of v_j are lifted to the order L: for invariant f,
-    whose D_i has only rational scalars and scalars of order L, that is the
-    order in which evaluating the polynomial g^(j) D_i^(j+1) term by term
-    at 1/a prints them (tests/test_series.py compares the two)."""
-    Di = _divide_out(D, a, m)
-    pw: list = []
-    dN = _zpoly_derivs_inv(N, angle, mono, m, pw)
-    dD = _zpoly_derivs_inv(Di, angle, mono, m, pw)
-    den0 = dD[0]
-    d0_pows = [LP_ONE]
-    v = [dN[0]]
-    for j in range(1, m):
-        d0_pows.append(d0_pows[-1] * den0)
-        vj = dN[j] * d0_pows[j]
-        for i in range(1, j + 1):
-            vj = vj - dD[i] * d0_pows[i - 1] * v[j - i] * math.comb(j, i)
-        v.append(LaurentPoly({mm: c.lift(L) if isinstance(c, Cyclo) and not L % c.order else c
-                              for mm, c in vj.terms.items()}, vj.exp_den))
-    terms = []
-    for j, vj in enumerate(v):
-        if not vj.is_zero():
-            scale = unit_value(angle, mono, -j) * Fraction((-1) ** j, math.factorial(j))
-            A = PolyFraction(vj * scale, den0 ** (j + 1))
-            terms.append(PoleTerm(angle, mono, m - j, A.simplified()))
-    return terms
+    With the cofactor D_i = D / (1 - a z)^m and w = 1 - a z,
+    N / D = (N / D_i) w^-m, so A_(m-j) is the coefficient of w^j in the
+    w-adic expansion of N / D_i: the first m w-digits of N divided by those
+    of D_i, whose constant digit D_i(1/a) is not zero."""
+    Di = _divide_out(D, unit_value(*pole), m)
+    quot = USeries(0, _pole_digits(N, pole, m)).divide(_pole_digits(Di, pole, m))
+    return [PoleTerm(*pole, m - j, quot.coeff(j).simplified())
+            for j in range(m) if quot.num[j].terms]
 
 
 def partial_fractions(f: RationalFunction) -> PartialFractions:
@@ -710,19 +650,10 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
     Laurent-polynomial part is extracted by exact long division in the
     character ring (D has unit constant and leading terms).  Each pole's
     cofactor D_i = D / (1 - a_i z)^(m_i) comes from m_i synthetic divisions
-    q_k = d_k + a_i q_(k-1), and the pole coefficients
-
-        A_{m_i - j} = (-1/a_i)^j / j! * (d/dz)^j [f (1 - a_i z)^{m_i}]
-                      evaluated at z = 1/a_i
-
-    from the first m_i derivatives of the remainder N and of D_i at 1/a_i
+    q_k = d_k + a_i q_(k-1), and the pole coefficients A_(m_i - j), j < m_i,
+    are the first m_i digits of the remainder N / D_i in w = 1 - a_i z
     (_pole_terms), each over D_i(1/a_i)^(j+1).  So every output coefficient
-    is a single fraction of Laurent polynomials.  Before dividing, the root
-    a_i and the coefficients of D are lifted to the cyclotomic order L, the
-    lcm of the orders above 2 of all the cover roots.  A cyclotomic number
-    prints in the order that the multiplication of its operands gives, so
-    this fixes the printed labels: the coefficient of z/((1-z^6)*(1-t*z))
-    at the pole zeta3^1 has the denominator 1 + zeta6^1*t.
+    is a single fraction of Laurent polynomials.
 
     Galois orbits.  f is Galois-invariant when every factor angle is 0 or
     1/2 and every numerator coefficient is rational, as for every input the
@@ -730,16 +661,13 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
     and one character are one orbit of Gal(Q(zeta_L)/Q), and so are their
     coefficients.  Only the first pole of an orbit, root(1/d) * mono, is
     evaluated; the pole root(p/d) * mono gets its terms mapped by
-    sigma_k: zeta -> zeta^k, with k = p mod d and k prime to L.  sigma_k
-    commutes with every step of the evaluation (lifting, products,
-    reduction mod Phi, demotion to Q, the normalization of a PolyFraction
-    by the coefficient of its lowest monomial, exact division) and keeps
-    the order of every scalar, so the conjugate is the object, labels
-    included, that evaluating at its own pole gives.  When f is not
-    invariant, every pole is an orbit of its own; there the coefficients of
-    the lower powers at a repeated pole print their scalars lifted to L,
-    which may differ in label, not in value, from the evaluation of the
-    polynomials g^(j) D_i^(j+1) that the derivative formula names.
+    sigma_k: zeta -> zeta^k, with k = p mod d and k prime to L, the lcm of
+    the orders above 2 of all the cover roots.  sigma_k commutes with every
+    step of the evaluation (products, reduction mod Phi, demotion to Q, the
+    normalization of a PolyFraction by the coefficient of its lowest
+    monomial, exact division), so the conjugate is the object that
+    evaluating at its own pole gives.  When f is not invariant, every pole
+    is an orbit of its own.
 
     >>> f = RationalFunction("z", LP_ONE, [(0, MONO_ONE, 2, 1)])
     >>> print(partial_fractions(f))
@@ -753,7 +681,7 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
     + ((-1/3 - 1/3*zeta3^1)) / (1 - zeta3^1*z)
     + (1/3*zeta3^1) / (1 - (-1 - zeta3^1)*z)
     """
-    poles, roots, D, L = _cover(f)
+    poles, D = _cover(f)
     M = max(D) if D else 0
     N = dict(f.num.split_var(f.var))
     Q: dict = {}
@@ -793,13 +721,14 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
     # one orbit per (denominator, character) when f is Galois-invariant
     invariant = all(a.denominator <= 2 for a, _m, _n in f.den) and \
         all(isinstance(c, RATIONAL) for c in f.num.terms.values())
+    L = math.lcm(1, *(a.denominator for a, _m in poles if a.denominator > 2))
     orbits: dict = {}
     terms: list = []
-    for (angle, mono), a in roots.items():
+    for (angle, mono), m in poles.items():
         key = (angle.denominator, mono) if invariant else (angle, mono)
         rep = orbits.get(key)
         if rep is None:
-            rep = orbits[key] = (angle, _pole_terms(N, D, a, angle, mono, poles[(angle, mono)], L))
+            rep = orbits[key] = (angle, _pole_terms(N, D, (angle, mono), m))
             terms.extend(rep[1])
         else:
             k = _galois_exponent(rep[0], angle, L)

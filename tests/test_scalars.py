@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -234,3 +235,62 @@ def test_galois_conjugation_commutes_with_lifting():
                     continue
                 for k in rnd.sample(_units(big), 3):
                     assert repr(x.lift(big).conjugate(k)) == repr(x.conjugate(k).lift(big))
+
+
+def _printed_orders(x):
+    return {int(d) for d in re.findall(r"zeta(\d+)\^", str(x))}
+
+
+def _field_values(rnd, d):
+    """Seeded values of Q(zeta_d) outside Q: roots of unity and Fraction sums
+    of powers of zeta_d."""
+    units = [j for j in range(1, d) if math.gcd(j, d) == 1]
+    vals = [root_of_unity(d, j) for j in rnd.sample(units, min(2, len(units)))]
+    vals += [root_of_unity(d, rnd.randrange(1, d)), _random_cyclo(rnd, d), _random_cyclo(rnd, d)]
+    return [v for v in vals if isinstance(v, Cyclo)]
+
+
+def test_cyclo_text_is_the_same_at_every_lift_order():
+    """A value of Q(zeta_d) prints alike at every order N <= 180 that
+    stores it, in one order that divides d and is not 2 mod 4."""
+    rnd = random.Random(26)
+    for d in range(3, 61):
+        if d % 4 == 2:
+            continue
+        for v in _field_values(rnd, d):
+            text = str(v)
+            (label,) = _printed_orders(v)
+            assert d % label == 0 and label % 4 != 2, (repr(v), text)
+            for n in range(2 * d, 181, d):
+                assert str(v.lift(n)) == text, (repr(v), n)
+
+
+def test_cyclo_never_prints_an_order_2_mod_4():
+    rnd = random.Random(27)
+    for n in range(3, 181):
+        for _ in range(3):
+            x = _random_cyclo(rnd, n)
+            if isinstance(x, Cyclo):
+                assert all(n % d == 0 and d % 4 != 2 for d in _printed_orders(x)), (repr(x), str(x))
+    assert str(Cyclo.make(6, {1: 1})) == "1 + zeta3^1"
+    assert str(Cyclo.make(10, {1: 1})) == "-zeta5^3"
+    assert str(Cyclo.make(12, {4: 1})) == "zeta3^1"
+
+
+def test_printed_coefficients_against_sympy():
+    """The printed zeta_d coefficients, with zeta_d = w^(N/d), equal the
+    stored value sum num[k] w^k / den modulo Phi_N(w), w = zeta_N."""
+    sympy = pytest.importorskip("sympy")
+    w, zeta = sympy.symbols("w zeta")
+    rnd = random.Random(28)
+    for d in range(3, 61):
+        if d % 4 == 2:
+            continue
+        for v in _field_values(rnd, d)[-2:]:
+            x = v.lift(d * rnd.randint(1, 180 // d))
+            (label,) = _printed_orders(x)
+            text = str(x).replace(f"zeta{label}^", "zeta**")
+            printed = sympy.sympify(text, locals={"zeta": zeta})
+            stored = sum(c * w ** k for k, c in enumerate(x.num)) / sympy.Integer(x.den)
+            diff = sympy.expand(printed.subs(zeta, w ** (x.order // label)) - stored)
+            assert sympy.rem(diff, sympy.cyclotomic_poly(x.order, w), w) == 0, (repr(x), str(x))
