@@ -160,9 +160,6 @@ class NumericalPoly:
             out = out * n + c
         return exact(out)
 
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __mul__(self, other):
         if not isinstance(other, NumericalPoly):
             return NumericalPoly([c * other for c in self.coeffs])

@@ -327,14 +327,6 @@ class FormalSeries:
     def items(self):
         return sorted(self.coeffs.items())
 
-    def __add__(self, other: "FormalSeries") -> "FormalSeries":
-        self._check(other)
-        t = min(self.trunc, other.trunc)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return FormalSeries(self.point, self.var, {k: c for k, c in out.items() if k < t}, t)
-
     def __mul__(self, other):
         if isinstance(other, FormalSeries):
             self._check(other)
@@ -516,13 +508,16 @@ class PartialFractions:
         Then R equals the sum once they agree modulo every (1 - a z)^m in
         D (Chinese remainder theorem).  Modulo it the terms at the other
         poles vanish, and in base w = 1 - a z (digits from _pole_digits) the
-        first m digits must satisfy R_i = sum_t A_t (D / w^m)_(i - m + m_t).
+        first m digits must satisfy R_i = sum_t A_t (D / w^m)_(i - m + m_t),
+        where (D / w^m)_j is the w-digit j + m of D.  Q is a Laurent
+        polynomial for every f, so a surviving denominator in it fails.
         """
         poles, D = _cover(f)
         R = dict(f.num.split_var(f.var))
         for k, c in self.poly_part.items():
             p = c.as_poly() if isinstance(c, PolyFraction) else c
-            assert p is not None, "polynomial part must be fraction-free"
+            if p is None:
+                return False
             for kk, dk in D.items():
                 R[k + kk] = R.get(k + kk, LP_ZERO) - p * dk
         top = max(D)
@@ -530,8 +525,7 @@ class PartialFractions:
            any(t.mult > poles.get((t.angle, t.mono), 0) for t in self.terms):
             return False
         for pole, m in poles.items():
-            Di = _divide_out(D, unit_value(*pole), m)
-            r, d = _pole_digits(R, pole, m), _pole_digits(Di, pole, m)
+            r, d = _pole_digits(R, pole, m), _pole_digits(D, pole, 2 * m)[m:]
             for i in range(m):
                 rhs = sum((t.coeff * d[i - m + t.mult] for t in self.terms
                            if (t.angle, t.mono) == pole and i - m + t.mult >= 0),
@@ -597,23 +591,14 @@ def _cover(f: RationalFunction):
             f.den_poly().split_var(f.var))
 
 
-def _divide_out(D: dict, a: LaurentPoly, mult: int) -> dict:
-    """D / (1 - a z)^mult for a z-split polynomial D from z^0 that the
-    power divides: mult synthetic divisions q_k = d_k + a q_{k-1}."""
-    for _ in range(mult):
-        q: dict = {}
-        prev = LP_ZERO
-        for k in range(max(D)):
-            prev = D.get(k, LP_ZERO) + prev * a
-            if prev:
-                q[k] = prev
-        D = q
-    return D
-
-
 def _pole_digits(A: dict, pole, count: int) -> list:
     """The first count digits of a z-split polynomial A in w = 1 - a z,
-    a = root(angle) * mono for pole = (angle, mono)."""
+    a = root(angle) * mono for pole = (angle, mono).
+
+    >>> D = (1 - LaurentPoly.var("z")) ** 2
+    >>> [str(c) for c in _pole_digits(D.split_var("z"), (Fraction(0), MONO_ONE), 3)]
+    ['0', '0', '1']
+    """
     return list(islice(_u_digits({k: c * unit_value(*pole, -k) for k, c in A.items()}), count))
 
 
@@ -632,12 +617,10 @@ def _pole_terms(N: dict, D: dict, pole, m: int) -> list:
     """The terms A_(m-j) / (1 - a z)^(m-j), j < m, of N / D at the pole
     a = root(angle) * mono of multiplicity m, pole = (angle, mono).
 
-    With the cofactor D_i = D / (1 - a z)^m and w = 1 - a z,
-    N / D = (N / D_i) w^-m, so A_(m-j) is the coefficient of w^j in the
-    w-adic expansion of N / D_i: the first m w-digits of N divided by those
-    of D_i, whose constant digit D_i(1/a) is not zero."""
-    Di = _divide_out(D, unit_value(*pole), m)
-    quot = USeries(0, _pole_digits(N, pole, m)).divide(_pole_digits(Di, pole, m))
+    In w = 1 - a z, D = E w^m with E(1/a) not zero, so D's w-digits
+    m..2m-1 are the first m of E, and A_(m-j) is the coefficient of w^j in
+    N / E: the first m w-digits of N divided by those."""
+    quot = USeries(0, _pole_digits(N, pole, m)).divide(_pole_digits(D, pole, 2 * m)[m:])
     return [PoleTerm(*pole, m - j, quot.coeff(j).simplified())
             for j in range(m) if quot.num[j].terms]
 
@@ -648,12 +631,11 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
     The denominator D = prod (1 - a_i z)^(m_i) over the cover poles is
     f.den_poly(), the product of the original factors (1 - c z^n)^e.  The
     Laurent-polynomial part is extracted by exact long division in the
-    character ring (D has unit constant and leading terms).  Each pole's
-    cofactor D_i = D / (1 - a_i z)^(m_i) comes from m_i synthetic divisions
-    q_k = d_k + a_i q_(k-1), and the pole coefficients A_(m_i - j), j < m_i,
-    are the first m_i digits of the remainder N / D_i in w = 1 - a_i z
-    (_pole_terms), each over D_i(1/a_i)^(j+1).  So every output coefficient
-    is a single fraction of Laurent polynomials.
+    character ring (D has unit constant and leading terms).  The pole
+    coefficients A_(m_i - j), j < m_i, are read from the first 2 m_i digits
+    of D and the first m_i of the remainder N in w = 1 - a_i z
+    (_pole_terms).  So every output coefficient is a single fraction of
+    Laurent polynomials.
 
     Galois orbits.  f is Galois-invariant when every factor angle is 0 or
     1/2 and every numerator coefficient is rational, as for every input the

@@ -507,12 +507,26 @@ def _long_division(f, D):
     return {k: c for k, c in Q.items() if not c.is_zero()}, N
 
 
+def _divide_out(D, a, mult):
+    """D / (1 - a z)^mult for a z-split polynomial D from z^0 that the
+    power divides: mult synthetic divisions q_k = d_k + a q_(k-1)."""
+    for _ in range(mult):
+        q = {}
+        prev = LP_ZERO
+        for k in range(max(D)):
+            prev = D.get(k, LP_ZERO) + prev * a
+            if prev:
+                q[k] = prev
+        D = q
+    return D
+
+
 def _per_pole_partial_fractions(f):
     """The decomposition pole by pole, as partial_fractions computed it
     before Galois orbits: the long division, then at every cover pole the
     cofactor by synthetic division and the derivative formula, with the
     z-polynomials N_(j+1) = N_j' D_i - (j+1) N_j D_i' of the j-loop."""
-    from kvertex.series import PartialFractions, PoleTerm, _cover, _divide_out, _ser_mul
+    from kvertex.series import PartialFractions, PoleTerm, _cover, _ser_mul
 
     def deriv(A):
         return {k - 1: c * k for k, c in A.items() if k}
@@ -566,8 +580,7 @@ def _lifted_derivative_partial_fractions(f):
     import math
 
     from kvertex.scalars import RATIONAL, cyclo_root
-    from kvertex.series import (PartialFractions, PoleTerm, _divide_out, _galois_exponent,
-                                split_poles)
+    from kvertex.series import PartialFractions, PoleTerm, _galois_exponent, split_poles
 
     poles = split_poles(f)
     L = math.lcm(1, *(a.denominator for a, _m in poles if a.denominator > 2))
@@ -684,24 +697,50 @@ def test_orbit_path_matches_the_per_pole_path(suite_seed):
 
 
 def test_one_cofactor_per_galois_orbit(monkeypatch):
-    """The cofactor division runs once per orbit (denominator d, character),
-    not once per cover pole: 1/(1 - z^12) has 12 poles in 6 orbits, and
-    1/((1 - z^13)(1 - t z)) has 14 poles in 3 orbits."""
+    """The pole terms are evaluated once per orbit (denominator d,
+    character), not once per cover pole: 1/(1 - z^12) has 12 poles in 6
+    orbits, and 1/((1 - z^13)(1 - t z)) has 14 poles in 3 orbits."""
     import kvertex.series as series
 
     calls = []
-    real = series._divide_out
+    real = series._pole_terms
 
-    def counted(D, a, mult):
-        calls.append(a)
-        return real(D, a, mult)
+    def counted(N, D, pole, m):
+        calls.append(pole)
+        return real(N, D, pole, m)
 
-    monkeypatch.setattr(series, "_divide_out", counted)
+    monkeypatch.setattr(series, "_pole_terms", counted)
     for expr, orbits, poles in (("1/(1-z^12)", 6, 12), ("1/((1-z^13)*(1-t*z))", 3, 14)):
         calls.clear()
         pf = partial_fractions(parse_rational(expr, "z")[0])
         assert len(pf.terms) == poles
         assert len(calls) == orbits, expr
+
+
+def test_denominator_digits_at_a_pole_are_the_cofactor_digits(suite_seed):
+    """In w = 1 - a z, D = D_i w^m for the cofactor D_i at a pole of
+    multiplicity m, so D's first m w-digits are zero and its next m are
+    the first m of D_i: partial_fractions and recombines_to read the pole
+    data from them.  Seeded covers with angles of order at most 6."""
+    from kvertex.series import _cover, _pole_digits
+
+    rnd = random.Random(suite_seed)
+    angles = sorted({Fraction(p, d) for d in range(1, 7) for p in range(d)})
+    chars = [MONO_ONE, T, T ** 2, Monomial.var("s") * T.inv(), Monomial.var("t", Fraction(1, 2))]
+    seen = set()
+    for _ in range(40):
+        factors = [(rnd.choice(angles), rnd.choice(chars), 1, rnd.randint(1, 3))
+                   if rnd.random() < 0.7 else
+                   (rnd.choice([0, Fraction(1, 2)]), MONO_ONE, rnd.randint(2, 3), rnd.randint(1, 3))
+                   for _ in range(rnd.randint(1, 3))]
+        poles, D = _cover(RationalFunction("z", LP_ONE, factors))
+        for pole, m in poles.items():
+            seen.add(m)
+            digits = _pole_digits(D, pole, 2 * m)
+            assert all(c.is_zero() for c in digits[:m]), (factors, pole)
+            assert digits[m:] == _pole_digits(_divide_out(D, unit_value(*pole), m), pole, m), \
+                (factors, pole)
+    assert {1, 2, 3} <= seen
 
 
 def test_non_invariant_input_has_orbits_of_size_one():
@@ -744,6 +783,9 @@ def test_recombination_rejects_a_perturbed_coefficient():
     assert not PartialFractions(pf.var, {0: LP_ONE}, pf.terms).recombines_to(f)
     extra = PoleTerm(Fraction(0), T, 2, PolyFraction.of(LP_ONE))
     assert not PartialFractions(pf.var, pf.poly_part, pf.terms + [extra]).recombines_to(f)
+    # a polynomial-part coefficient with a surviving denominator
+    fraction = PolyFraction(LP_ONE, 1 - LaurentPoly.term(1, T))
+    assert not PartialFractions(pf.var, {0: fraction}, pf.terms).recombines_to(f)
 
 
 def _pinned_expand_one_text():
