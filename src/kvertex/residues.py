@@ -18,10 +18,12 @@ local_residue_at_root takes each from the same (1-z)-adic expansion as
 residue_naive: the rotation z -> gamma z leaves z^-1 dz unchanged, so
 Res_{z=gamma}(z^-1 f(z) dz) = Res_{z=1}(z^-1 f(gamma z) dz).
 
-residue_k_oracle implements the defining series prescription directly: it
-expands each side with series.expand_at (binomial series multiplied by
-series._ser_mul) only up to z^0, the one place it reads.  It shares no
-series code with the closed form beyond LaurentPoly arithmetic.
+residue_k_oracle implements the defining series prescription directly: per
+side it expands 1/D with series.expand_at only up to z^0, the one place it
+reads, and multiplies that by the numerator's series in a Cauchy product
+(FormalSeries.__mul__, series._ser_mul).  It shares no series code with
+the closed form beyond LaurentPoly arithmetic: residue_k has its own
+recurrence (_pole_series) and reads z^0 by a dot product.
 diagonal_w_side_residue sums its k-vectors exactly in w, by Horner in the
 pivot factors (1 - c_t w^-1): each k-vector costs one z-residue and one
 product with a two-term polynomial, and the sum moves to u = 1 - w once at
@@ -31,6 +33,7 @@ so each distinct factor of a z-part is one binomial power.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,8 +41,8 @@ from itertools import islice
 
 from .laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction, _acc
 from .scalars import generalized_binomial
-from .series import (RationalFunction, _expand_raw, _u_digits, expand_at, split_poles,
-                     unit_value)
+from .series import (FormalSeries, RationalFunction, _expand_raw, _u_digits, expand_at,
+                     split_poles, unit_value)
 
 
 @dataclass(frozen=True)
@@ -84,22 +87,28 @@ def residue_k_oracle(f: RationalFunction, order: int) -> LaurentPoly:
     has valuation v0 (at zero the lowest z-power of the numerator, at
     infinity total_pole_mult() minus the highest) carries its z^0 term when
     v0 <= 0 < v0 + order, and contributes 0 otherwise; only the places
-    v0..0 are read, so the side is expanded with 1 - v0 places.  Both
-    expansions are binomial series multiplied by series._ser_mul, so the
-    oracle shares no series kernel with residue_k.
+    v0..0 are read.  Such a side expands 1/D alone with 1 - v0 places
+    (series.expand_at) and multiplies it by the numerator's series, a
+    Cauchy product (FormalSeries.__mul__, through series._ser_mul) that is
+    exact up to z^0; the z^0 term is read from that product.  So the oracle
+    shares no series code with residue_k, which reads z^0 by one dot
+    product with series of its own.
     """
     if order <= f.total_pole_mult():
         raise ValueError("order must exceed the total pole multiplicity")
     if f.is_zero():
         return LaurentPoly.scalar(0)
     zpows = f.num.split_var(f.var)
+    recip = RationalFunction(f.var, LP_ONE, f.factors())
 
-    def z0(point, v0):
+    def z0(point, v0, num):
         if v0 <= 0 < v0 + order:
-            return expand_at(f, point, 1 - v0).coeff(0)
+            num = FormalSeries(point, f.var, num, math.inf)
+            return (expand_at(recip, point, 1 - v0) * num).coeff(0)
         return 0
 
-    out = z0("zero", min(zpows)) - z0("infinity", f.total_pole_mult() - max(zpows))
+    out = z0("zero", min(zpows), zpows) - \
+        z0("infinity", f.total_pole_mult() - max(zpows), {-k: p for k, p in zpows.items()})
     return out if isinstance(out, LaurentPoly) else LaurentPoly.scalar(out)
 
 

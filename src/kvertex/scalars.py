@@ -163,16 +163,14 @@ class Cyclo:
     @staticmethod
     def make(order: int, coeffs) -> "Cyclo | int | Fraction":
         """Build from a {power: coeff} map or coefficient list of rationals;
-        demotes."""
-        if isinstance(coeffs, dict):
-            top = max(coeffs) + 1 if coeffs else 1
-            lst = [0] * top
-            for k, c in coeffs.items():
-                lst[k] += c
-        else:
-            lst = list(coeffs)
-        den = math.lcm(*(c.denominator for c in lst))
-        lst = [c.numerator * (den // c.denominator) for c in lst]
+        demotes.  Only the nonzero entries are read, and they are rescaled
+        to the common denominator only when it is not 1."""
+        items = [(k, c) for k, c in (coeffs.items() if isinstance(coeffs, dict)
+                                     else enumerate(coeffs)) if c]
+        den = math.lcm(*(c.denominator for _k, c in items))
+        lst = [0] * (max((k for k, _c in items), default=0) + 1)
+        for k, c in items:
+            lst[k] = c.numerator if den == 1 else c.numerator * (den // c.denominator)
         return _cyclo(order, _reduce_mod_cyclo(order, lst), den)
 
     def lift(self, order: int) -> "Cyclo":
@@ -432,16 +430,28 @@ def _subfield_coords(order: int, num, p: int):
 
 
 def root_of_unity(order: int, j: int):
-    """zeta_order^j in canonical form (an int when it is rational).
+    """zeta_order^j in canonical form (an int when it is rational).  It is
+    built from its power-basis vector, reduced mod Phi_order after
+    zeta^(order/2) = -1 has halved an even order's exponent; a unit has
+    content 1, so no gcd or common denominator is taken.
 
     >>> root_of_unity(2, 1)
     -1
+    >>> root_of_unity(6, 5)
+    Cyclo(6, (1, -1), 1)
     """
     if order < 1:
         raise ValueError("root order must be positive")
-    if order <= 2:
-        return -1 if j % order else 1
-    return Cyclo.make(order, {j % order: 1})
+    j %= order
+    if not j:
+        return 1
+    if 2 * j == order:
+        return -1
+    sign = 1
+    if 2 * j > order and not order & 1:
+        j, sign = j - order // 2, -1
+    vec = [0] * j + [sign]
+    return Cyclo(order, tuple(_reduce_mod_cyclo(order, vec)), 1)
 
 
 def cyclo_root(angle: Fraction):

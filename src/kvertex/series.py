@@ -422,20 +422,32 @@ def _expand_raw(f: RationalFunction, point: str, order: int):
     numerator's exact valuation v0 at the point (its lowest z-power, or its
     first nonzero u-digit), so its leading coefficient is at v0 minus the
     denominator's valuation and it is exact below tbound, `order` places
-    above that."""
+    above that.
+
+    At zero the places v0 .. tbound - 1 are one dense list seeded with the
+    numerator's z-powers.  Dividing by 1 - c z^n is the recurrence
+    s_i += c s_(i-n) for ascending i (the division recurrence for power
+    series, Knuth, TAOCP vol. 2, 4.7), so a factor (1 - c z^n)^e costs one
+    unit value c and e passes, each at most `order` Laurent sums, and a
+    zero place is skipped.  1/prod_(n <= 7) (1 - z^n) counts partitions:
+
+    >>> f = RationalFunction("z", LP_ONE, [(0, MONO_ONE, n, 1) for n in range(1, 8)])
+    >>> [str(c) for _k, c in sorted(_expand_raw(f, "zero", 8)[0].items())]
+    ['1', '1', '2', '3', '5', '7', '11', '15']
+    """
     num_split = f.num.split_var(f.var)
     if point == "zero":
         v0 = min(num_split)
         tbound = v0 + order
-        ser = {k: p for k, p in num_split.items() if k < tbound}
+        ser = [num_split.get(v0 + i, LP_ZERO) for i in range(order)]
         for (a, m, n), e in f.den.items():
-            fac = {}
-            j = 0
-            while n * j < tbound - v0:
-                fac[n * j] = unit_value(a, m, j) * generalized_binomial(e - 1 + j, e - 1)
-                j += 1
-            ser = _ser_mul(ser, fac, tbound)
-        return ser, tbound
+            c = None if a == 0 and m.is_one() else unit_value(a, m)
+            for _ in range(e):
+                for i in range(n, order):
+                    prev = ser[i - n]
+                    if prev.terms:
+                        ser[i] = ser[i] + (prev if c is None else c * prev)
+        return {v0 + i: s for i, s in enumerate(ser) if s.terms}, tbound
 
     # point == "one": series in u = 1-z; coefficients live in the fraction
     # field.  Each factor u that a (1 - z^n) strips lowers the valuation.
@@ -453,19 +465,27 @@ def _expand_raw(f: RationalFunction, point: str, order: int):
     return dict(useries.items()), v0 + order - f.unit_pole_depth()
 
 
-def _u_digits(zpows: dict):
+def _u_digits(zpows: dict, start: int = 0):
     """The digits of sum_k p_k z^k for zpows = {k: p_k} in the basis
-    u = 1 - z, one place at a time and without end, zero sums included:
-    z^k = (1 - u)^k = sum_j d_j u^j, d_j = (-1)^j binom(k, j), so d_0 = 1
-    and d_(j+1) = d_j (j - k) / (j + 1) in ints; z^k leaves the sum after
-    j = k if k >= 0.  With p_k = A_k a^-k these are the digits of
-    sum_k A_k z^k in w = 1 - a z.
+    u = 1 - z from place `start` on, one place at a time and without end,
+    zero sums included: z^k = (1 - u)^k = sum_j d_j u^j,
+    d_j = (-1)^j binom(k, j), so d_start is a generalized binomial (1 at
+    place 0) and d_(j+1) = d_j (j - k) / (j + 1) in ints; z^k leaves the
+    sum after j = k if k >= 0, and never enters it when 0 <= k < start.
+    With p_k = A_k a^-k these are the digits of sum_k A_k z^k in
+    w = 1 - a z.
 
     >>> [str(c) for c in islice(_u_digits({-1: LP_ONE, 2: LP_ONE}), 4)]
     ['2', '-1', '2', '1']
+    >>> [str(c) for c in islice(_u_digits({-1: LP_ONE, 2: LP_ONE}, 2), 2)]
+    ['2', '1']
     """
-    live = [(k, p, 1) for k, p in zpows.items()]
-    j = 0
+    live = []
+    for k, p in zpows.items():
+        d = (-1) ** start * generalized_binomial(k, start) if start else 1
+        if d:
+            live.append((k, p, d))
+    j = start
     while True:
         acc, kept = None, []
         for k, p, d in live:
@@ -525,7 +545,7 @@ class PartialFractions:
            any(t.mult > poles.get((t.angle, t.mono), 0) for t in self.terms):
             return False
         for pole, m in poles.items():
-            r, d = _pole_digits(R, pole, m), _pole_digits(D, pole, 2 * m)[m:]
+            r, d = _pole_digits(R, pole, m), _pole_digits(D, pole, m, m)
             for i in range(m):
                 rhs = sum((t.coeff * d[i - m + t.mult] for t in self.terms
                            if (t.angle, t.mono) == pole and i - m + t.mult >= 0),
@@ -591,15 +611,19 @@ def _cover(f: RationalFunction):
             f.den_poly().split_var(f.var))
 
 
-def _pole_digits(A: dict, pole, count: int) -> list:
-    """The first count digits of a z-split polynomial A in w = 1 - a z,
-    a = root(angle) * mono for pole = (angle, mono).
+def _pole_digits(A: dict, pole, count: int, start: int = 0) -> list:
+    """The digits start .. start + count - 1 of a z-split polynomial A in
+    w = 1 - a z, a = root(angle) * mono for pole = (angle, mono).  The
+    powers 0 <= k < start have no digit there and are not scaled.
 
     >>> D = (1 - LaurentPoly.var("z")) ** 2
     >>> [str(c) for c in _pole_digits(D.split_var("z"), (Fraction(0), MONO_ONE), 3)]
     ['0', '0', '1']
+    >>> [str(c) for c in _pole_digits(D.split_var("z"), (Fraction(0), MONO_ONE), 2, 2)]
+    ['1', '0']
     """
-    return list(islice(_u_digits({k: c * unit_value(*pole, -k) for k, c in A.items()}), count))
+    scaled = {k: c * unit_value(*pole, -k) for k, c in A.items() if not 0 <= k < start}
+    return list(islice(_u_digits(scaled, start), count))
 
 
 def _galois_exponent(rep: Fraction, angle: Fraction, L: int) -> int:
@@ -620,7 +644,7 @@ def _pole_terms(N: dict, D: dict, pole, m: int) -> list:
     In w = 1 - a z, D = E w^m with E(1/a) not zero, so D's w-digits
     m..2m-1 are the first m of E, and A_(m-j) is the coefficient of w^j in
     N / E: the first m w-digits of N divided by those."""
-    quot = USeries(0, _pole_digits(N, pole, m)).divide(_pole_digits(D, pole, 2 * m)[m:])
+    quot = USeries(0, _pole_digits(N, pole, m)).divide(_pole_digits(D, pole, m, m))
     return [PoleTerm(*pole, m - j, quot.coeff(j).simplified())
             for j in range(m) if quot.num[j].terms]
 

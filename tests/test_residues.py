@@ -112,20 +112,28 @@ class TestResidueKOracle:
         assert cut == {"zero", "infinity"}
 
     def test_expands_each_side_only_to_z0(self, suite_seed, monkeypatch):
+        # a side with its z^0 term in reach expands 1/D alone, with 1 - v0
+        # places for v0 the valuation of f's expansion there
         from kvertex import residues
         calls = []
 
-        def counting(f, point, order):
-            calls.append((f, point, order))
-            return expand_at(f, point, order)
+        def counting(g, point, order):
+            calls.append((g, point, order))
+            return expand_at(g, point, order)
 
         monkeypatch.setattr(residues, "expand_at", counting)
         inputs = [rf(one(), [(0, T, 1, 2)])] + self._inputs(suite_seed)[1:]
+        seen = 0
         for f in inputs:
-            residue_k_oracle(f, f.total_pole_mult() + 12)
-        assert calls
-        for f, point, order in calls:
-            assert order <= 1 - self._sides(f)[point], (str(f), point, order)
+            calls.clear()
+            order = f.total_pole_mult() + 12
+            residue_k_oracle(f, order)
+            want = [(p, 1 - v0) for p, v0 in self._sides(f).items() if v0 <= 0 < v0 + order]
+            assert [(p, k) for _g, p, k in calls] == want, str(f)
+            for g, _p, _k in calls:
+                assert g.num == one() and g.den == f.den, str(f)
+            seen += len(calls)
+        assert seen
 
 
 def _oracle_full(f, order):

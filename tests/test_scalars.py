@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from kvertex.laurent import MONO_ONE, Monomial
-from kvertex.scalars import (RATIONAL, Cyclo, cyclo_root, cyclotomic_poly,
-                             generalized_binomial, root_of_unity)
+from kvertex.scalars import (RATIONAL, Cyclo, _cyclo, _reduce_mod_cyclo, cyclo_root,
+                             cyclotomic_poly, generalized_binomial, root_of_unity)
 from kvertex.series import unit_value
 
 
@@ -87,11 +87,29 @@ def test_cyclo_root_angles():
     assert z * z == cyclo_root(Fraction(2, 3))
 
 
+def _root_by_make(order, j):
+    """Cyclo.make(order, {j: 1}) as it was before it skipped zero entries:
+    the dense list, its lcm and its rescale."""
+    lst = [0] * (j + 1)
+    lst[j] += 1
+    den = math.lcm(*(c.denominator for c in lst))
+    lst = [c.numerator * (den // c.denominator) for c in lst]
+    return _cyclo(order, _reduce_mod_cyclo(order, lst), den)
+
+
+def test_root_of_unity_is_the_made_root():
+    for order in range(1, 61):
+        for j in range(order):
+            assert repr(root_of_unity(order, j)) == repr(_root_by_make(order, j)), (order, j)
+            assert repr(Cyclo.make(order, {j: 1})) == repr(_root_by_make(order, j)), (order, j)
+
+
 def test_rational_roots_are_ints():
-    # roots of order 1 and 2 never go through Cyclo.make
+    # roots of order 1 and 2, and -1 at every even order, are ints
     assert type(root_of_unity(2, 1)) is int and root_of_unity(2, 1) == -1
     assert type(root_of_unity(1, 5)) is int and root_of_unity(1, 5) == 1
     assert type(root_of_unity(2, -4)) is int and root_of_unity(2, -4) == 1
+    assert type(root_of_unity(6, -3)) is int and root_of_unity(6, -3) == -1
     for m in (MONO_ONE, Monomial.var("t", 2)):
         (c,) = unit_value(Fraction(0), m).terms.values()
         assert type(c) is int and c == 1

@@ -1,15 +1,16 @@
 import os
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from kvertex.exprparse import parse_rational
 from kvertex.laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction
 from kvertex.residues import residue_k
-from kvertex.scalars import Cyclo, generalized_binomial
-from kvertex.series import (FormalSeries, RationalFunction, USeries, _ser_mul, _u_digits,
-                            expand_at, partial_fractions, unit_value)
+from kvertex.scalars import Cyclo, cyclo_root, generalized_binomial
+from kvertex.series import (FormalSeries, RationalFunction, USeries, _inverted, _ser_mul,
+                            _u_digits, expand_at, partial_fractions, unit_value)
 from kvertex.suites import random_rational
 
 Z = LaurentPoly.var("z")
@@ -99,6 +100,89 @@ def test_expansion_at_infinity_is_the_termwise_text_at_composite_orders(angles):
         for order in (1, 4, 9):
             assert str(expand_at(f, "infinity", order)) == \
                 str(_expand_at_infinity_termwise(f, order)), (str(f), order)
+
+
+def _expansion_by_binomial_convolution(f, point, order):
+    """expand_at at zero or infinity as it was before the recurrence: each
+    factor's binomial series sum_j binom(e-1+j, e-1) c^j z^(nj), multiplied
+    in by _ser_mul below tbound."""
+    g = _inverted(f) if point == "infinity" else f
+    num_split = g.num.split_var(g.var)
+    v0 = min(num_split)
+    tbound = v0 + order
+    ser = {k: p for k, p in num_split.items() if k < tbound}
+    for (a, m, n), e in g.den.items():
+        fac = {}
+        j = 0
+        while n * j < order:
+            fac[n * j] = unit_value(a, m, j) * generalized_binomial(e - 1 + j, e - 1)
+            j += 1
+        ser = _ser_mul(ser, fac, tbound)
+    return FormalSeries(point, f.var, ser, tbound)
+
+
+def _recurrence_inputs(seed):
+    rnd = random.Random(seed + 41)
+    angles = sorted({Fraction(p, q) for q in range(1, 9) for p in range(q)})
+    chars = [MONO_ONE, T, T ** 2, Monomial.var("t", Fraction(1, 2)), Monomial.var("s") * T.inv()]
+    out = []
+    for _ in range(50):
+        factors = [(rnd.choice(angles), rnd.choice(chars), rnd.choice([-3, -2, -1, 1, 2, 3]),
+                    rnd.randint(1, 3)) for _i in range(rnd.randint(1, 3))]
+        # z-powers from below zero to past the truncation of small orders
+        num = LaurentPoly.from_terms(
+            (Monomial.var("z", rnd.randint(-6, 14)) * rnd.choice(chars),
+             rnd.choice([1, -1, 3, Fraction(-1, 2), cyclo_root(Fraction(1, 5))]))
+            for _i in range(rnd.randint(1, 4)))
+        if not num.is_zero():
+            out.append(RationalFunction("z", num, factors))
+    return out
+
+
+def test_expand_at_zero_and_infinity_match_the_binomial_convolution(suite_seed):
+    for f in _recurrence_inputs(suite_seed):
+        for point in ("zero", "infinity"):
+            for order in range(1, 13):
+                assert str(expand_at(f, point, order)) == \
+                    str(_expansion_by_binomial_convolution(f, point, order)), (str(f), point, order)
+    f = RationalFunction("z", 1 + 2 * Z ** -1 - LaurentPoly.term(1, T * Monomial.var("z", 5)),
+                         [(Fraction(1, 3), T, 2, 3)])
+    for point in ("zero", "infinity"):
+        assert str(expand_at(f, point, 2000)) == \
+            str(_expansion_by_binomial_convolution(f, point, 2000)), point
+
+
+def test_expand_at_zero_is_one_recurrence_pass_per_factor(monkeypatch):
+    from kvertex import series
+    counts = {"ser_mul": 0, "add": 0}
+    add = LaurentPoly.__add__
+
+    def ser_mul(*args):
+        counts["ser_mul"] += 1
+        return _ser_mul(*args)
+
+    def counting_add(p, q):
+        counts["add"] += 1
+        return add(p, q)
+
+    monkeypatch.setattr(series, "_ser_mul", ser_mul)
+    monkeypatch.setattr(LaurentPoly, "__add__", counting_add)
+    f = RationalFunction("z", LP_ONE, [(0, MONO_ONE, n, 1) for n in (1, 2, 3)])
+    ser = expand_at(f, "zero", 2000)
+    assert counts["ser_mul"] == 0
+    assert counts["add"] <= sum(f.den.values()) * 2000
+    # the number of partitions of 1999 into parts 1, 2 and 3
+    assert ser.coeff(1999) == sum((1999 - 3 * c) // 2 + 1 for c in range(1999 // 3 + 1))
+
+
+def test_u_digits_from_a_place_are_the_tail_of_the_stream(suite_seed):
+    rnd = random.Random(suite_seed + 43)
+    for _ in range(60):
+        zpows = {k: LaurentPoly.term(rnd.choice([1, -2, Fraction(1, 3)]), rnd.choice([MONO_ONE, T]))
+                 for k in rnd.sample(range(-8, 9), rnd.randint(1, 5))}
+        start, count = rnd.randint(0, 12), rnd.randint(1, 8)
+        assert list(islice(_u_digits(zpows, start), count)) == \
+            list(islice(_u_digits(zpows), start, start + count)), (zpows, start)
 
 
 def test_expand_at_one_of_inverse_z():
