@@ -268,53 +268,47 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
-        """Field inverse via the extended Euclidean algorithm mod Phi_N."""
+        """Field inverse by an extended Euclid on integer lists mod Phi_N, a
+        primitive polynomial remainder sequence (G. E. Collins, JACM 14,
+        1967; Knuth, TAOCP vol. 2, 4.6.1).  Each pair (r, s) keeps
+        s * num = r (mod Phi_N) over Z, from (Phi_N, 0) and (num, 1).  r0 is
+        pseudo-divided by r1 one leading term at a time: r0 becomes
+        (lead/g) r0 - (c/g) x^shift r1, for c and lead the leading
+        coefficients of r0 and r1 and g = gcd(lead, c) signed as lead, and
+        s0 the same combination of s0 and s1.  The new pair is divided by
+        its content.  Phi_N is irreducible, so r ends at a constant c unless
+        num = 0 mod Phi_N, and the inverse is den * s / c.
 
-        def trim(p):
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        def polydivmod(a, b):
-            a = list(a)
-            db = len(b) - 1
-            lead = b[db]
-            q = [0] * max(1, len(a) - db)
-            for i in range(len(a) - 1, db - 1, -1):
-                if a[i]:
-                    f = Fraction(a[i], lead)
-                    q[i - db] = f
-                    for j in range(db + 1):
-                        a[i - db + j] -= f * b[j]
-            return trim(q), trim(a)
-
-        def polymul(a, b):
-            out = [0] * (len(a) + len(b) - 1) if a and b else []
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] += ai * bj
-            return trim(out)
-
-        def polysub(a, b):
-            out = [0] * max(len(a), len(b))
-            for i, c in enumerate(a):
-                out[i] += c
-            for i, c in enumerate(b):
-                out[i] -= c
-            return trim(out)
-
-        # s * num = r (mod Phi) holds for every pair (r, s) of the sequence
-        r0, r1 = list(cyclotomic_poly(self.order)), trim(list(self.num))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = polydivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, polysub(s0, polymul(q, s1))
-        if len(r0) != 1:
+        >>> print((1 - root_of_unity(5, 1)).inverse())
+        4/5 + 3/5*zeta5^1 + 2/5*zeta5^2 + 1/5*zeta5^3
+        """
+        r0, s0 = list(cyclotomic_poly(self.order)), []
+        r1, s1 = list(self.num), [1]
+        while r1 and not r1[-1]:
+            r1.pop()
+        while len(r1) > 1:
+            lead, top = r1[-1], len(r1) - 1
+            while len(r0) > top:
+                c = r0[-1]
+                g = math.gcd(lead, c) if lead > 0 else -math.gcd(lead, c)
+                a, b, shift = lead // g, c // g, len(r0) - 1 - top
+                if a != 1:
+                    r0, s0 = [a * x for x in r0], [a * x for x in s0]
+                s0 += [0] * (shift + len(s1) - len(s0))
+                for j, y in enumerate(r1):
+                    r0[shift + j] -= b * y
+                for j, y in enumerate(s1):
+                    s0[shift + j] -= b * y
+                while r0 and not r0[-1]:
+                    r0.pop()
+            g = math.gcd(*r0, *s0)
+            if g > 1:
+                r0, s0 = [x // g for x in r0], [x // g for x in s0]
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        if not r1:
             raise ZeroDivisionError("element is zero modulo the cyclotomic relation")
-        scale = Fraction(self.den, r0[0])
-        return Cyclo.make(self.order, [c * scale for c in s0])
+        den = self.den if r1[0] > 0 else -self.den
+        return _cyclo(self.order, _reduce_mod_cyclo(self.order, [den * x for x in s1]), abs(r1[0]))
 
     def __truediv__(self, other):
         if isinstance(other, RATIONAL):

@@ -59,7 +59,7 @@ class RationalFunction:
                 # 1/(1 - u z^-n)^e = (-1)^e u^-e z^(ne) / (1 - u^-1 z^n)^e
                 c = (-1) ** e
                 if angle:
-                    c = c * scalar_pow(cyclo_root(angle), -e)
+                    c = c * cyclo_root(-e * angle)
                     angle = 1 - angle
                 mono, n = mono.inv(), -n
                 scale = LaurentPoly.term(c, mono ** e * Monomial.var(var, n * e))

@@ -58,6 +58,115 @@ def test_inverse_and_division():
                 assert (Fraction(1) / z) * z == Fraction(1)
 
 
+def _inverse_by_fractions(x):
+    """x.inverse() by the extended Euclid over Fraction coefficient lists
+    that the integer remainder sequence replaced."""
+
+    def trim(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    def polydivmod(a, b):
+        a = list(a)
+        db = len(b) - 1
+        lead = b[db]
+        q = [0] * max(1, len(a) - db)
+        for i in range(len(a) - 1, db - 1, -1):
+            if a[i]:
+                f = Fraction(a[i], lead)
+                q[i - db] = f
+                for j in range(db + 1):
+                    a[i - db + j] -= f * b[j]
+        return trim(q), trim(a)
+
+    def polymul(a, b):
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        return trim(out)
+
+    def polysub(a, b):
+        out = [0] * max(len(a), len(b))
+        for i, c in enumerate(a):
+            out[i] += c
+        for i, c in enumerate(b):
+            out[i] -= c
+        return trim(out)
+
+    r0, r1 = list(cyclotomic_poly(x.order)), trim(list(x.num))
+    s0, s1 = [], [1]
+    while r1:
+        q, r = polydivmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, polysub(s0, polymul(q, s1))
+    assert len(r0) == 1
+    scale = Fraction(x.den, r0[0])
+    return Cyclo.make(x.order, [c * scale for c in s0])
+
+
+def _dense_cyclo(rnd, order):
+    """A seeded value of order `order` with every coordinate drawn up to
+    +-10^9 and a denominator of 1-7."""
+    d = len(cyclotomic_poly(order)) - 1
+    return _cyclo(order, [rnd.randint(-10 ** 9, 10 ** 9) for _ in range(d)], rnd.randint(1, 7))
+
+
+def _one_minus_roots(order):
+    return [x for x in (1 - root_of_unity(order, j) for j in range(1, order)) if isinstance(x, Cyclo)]
+
+
+def test_inverse_of_one_minus_a_root_is_the_fraction_euclid_inverse():
+    for order in range(3, 61):
+        for x in _one_minus_roots(order):
+            assert repr(x.inverse()) == repr(_inverse_by_fractions(x)), repr(x)
+
+
+def test_inverse_of_a_dense_value_is_the_fraction_euclid_inverse():
+    """Three seeded dense values per order 3-60.  The Fraction route takes
+    seconds per value once deg Phi_N passes about 24, so it is the reference
+    up to deg 16 only; the product and the canonical fields, checked at
+    every order, fix the repr as well."""
+    rnd = random.Random(29)
+    for order in range(3, 61):
+        for _ in range(3):
+            x = _dense_cyclo(rnd, order)
+            y = x.inverse()
+            assert x * y == 1 and _demoted(x * y), repr(x)
+            assert y.order == order and len(y.num) == len(x.num)
+            assert y.den > 0 and math.gcd(y.den, *y.num) == 1
+            if len(x.num) <= 16:
+                assert repr(y) == repr(_inverse_by_fractions(x)), repr(x)
+
+
+def test_inverse_at_large_orders():
+    rnd = random.Random(389)
+    for order in (97, 389):
+        for j in [1, 2, order // 2, order - 1] + rnd.sample(range(3, order - 1), 4):
+            x = 1 - root_of_unity(order, j)
+            assert x * x.inverse() == 1, (order, j)
+    x = _dense_cyclo(random.Random(97), 97)
+    assert x * x.inverse() == 1
+
+
+def test_powers_and_quotients_agree_with_the_inverse():
+    rnd = random.Random(30)
+    for order in (3, 5, 8, 12, 21, 35):
+        for x in _one_minus_roots(order)[:3] + [_dense_cyclo(rnd, order)]:
+            y = x.inverse()
+            assert repr(x ** -3) == repr(y * y * y)
+            assert repr(7 / x) == repr(y * 7)
+            assert repr(Fraction(7, 2) / x) == repr(y * Fraction(7, 2))
+            assert repr(x.lift(2 * order) / x) == "1"
+
+
+def test_inverse_of_a_hand_built_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        Cyclo(5, (0, 0, 0, 0), 1).inverse()
+
+
 def test_mixed_order_arithmetic():
     z2 = root_of_unity(2, 1)      # demotes to -1
     z3 = root_of_unity(3, 1)
