@@ -120,14 +120,21 @@ def _scaled(key, f: int) -> int:
     return key * f
 
 
+def _terms_over(p: "LaurentPoly", d: int) -> dict:
+    """The term map of p over the exponent denominator d, a multiple of
+    p.exp_den; p's own map when d is its denominator."""
+    if p.exp_den == d:
+        return p.terms
+    f = d // p.exp_den
+    return {_scaled(m, f): c for m, c in p.terms.items()}
+
+
 def _common(p: "LaurentPoly", q: "LaurentPoly"):
     """The term maps of p and q over the lcm d of their exponent denominators."""
     if p.exp_den == q.exp_den:
         return p.terms, q.terms, p.exp_den
     d = math.lcm(p.exp_den, q.exp_den)
-    A, B = (x.terms if x.exp_den == d else
-            {_scaled(m, d // x.exp_den): c for m, c in x.terms.items()} for x in (p, q))
-    return A, B, d
+    return _terms_over(p, d), _terms_over(q, d), d
 
 
 def _exponent(e: int, den: int):

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction, _acc
+from .laurent import (LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction, _acc,
+                      _mul_into, _terms_over)
 from .scalars import generalized_binomial
 from .series import (FormalSeries, RationalFunction, _expand_raw, _u_digits, expand_at,
                      split_poles, unit_value)
@@ -126,47 +127,57 @@ def _pole_series(poles, count: int, invert: bool) -> dict:
 
     Geometric recurrence: from the series 1, each of the m_i passes of a
     pole multiplies by 1/(1 - a z), that is s_j += a s_(j-1) for
-    j = 1 .. count - 1, so a pole costs one unit value and m_i count
-    Laurent products and sums.
+    j = 1 .. count - 1.  The s_j are term maps over one exponent
+    denominator, and a s_(j-1) is added into s_j in place, so a pole costs
+    one unit value and m_i count products of one term by a term map, and
+    the series makes one LaurentPoly per nonzero coefficient.
 
     >>> ser = _pole_series([((Fraction(0), MONO_ONE), 2)], 4, invert=False)
     >>> [str(ser[j]) for j in range(4)]
     ['1', '2', '3', '4']
     """
-    ser = [LP_ONE] + [LP_ZERO] * (count - 1)
-    for (angle, mono), m in poles:
-        a = unit_value(angle, mono, -1 if invert else 1)
+    units = [(unit_value(angle, mono, -1 if invert else 1), m) for (angle, mono), m in poles]
+    den = math.lcm(1, *(a.exp_den for a, _m in units))
+    ser = [{0: 1}] + [{} for _ in range(count - 1)]
+    for a, m in units:
+        a = tuple(_terms_over(a, den).items())
         for _ in range(m):
             for j in range(1, count):
-                ser[j] = ser[j] + a * ser[j - 1]
-    return {j: c for j, c in enumerate(ser) if c}
+                _mul_into(ser[j], a, ser[j - 1].items())
+    return {j: LaurentPoly(c, den) for j, c in enumerate(ser) if c}
 
 
 def _rho(num: dict, poles) -> LaurentPoly:
     """sum_k p_k residue_k(z^k / prod_i (1 - a_i z)^(m_i)) for num = {k: p_k}:
-    sum_k p_k S_+[-k] - (-1)^M prod_i a_i^(-m_i) sum_k p_k S_-[k - M]."""
+    sum_k p_k S_+[-k] - (-1)^M prod_i a_i^(-m_i) sum_k p_k S_-[k - M].
+
+    Each dot product is added in place into one term map over the exponent
+    denominator of the numerator and the poles, so it costs the term
+    products of its pairs p_k S[j] and makes no LaurentPoly of its own.
+    """
     total_m = sum(m for _p, m in poles)
-    out = LP_ZERO
+    den = math.lcm(*(p.exp_den for p in num.values()), *(mono.den for (_a, mono), _m in poles))
+    plus, minus = {}, {}
     top = -min(num)
     if top >= 0:
         ser = _pole_series(poles, top + 1, invert=False)
         for k, p in num.items():
             c = ser.get(-k)
             if c is not None:
-                out = out + p * c
+                _mul_into(plus, _terms_over(p, den).items(), _terms_over(c, den).items())
     top = max(num) - total_m
     if top >= 0:
         ser = _pole_series(poles, top + 1, invert=True)
-        minus = LP_ZERO
         for k, p in num.items():
             c = ser.get(k - total_m)
             if c is not None:
-                minus = minus + p * c
-        if not minus.is_zero():
-            scale = LaurentPoly.scalar((-1) ** total_m)
-            for (angle, mono), m in poles:
-                scale = scale * unit_value(angle, mono, -m)
-            out = out - minus * scale
+                _mul_into(minus, _terms_over(p, den).items(), _terms_over(c, den).items())
+    out = LaurentPoly(plus, den)
+    if minus:
+        scale = LaurentPoly.scalar((-1) ** total_m)
+        for (angle, mono), m in poles:
+            scale = scale * unit_value(angle, mono, -m)
+        out = out - LaurentPoly(minus, den) * scale
     return out
 
 

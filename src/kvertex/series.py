@@ -16,8 +16,9 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from .laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction
-from .scalars import (RATIONAL, cyclo_root, generalized_binomial, scalar_inv, scalar_pow,
+from .laurent import (LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction,
+                      _terms_over)
+from .scalars import (RATIONAL, cyclo_root, exact, generalized_binomial, scalar_inv, scalar_pow,
                       signed_sum)
 
 POINTS = ("zero", "infinity", "one")
@@ -259,18 +260,25 @@ class USeries(NamedTuple):
 
         and the others the same recurrence without the c^k, since c divides
         C' already.  So place k gains c^(e + k), as in J. C. P. Miller's
-        recurrence for base^-e, not c^(e (k + 1)).
+        recurrence for base^-e, not c^(e (k + 1)).  Place k reads only
+        base[:k + 1], so once its zero constant terms are stripped base is
+        cut to the places kept: no entry past them is scaled or weighted,
+        and place k costs at most k products and sums per pass, whatever
+        the length of base.
         """
         val, num = self.val, self.num
         while not base[0]:
             base = base[1:]
             val -= e
+        # an empty series still takes B and C from base[0]
+        base = base[:len(num) or 1]
         c = base[0]
         if c.is_scalar():
             ci = scalar_inv(c.constant())
             if ci != 1:
                 base = [b * ci for b in base]
-                num = [n * scalar_pow(ci, e) for n in num]
+                cie = scalar_pow(ci, e)
+                num = [n * cie for n in num]
             c = None
         C = _times(self.C, c)
         # the weights -base[j] C C'^(j - 1), j >= 1
@@ -457,10 +465,10 @@ def _expand_raw(f: RationalFunction, point: str, order: int):
         v0, lead = next(digits)
     useries = USeries(v0, [lead] + [c for _j, c in islice(digits, order - 1)])
     for (a, m, n), e in f.den.items():
-        # 1 - u_root*m*(1-u)^n as a u-polynomial
+        # 1 - u_root*m*(1-u)^n as a u-polynomial, up to the places divide reads
         c = unit_value(a, m)
         base = [LP_ONE - c] + [c * (generalized_binomial(n, j) * (-1) ** (j + 1))
-                               for j in range(1, n + 1)]
+                               for j in range(1, min(n, order) + 1)]
         useries = useries.divide(base, e)
     return dict(useries.items()), v0 + order - f.unit_pole_depth()
 
@@ -475,6 +483,11 @@ def _u_digits(zpows: dict, start: int = 0):
     With p_k = A_k a^-k these are the digits of sum_k A_k z^k in
     w = 1 - a z.
 
+    The live p_k are brought to one exponent denominator once, and a place
+    is one term map: d_j c is added in place for every term c of every live
+    p_k, so a place costs one scalar product and one scalar sum per live
+    term and makes one LaurentPoly, its integral Fractions demoted.
+
     >>> [str(c) for c in islice(_u_digits({-1: LP_ONE, 2: LP_ONE}), 4)]
     ['2', '-1', '2', '1']
     >>> [str(c) for c in islice(_u_digits({-1: LP_ONE, 2: LP_ONE}, 2), 2)]
@@ -485,16 +498,27 @@ def _u_digits(zpows: dict, start: int = 0):
         d = (-1) ** start * generalized_binomial(k, start) if start else 1
         if d:
             live.append((k, p, d))
+    den = math.lcm(1, *(p.exp_den for _k, p, _d in live))
+    live = [(k, tuple(_terms_over(p, den).items()), d) for k, p, d in live]
     j = start
     while True:
-        acc, kept = None, []
-        for k, p, d in live:
-            term = p * d
-            acc = term if acc is None else acc + term
+        out, kept = {}, []
+        for k, terms, d in live:
+            for m, c in terms:
+                c = d * c
+                acc = out.get(m)
+                if acc is None:
+                    out[m] = c
+                else:
+                    acc = acc + c
+                    if acc:
+                        out[m] = acc
+                    else:
+                        del out[m]
             d = d * (j - k) // (j + 1)
             if d:
-                kept.append((k, p, d))
-        yield LP_ZERO if acc is None else acc
+                kept.append((k, terms, d))
+        yield LaurentPoly({m: exact(c) for m, c in out.items()}, den)
         live = kept
         j += 1
 

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from kvertex.laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction
-from kvertex.residues import (K_THEORY, NAIVE, ResidueKind, _pole_series, constraint_suite,
+from kvertex.laurent import (LP_ONE, LP_ZERO, MAX_EXPONENT, MONO_ONE, LaurentPoly, Monomial,
+                             PolyFraction)
+from kvertex.residues import (K_THEORY, NAIVE, ResidueKind, _pole_series, _rho, constraint_suite,
                               diagonal_w_side_residue, diagonal_z_side_residues,
                               iadic_valuation_at_least, local_residue_at_root,
                               residue_coh, residue_k, residue_k_oracle, residue_naive,
@@ -344,6 +345,113 @@ class TestPoleSeries:
             calls.clear()
             _pole_series(poles, count, invert)
             assert len(calls) == len(poles), (poles, count)
+
+
+def _pole_series_by_laurent_sums(poles, count, invert):
+    """_pole_series as it was before it added into term maps in place: one
+    LaurentPoly product and one LaurentPoly sum per step."""
+    ser = [LP_ONE] + [LP_ZERO] * (count - 1)
+    for (angle, mono), m in poles:
+        a = unit_value(angle, mono, -1 if invert else 1)
+        for _ in range(m):
+            for j in range(1, count):
+                ser[j] = ser[j] + a * ser[j - 1]
+    return {j: c for j, c in enumerate(ser) if c}
+
+
+def _rho_by_laurent_sums(num, poles):
+    """_rho as it was before it added its dot products into term maps in
+    place: out = out + p * c per numerator power."""
+    total_m = sum(m for _p, m in poles)
+    out = LP_ZERO
+    top = -min(num)
+    if top >= 0:
+        ser = _pole_series_by_laurent_sums(poles, top + 1, invert=False)
+        for k, p in num.items():
+            c = ser.get(-k)
+            if c is not None:
+                out = out + p * c
+    top = max(num) - total_m
+    if top >= 0:
+        ser = _pole_series_by_laurent_sums(poles, top + 1, invert=True)
+        minus = LP_ZERO
+        for k, p in num.items():
+            c = ser.get(k - total_m)
+            if c is not None:
+                minus = minus + p * c
+        if not minus.is_zero():
+            scale = LaurentPoly.scalar((-1) ** total_m)
+            for (angle, mono), m in poles:
+                scale = scale * unit_value(angle, mono, -m)
+            out = out - minus * scale
+    return out
+
+
+_IN_PLACE_CHARS = [MONO_ONE, T, S * T.inv(), Monomial.var("t", Fraction(1, 2)),
+                   (S * T.inv()) ** Fraction(1, 3)]
+
+
+class TestInPlaceSums:
+    """_pole_series and _rho against their LaurentPoly-sum routes: poles
+    and numerators with exponent denominators 1, 2 and 3, Fraction and
+    Cyclo coefficients, characters t and s/t, negative z-powers, and series
+    of up to 200 coefficients."""
+
+    POOL = [(Fraction(a), m) for a in (0, Fraction(1, 2), Fraction(1, 3), Fraction(3, 4))
+            for m in _IN_PLACE_CHARS]
+    COEFFS = [1, -2, Fraction(1, 3), Fraction(-5, 2), root_of_unity(5, 1), -root_of_unity(5, 1),
+              root_of_unity(3, 1) * Fraction(1, 2)]
+
+    def _poles(self, rnd, long):
+        # a long series keeps one character, so that a coefficient is one
+        # term and not a sum over the compositions of its index
+        pool = self.POOL
+        if long:
+            mono = rnd.choice(_IN_PLACE_CHARS)
+            pool = [(a, m) for a, m in pool if m == mono]
+        return sorted((p, rnd.randint(1, 3)) for p in rnd.sample(pool, rnd.randint(1, 3)))
+
+    def _cases(self, rnd):
+        for i in range(16):
+            long = i % 2
+            yield self._poles(rnd, long), rnd.randint(1, 200 if long else 30)
+
+    def test_pole_series(self, suite_seed):
+        rnd = random.Random(suite_seed + 59)
+        for poles, count in self._cases(rnd):
+            invert = rnd.random() < 0.5
+            got = _pole_series(poles, count, invert)
+            want = _pole_series_by_laurent_sums(poles, count, invert)
+            assert got == want, (poles, count, invert)
+            assert {j: str(c) for j, c in got.items()} == {j: str(c) for j, c in want.items()}
+
+    def test_rho(self, suite_seed):
+        rnd = random.Random(suite_seed + 61)
+        z = Monomial.var("z")
+        # z^(1/2) * z^(1/2) keeps the exponent denominator 2
+        half = LaurentPoly.var("z", Fraction(1, 2))
+        cases = [((half * half).split_var("z"), [((Fraction(0), MONO_ONE), 1)])]
+        assert cases[0][0][1].exp_den == 2
+        for poles, top in self._cases(rnd):
+            num = LaurentPoly.from_terms(
+                (z ** rnd.randint(-top, top) * rnd.choice(_IN_PLACE_CHARS), rnd.choice(self.COEFFS))
+                for _i in range(rnd.randint(1, 6)))
+            if num:
+                cases.append((num.split_var("z"), poles))
+        for num, poles in cases:
+            got, want = _rho(num, poles), _rho_by_laurent_sums(num, poles)
+            assert got == want and str(got) == str(want), (num, poles)
+
+    def test_the_exponent_range_check_survives(self):
+        # the series of z^(+-2000)/(1 - t^(2^20) z) reach t^(+-2^30) ...
+        for k in (2000, -2000):
+            with pytest.raises(OverflowError, match="exponent out of range"):
+                residue_k(rf(LaurentPoly.var("z", k), [(0, T ** 2 ** 20, 1, 1)]))
+        # ... and here a product p_k S[j] of each dot product leaves the range
+        top = LaurentPoly.term(1, T ** MAX_EXPONENT)
+        for k, c in ((-1, T), (2, T.inv())):
+            with pytest.raises(OverflowError, match="exponent out of range"):
+                residue_k(rf(top * LaurentPoly.var("z", k), [(0, c, 1, 1)]))
 
 
 def _pole_series_product(poles, count, invert):

@@ -8,9 +8,9 @@ import pytest
 from kvertex.exprparse import parse_rational
 from kvertex.laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction
 from kvertex.residues import residue_k
-from kvertex.scalars import Cyclo, cyclo_root, generalized_binomial
-from kvertex.series import (FormalSeries, RationalFunction, USeries, _inverted, _ser_mul,
-                            _u_digits, expand_at, partial_fractions, unit_value)
+from kvertex.scalars import Cyclo, cyclo_root, generalized_binomial, scalar_inv, scalar_pow
+from kvertex.series import (FormalSeries, RationalFunction, USeries, _inverted, _powers, _ser_mul,
+                            _times, _u_digits, expand_at, partial_fractions, unit_value)
 from kvertex.suites import random_rational
 
 Z = LaurentPoly.var("z")
@@ -183,6 +183,119 @@ def test_u_digits_from_a_place_are_the_tail_of_the_stream(suite_seed):
         start, count = rnd.randint(0, 12), rnd.randint(1, 8)
         assert list(islice(_u_digits(zpows, start), count)) == \
             list(islice(_u_digits(zpows), start, start + count)), (zpows, start)
+
+
+def _u_digits_by_laurent_sums(zpows, start=0):
+    """The u-digits as _u_digits made them before it summed a place into one
+    term map: one LaurentPoly product p_k * d_j and one LaurentPoly sum per
+    live term."""
+    live = []
+    for k, p in zpows.items():
+        d = (-1) ** start * generalized_binomial(k, start) if start else 1
+        if d:
+            live.append((k, p, d))
+    j = start
+    while True:
+        acc, kept = None, []
+        for k, p, d in live:
+            term = p * d
+            acc = term if acc is None else acc + term
+            d = d * (j - k) // (j + 1)
+            if d:
+                kept.append((k, p, d))
+        yield LP_ZERO if acc is None else acc
+        live = kept
+        j += 1
+
+
+def test_u_digits_match_the_laurent_sum_route(suite_seed):
+    # exponent denominators 1, 2 and 3, Fraction and Cyclo coefficients
+    # whose sums cancel or turn integral, characters t and s/t, negative
+    # z-powers, starts past some nonnegative powers, up to 200 places
+    rnd = random.Random(suite_seed + 47)
+    chars = [MONO_ONE, T, Monomial.var("s") * T.inv(), Monomial.var("t", Fraction(1, 2)),
+             Monomial.var("s", Fraction(-1, 3))]
+    zeta5 = cyclo_root(Fraction(1, 5))
+    coeffs = [1, -1, 3, Fraction(1, 3), Fraction(2, 3), Fraction(-3, 2), zeta5, -zeta5,
+              2 * cyclo_root(Fraction(2, 3))]
+    p = LaurentPoly.from_terms([(chars[3], 1), (chars[2], zeta5)])
+    cases = [({0: p, 1: -p}, 0, 3), ({-1: p, 2: p * Fraction(1, 3)}, 4, 30)]
+    for _ in range(40):
+        zpows = {}
+        for k in rnd.sample(range(-12, 13), rnd.randint(1, 6)):
+            p = LaurentPoly.from_terms((rnd.choice(chars), rnd.choice(coeffs))
+                                       for _i in range(rnd.randint(1, 3)))
+            if p:
+                zpows[k] = p
+        if zpows:
+            cases.append((zpows, rnd.randint(0, 15), rnd.randint(1, 200)))
+    for zpows, start, count in cases:
+        got = list(islice(_u_digits(zpows, start), count))
+        want = list(islice(_u_digits_by_laurent_sums(zpows, start), count))
+        assert got == want, (zpows, start)
+        assert [str(c) for c in got] == [str(c) for c in want], (zpows, start)
+        assert not any(type(c) is Fraction and c.denominator == 1
+                       for p in got for c in p.terms.values()), (zpows, start)
+
+
+def _divide_untruncated(ser, base, e=1):
+    """USeries.divide as it was before it cut base to the places kept: every
+    entry of base is scaled and weighted."""
+    val, num = ser.val, ser.num
+    while not base[0]:
+        base = base[1:]
+        val -= e
+    c = base[0]
+    if c.is_scalar():
+        ci = scalar_inv(c.constant())
+        if ci != 1:
+            base = [b * ci for b in base]
+            num = [n * scalar_pow(ci, e) for n in num]
+        c = None
+    C = _times(ser.C, c)
+    w = [-_times(_times(b, ser.C), p) for b, p in zip(base[1:], _powers(C, len(base) - 1))]
+    cp = _powers(c, len(num))
+    for r in range(e):
+        out = []
+        for k, n in enumerate(num):
+            acc = n * cp[k] if n.terms and cp[k] is not None and not r else n
+            for j, wj in enumerate(w[:k], 1):
+                if out[k - j].terms:
+                    term = wj * out[k - j]
+                    acc = acc + term if acc.terms else term
+            out.append(acc)
+        num = out
+    return USeries(val, num, _times(ser.B, None if c is None else c ** e), C)
+
+
+def test_dividing_an_empty_series_keeps_it_empty():
+    base = [LP_ZERO, LP_ONE - LaurentPoly.var("t"), 3 * LP_ONE, LaurentPoly.var("s")]
+    for e in (1, 3):
+        for B, C in ((None, None), (LaurentPoly.var("s"), LP_ONE - LaurentPoly.var("s"))):
+            got = USeries(2, [], B, C).divide(base, e)
+            want = _divide_untruncated(USeries(2, [], B, C), base, e)
+            assert (got.val, got.num) == (want.val, []) == (2 - e, [])
+            assert got.B == want.B and got.C == want.C
+
+
+def test_divide_by_a_base_longer_than_the_series_matches_the_untruncated_route(suite_seed):
+    # leading zeros, scalar and non-scalar constant terms, e >= 2
+    rnd = random.Random(suite_seed + 53)
+    s = LaurentPoly.var("s")
+    polys = [LP_ZERO, LP_ONE, 2 * LP_ONE, Fraction(1, 3) * LP_ONE, 1 - LaurentPoly.var("t"),
+             s, s - 2, LaurentPoly.term(cyclo_root(Fraction(1, 3)), T)]
+    for _ in range(40):
+        num = [rnd.choice(polys) for _i in range(rnd.randint(1, 5))]
+        lead = rnd.choice(polys[1:])
+        base = [LP_ZERO] * rnd.randint(0, 2) + [lead] + \
+            [rnd.choice(polys) for _i in range(len(num) + rnd.randint(0, 6))]
+        e = rnd.randint(2, 4)
+        B, C = rnd.choice([(None, None), (s, None), (None, 1 - s), (s, 1 - s)])
+        got = USeries(3, num, B, C).divide(base, e)
+        want = _divide_untruncated(USeries(3, num, B, C), base, e)
+        assert (got.val, got.B, got.C) == (want.val, want.B, want.C), (num, base, e)
+        assert got.num == want.num, (num, base, e)
+        assert [str(c) for _k, c in got.items()] == [str(c) for _k, c in want.items()]
 
 
 def test_expand_at_one_of_inverse_z():
