@@ -15,11 +15,16 @@ is permitted when the divisor normalizes to a monomial, to a product of
 expansion-variable-free content, which is carried along as an exact
 coefficient denominator.
 
-An evaluated expression is a pair (f, content): f is a RationalFunction in
-the distinguished variable and content is a Laurent polynomial free of that
-variable, so the value is f / content.  Sums, products and negation are
-those of RationalFunction; division, factor recognition and powers are the
-module functions _divide, _recognize_factor and _power on the pair.
+An evaluated expression is a LaurentPoly when it has no pole in the
+distinguished variable and no content, else a pair (f, content): f is a
+RationalFunction in that variable and content a Laurent polynomial free of
+it, or None for 1, so the value is f / content.  Sums, products and
+nonnegative powers of polynomials, and negative powers of monomials, stay
+LaurentPolys.  A product x * y or a quotient x / d collects numerator,
+(1 - c z^n) factors and content into one _Quotient, in the order of the
+AST, and makes one RationalFunction at the end.  RationalFunction
+arithmetic runs only in a sum with a side that has poles (where one side is
+lifted to the other's denominator) and in the negation of a pair.
 
 >>> f, content = parse_rational("z/((1-x)*(1-t*z)^2)")
 >>> print(f, "|", content)
@@ -28,12 +33,11 @@ z / (1 - t*z)^2 | 1 - x
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .laurent import LP_ONE, LaurentPoly, Monomial
 from .scalars import RATIONAL, scalar_inv
-from .series import RationalFunction
+from .series import RationalFunction, _times
 
 
 class ParseError(ValueError):
@@ -78,175 +82,155 @@ def _tokenize(text: str):
     return tokens
 
 
-@dataclass(frozen=True)
 class Num:
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass(frozen=True)
 class Var:
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
 class Neg:
-    arg: object
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        self.arg = arg
 
 
-@dataclass(frozen=True)
 class Bin:
-    op: str
-    left: object
-    right: object
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left, right):
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
 class Pow:
-    base: object
-    exp: Fraction
+    """base ^ exp, exp an int or a non-integral Fraction."""
+
+    __slots__ = ("base", "exp")
+
+    def __init__(self, base, exp):
+        self.base = base
+        self.exp = exp
 
 
 def parse_expr(text: str):
     """Parse to an AST; syntax errors carry the offending position.
 
-    >>> parse_expr("z^2").exp
-    Fraction(2, 1)
+    >>> parse_expr("z^2").exp, parse_expr("t^(4/2)").exp, parse_expr("t^(1/2)").exp
+    (2, 2, Fraction(1, 2))
     """
     tokens = _tokenize(text)
     idx = 0
 
-    def peek():
-        return tokens[idx]
-
-    def take(kind=None):
+    def take(kind):
         nonlocal idx
         tok = tokens[idx]
-        if kind is not None and tok[0] != kind:
+        if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         idx += 1
-        return tok
+        return tok[1]
 
-    def parse_exponent() -> Fraction:
+    def parse_exponent():
+        nonlocal idx
         sign = 1
-        if peek()[0] == "-":
-            take()
+        if tokens[idx][0] == "-":
+            idx += 1
             sign = -1
-        if peek()[0] == "int":
-            return Fraction(sign * take()[1])
-        if peek()[0] == "(":
-            take()
-            s2 = 1
-            if peek()[0] == "-":
-                take()
-                s2 = -1
-            num = take("int")[1]
+        kind = tokens[idx][0]
+        if kind == "int":
+            idx += 1
+            return sign * tokens[idx - 1][1]
+        if kind == "(":
+            idx += 1
+            if tokens[idx][0] == "-":
+                idx += 1
+                sign = -sign
+            num = take("int")
             den = 1
-            if peek()[0] == "/":
-                take()
-                tok = take("int")
-                den = tok[1]
+            if tokens[idx][0] == "/":
+                idx += 1
+                pos = tokens[idx][2]
+                den = take("int")
                 if not den:
-                    raise ParseError("zero denominator in exponent", tok[2])
+                    raise ParseError("zero denominator in exponent", pos)
             take(")")
-            return Fraction(sign * s2 * num, den)
-        raise ParseError("expected an integer or (p/q) exponent", peek()[2])
-
-    def parse_atom():
-        tok = take()
-        if tok[0] == "int":
-            return Num(tok[1])
-        if tok[0] == "name":
-            return Var(tok[1])
-        if tok[0] == "(":
-            e = parse_sum()
-            take(")")
-            return e
-        raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+            e = Fraction(sign * num, den)
+            return e.numerator if e.denominator == 1 else e
+        raise ParseError("expected an integer or (p/q) exponent", tokens[idx][2])
 
     def parse_factor():
-        if peek()[0] == "-":
-            take()
+        nonlocal idx
+        kind, value, pos = tokens[idx]
+        idx += 1
+        if kind == "-":
             return Neg(parse_factor())
-        a = parse_atom()
-        if peek()[0] == "^":
-            take()
-            return Pow(a, parse_exponent())
-        return a
+        if kind == "int":
+            atom = Num(value)
+        elif kind == "name":
+            atom = Var(value)
+        elif kind == "(":
+            atom = parse_sum()
+            take(")")
+        else:
+            raise ParseError(f"unexpected token {value!r}", pos)
+        if tokens[idx][0] == "^":
+            idx += 1
+            return Pow(atom, parse_exponent())
+        return atom
 
     def parse_term():
+        nonlocal idx
         out = parse_factor()
-        while peek()[0] in ("*", "/"):
-            op = take()[0]
+        while (op := tokens[idx][0]) == "*" or op == "/":
+            idx += 1
             out = Bin(op, out, parse_factor())
         return out
 
     def parse_sum():
+        nonlocal idx
         out = parse_term()
-        while peek()[0] in ("+", "-"):
-            op = take()[0]
+        while (op := tokens[idx][0]) == "+" or op == "-":
+            idx += 1
             out = Bin(op, out, parse_term())
         return out
 
     out = parse_sum()
-    if peek()[0] != "eof":
-        raise ParseError(f"trailing input {peek()[1]!r}", peek()[2])
+    kind, value, pos = tokens[idx]
+    if kind != "eof":
+        raise ParseError(f"trailing input {value!r}", pos)
     return out
 
 
-def _scaled(f, c: LaurentPoly):
-    """f * c, skipping the product for a content of 1."""
-    return f if c == LP_ONE else f * c
-
-
-def _mul(val, other):
-    (f, c), (g, d) = val, other
-    return f * g, _scaled(c, d)
-
-
-def _nonzero(val):
-    if val[0].is_zero():
-        raise EvalError("division by zero")
-    return val
-
-
-def _divide(val, g: LaurentPoly):
-    """Divide an evaluated value by a Laurent polynomial g."""
-    f, content = val
-    if g.is_zero():
-        raise EvalError("division by zero")
-    unit = g.as_unit()
-    if unit is not None:
-        c, m = unit
-        return f * LaurentPoly.term(scalar_inv(c), m.inv()), content
-    if list(g.split_var(f.var)) == [0]:
-        return f, _scaled(content, g)
-    fact = _recognize_factor(g, f.var)
-    if fact is None:
-        raise EvalError(
-            f"denominator {g} is not a monomial, {f.var}-free content, "
-            f"or of the form (1 - c*{f.var}^n)")
-    (angle, mono, n), unit_c, unit_m = fact
-    num = f.num * LaurentPoly.term(scalar_inv(unit_c), unit_m.inv())
-    return RationalFunction(f.var, num, f.factors() + [(angle, mono, n, 1)]), content
+# the angles of the roots of unity 1 and -1
+_ANGLE_ONE, _ANGLE_MINUS_ONE = Fraction(0), Fraction(1, 2)
 
 
 def _recognize_factor(g: LaurentPoly, var: str):
     """Match g = unit * (1 - c z^n) with c = (+-1) * monomial, n > 0."""
     if len(g.terms) != 2:
         return None
-    (m_lo, c_lo), (m_hi, c_hi) = sorted(zip(g.monomials(), g.terms.values()),
-                                        key=lambda mc: mc[0].exponent(var))
+    (m_lo, m_hi), (c_lo, c_hi) = g.monomials(), g.terms.values()
     e_lo = m_lo.exponent(var)
     e_hi = m_hi.exponent(var)
     if e_lo == e_hi:
         return None
+    if e_lo > e_hi:
+        m_lo, c_lo, e_lo, m_hi, c_hi, e_hi = m_hi, c_hi, e_hi, m_lo, c_lo, e_lo
     if not isinstance(c_lo, RATIONAL) or not isinstance(c_hi, RATIONAL):
         return None
-    ratio = Fraction(-c_hi, c_lo)
-    if ratio == 1:
-        angle = Fraction(0)
-    elif ratio == -1:
-        angle = Fraction(1, 2)
+    if c_hi == -c_lo:
+        angle = _ANGLE_ONE
+    elif c_hi == c_lo:
+        angle = _ANGLE_MINUS_ONE
     else:
         return None
     n = e_hi - e_lo
@@ -256,86 +240,217 @@ def _recognize_factor(g: LaurentPoly, var: str):
     return (angle, cm, n), c_lo, m_lo
 
 
-def _power(val, e: Fraction):
+class _Quotient:
+    """A product or quotient under evaluation, num / (prod of factors *
+    content), started from an evaluated value or from 1 (None): num and
+    content are Laurent polynomials or None for 1, factors a list of
+    (angle, mono, n, e).  Each step multiplies in place, in the order of the
+    AST; value() makes the evaluated value, with one RationalFunction."""
+
+    __slots__ = ("var", "num", "factors", "content")
+
+    def __init__(self, var: str, value=None):
+        self.var = var
+        self.factors = []
+        self.content = None
+        if value is None or type(value) is LaurentPoly:
+            self.num = value
+        else:
+            f, self.content = value
+            self.num = f.num
+            self.factors = f.factors()
+
+    def times(self, value):
+        """Multiply by an evaluated value."""
+        if type(value) is LaurentPoly:
+            self.num = _times(self.num, value)
+        else:
+            f, c = value
+            self.num = _times(self.num, f.num)
+            self.factors += f.factors()
+            self.content = _times(self.content, c)
+
+    def times_power(self, q: "_Quotient", k: int):
+        """Multiply by q^k, k > 1."""
+        num = None if q.num is None else q.num ** k
+        content = None if q.content is None else q.content ** k
+        self.num = _times(self.num, num)
+        self.factors += [(a, m, n, e * k) for a, m, n, e in q.factors]
+        self.content = _times(self.content, content)
+
+    def negate(self):
+        self.num = -(LP_ONE if self.num is None else self.num)
+
+    def divide_value(self, value):
+        """Divide by an evaluated value: x / (f/c) = x * c * den(f) / num(f)."""
+        if type(value) is not LaurentPoly:
+            f, c = value
+            self.num = _times(self.num, _times(f.den_poly() if f.den else None, c))
+            value = f.num
+        self.divide(value)
+
+    def divide(self, g: LaurentPoly):
+        """Divide by a unit, by content or by one factor (1 - c z^n)."""
+        if g.is_zero():
+            raise EvalError("division by zero")
+        unit = g.as_unit()
+        if unit is not None:
+            self._divide_unit(*unit)
+            return
+        var = self.var
+        if list(g.split_var(var)) == [0]:
+            self.content = _times(self.content, g)
+            return
+        fact = _recognize_factor(g, var)
+        if fact is None:
+            raise EvalError(
+                f"denominator {g} is not a monomial, {var}-free content, "
+                f"or of the form (1 - c*{var}^n)")
+        (angle, mono, n), unit_c, unit_m = fact
+        self._divide_unit(unit_c, unit_m)
+        self.factors.append((angle, mono, n, 1))
+
+    def _divide_unit(self, c, m: Monomial):
+        if not (c == 1 and m.is_one()):
+            self.num = _times(self.num, LaurentPoly.term(scalar_inv(c), m.inv()))
+
+    def value(self):
+        num = LP_ONE if self.num is None else self.num
+        if not self.factors and self.content is None:
+            return num
+        return RationalFunction(self.var, num, self.factors), self.content
+
+
+def _nonzero(value):
+    if (value if type(value) is LaurentPoly else value[0].num).is_zero():
+        raise EvalError("division by zero")
+    return value
+
+
+def _parts(value):
+    """(numerator, the RationalFunction when it has poles or None, content)."""
+    if type(value) is LaurentPoly:
+        return value, None, None
+    f, c = value
+    return f.num, f if f.den else None, c
+
+
+def _add(a, b, minus: bool, var: str):
+    """a + b, or a - b when minus."""
+    if type(a) is LaurentPoly and type(b) is LaurentPoly:
+        return a - b if minus else a + b
+    (p, f, c), (q, g, d) = _parts(a), _parts(b)
+    p, q = _times(p, d), _times(q, c)
+    if minus:
+        q = -q
+    content = _times(c, d)
+    if f is None and g is None:
+        s = p + q
+        return s if content is None else (RationalFunction(var, s), content)
+    # RationalFunction.__add__ lifts each side to the common denominator
+    return (RationalFunction(var, p, () if f is None else f.factors())
+            + RationalFunction(var, q, () if g is None else g.factors())), content
+
+
+def _power(value, e, var: str):
     """An evaluated value to an integer power, or a monomial to a rational one."""
-    f, content = val
-    if e.denominator != 1:
-        unit = f.num.as_unit()
-        if unit is None or f.den or not (content == LP_ONE):
+    if type(e) is not int:
+        unit = value.as_unit() if type(value) is LaurentPoly else None
+        if unit is None:
             raise EvalError("fractional powers apply to monomials only")
         c, m = unit
         if not (c == 1):
             raise EvalError("fractional powers apply to monomials with coefficient 1")
-        return RationalFunction(f.var, LaurentPoly.term(1, m ** e)), LP_ONE
-    k = e.numerator
-    if k >= 0:
-        return (RationalFunction(f.var, f.num ** k,
-                                 [(a, m, n, ee * k) for (a, m, n), ee in f.den.items()]),
-                content ** k)
-    inv = _divide((RationalFunction(f.var, _scaled(f.den_poly(), content)), LP_ONE), f.num)
-    return _power(inv, Fraction(-k))
+        return LaurentPoly.term(1, m ** e)
+    if e == 0:
+        return LP_ONE
+    if type(value) is LaurentPoly:
+        if e > 0 or value.as_unit() is not None:
+            return value ** e
+    elif e > 0:
+        f, c = value
+        return (RationalFunction(var, f.num ** e,
+                                 [(a, m, n, ee * e) for (a, m, n), ee in f.den.items()]),
+                None if c is None else c ** e)
+    inv = _Quotient(var)
+    inv.divide_value(value)
+    return inv.value() if e == -1 else _power(inv.value(), -e, var)
+
+
+def _divide_ast(q: _Quotient, ast):
+    """Divide q by the value of ast structurally, so that powers and products
+    of factor-form atoms are recognized before anything gets expanded."""
+    t = type(ast)
+    if t is Bin:
+        if ast.op == "*":
+            _divide_ast(q, ast.left)
+            _divide_ast(q, ast.right)
+            return
+        if ast.op == "/":
+            # x / (a/b) = (x/a) * b
+            _divide_ast(q, ast.left)
+            q.times(_nonzero(evaluate(ast.right, q.var)))
+            return
+    elif t is Pow and type(ast.exp) is int:
+        k = ast.exp
+        if k == 1:
+            _divide_ast(q, ast.base)
+        elif k > 1:
+            # recognise the factors of a once, then x / a^k = x * (1/a)^k
+            inner = _Quotient(q.var)
+            _divide_ast(inner, ast.base)
+            q.times_power(inner, k)
+        else:
+            # x / a^-k = x * a^k, also for k = 0 so that a is still evaluated
+            q.times(_nonzero(_power(evaluate(ast.base, q.var), -k, q.var)))
+        return
+    elif t is Neg:
+        _divide_ast(q, ast.arg)
+        q.negate()
+        return
+    q.divide_value(evaluate(ast, q.var))
 
 
 def evaluate(ast, var: str):
     """Evaluate an AST with `var` as the distinguished expansion variable,
-    to a pair (RationalFunction, z-free content denominator)."""
-    if isinstance(ast, Num):
-        return RationalFunction(var, LaurentPoly.scalar(ast.value)), LP_ONE
-    if isinstance(ast, Var):
-        return RationalFunction(var, LaurentPoly.var(ast.name)), LP_ONE
-    if isinstance(ast, Neg):
-        f, content = evaluate(ast.arg, var)
-        return -f, content
-    if isinstance(ast, Pow):
-        return _power(evaluate(ast.base, var), ast.exp)
-    if isinstance(ast, Bin):
-        f, c = evaluate(ast.left, var)
-        if ast.op == "/":
-            return _divide_ast((f, c), ast.right, var)
-        g, d = evaluate(ast.right, var)
+    to a LaurentPoly or a pair (RationalFunction, content or None)."""
+    t = type(ast)
+    if t is Bin:
+        left = evaluate(ast.left, var)
+        if ast.op == "+" or ast.op == "-":
+            return _add(left, evaluate(ast.right, var), ast.op == "-", var)
+        q = _Quotient(var, left)
         if ast.op == "*":
-            return _mul((f, c), (g, d))
-        if ast.op == "+":
-            return _scaled(f, d) + _scaled(g, c), _scaled(c, d)
-        if ast.op == "-":
-            return _scaled(f, d) - _scaled(g, c), _scaled(c, d)
-    raise EvalError(f"cannot evaluate node {ast!r}")
-
-
-def _divide_ast(val, ast, var: str):
-    """Divide structurally so powers and products of factor-form atoms are
-    recognized before anything gets expanded."""
-    if isinstance(ast, Pow) and ast.exp.denominator == 1:
-        k = ast.exp.numerator
-        if k == 1:
-            return _divide_ast(val, ast.base, var)
-        if k > 1:
-            # recognise the factors of a once, then x / a^k = x * (1/a)^k
-            q = _divide_ast((RationalFunction(var, LP_ONE), LP_ONE), ast.base, var)
-            return _mul(val, _power(q, Fraction(k)))
-        # x / a^-k = x * a^k, also for k = 0 so that a is still evaluated
-        return _mul(val, _nonzero(evaluate(Pow(ast.base, Fraction(-k)), var)))
-    if isinstance(ast, Bin) and ast.op == "*":
-        return _divide_ast(_divide_ast(val, ast.left, var), ast.right, var)
-    if isinstance(ast, Bin) and ast.op == "/":
-        # x / (a/b) = (x/a) * b
-        return _mul(_divide_ast(val, ast.left, var), _nonzero(evaluate(ast.right, var)))
-    if isinstance(ast, Neg):
-        f, c = _divide_ast(val, ast.arg, var)
-        return -f, c
-    g, d = evaluate(ast, var)
-    return _divide((_scaled(val[0], _scaled(g.den_poly(), d)), val[1]), g.num)
+            q.times(evaluate(ast.right, var))
+        else:
+            _divide_ast(q, ast.right)
+        return q.value()
+    if t is Pow:
+        return _power(evaluate(ast.base, var), ast.exp, var)
+    if t is Num:
+        return LaurentPoly.scalar(ast.value)
+    if t is Var:
+        return LaurentPoly.var(ast.name)
+    value = evaluate(ast.arg, var)
+    if type(value) is LaurentPoly:
+        return -value
+    f, c = value
+    return -f, c
 
 
 def parse_rational(text: str, var: str = "z"):
     """Text to (RationalFunction, content denominator)."""
-    return evaluate(parse_expr(text), var)
+    value = evaluate(parse_expr(text), var)
+    if type(value) is LaurentPoly:
+        return RationalFunction(var, value), LP_ONE
+    f, content = value
+    return f, LP_ONE if content is None else content
 
 
 def parse_laurent(text: str, var: str = "z") -> LaurentPoly:
-    f, content = evaluate(parse_expr(text), var)
-    if f.den:
+    value = evaluate(parse_expr(text), var)
+    if type(value) is LaurentPoly:
+        return value
+    if value[0].den:
         raise EvalError("expression has poles in the expansion variable")
-    if content == LP_ONE:
-        return f.num
     raise EvalError("expression carries a nontrivial coefficient denominator")

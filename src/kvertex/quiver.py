@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import laurent
@@ -36,18 +35,32 @@ from .residues import residue_k
 from .series import RationalFunction, USeries
 
 
-@dataclass(frozen=True)
 class Quiver:
-    vertices: tuple
-    edges: tuple  # ordered pairs of vertex names; loops and multi-edges allowed
+    """Vertex names and edges, ordered pairs of vertex names; loops and
+    multi-edges allowed.  Immutable by convention, equal and hashed by value."""
 
-    def __post_init__(self):
-        vs = set(self.vertices)
-        if len(vs) != len(self.vertices):
+    __slots__ = ("vertices", "edges")
+
+    def __init__(self, vertices: tuple, edges: tuple):
+        vs = set(vertices)
+        if len(vs) != len(vertices):
             raise ValueError("duplicate vertex names")
-        for a, b in self.edges:
+        for a, b in edges:
             if a not in vs or b not in vs:
                 raise ValueError(f"edge ({a}, {b}) uses an undeclared vertex")
+        self.vertices = vertices
+        self.edges = edges
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self):
+        return f"Quiver(vertices={self.vertices!r}, edges={self.edges!r})"
 
     @property
     def n(self) -> int:
@@ -169,12 +182,26 @@ def is_block_symmetric(poly: LaurentPoly, alpha, prefix: str = "s") -> bool:
                for blk in _offsets(prefix, tuple(alpha)) for s1, s2 in zip(blk, blk[1:]))
 
 
-@dataclass(frozen=True)
 class VirtualCharacter:
-    """E^0 - E^1 as multisets of character monomials; no forced cancellation."""
+    """E^0 - E^1 as multisets of character monomials; no forced cancellation.
+    Immutable by convention, equal and hashed by value."""
 
-    positive: tuple
-    negative: tuple
+    __slots__ = ("positive", "negative")
+
+    def __init__(self, positive: tuple, negative: tuple):
+        self.positive = positive
+        self.negative = negative
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.positive, self.negative) == (other.positive, other.negative)
+
+    def __hash__(self):
+        return hash((self.positive, self.negative))
+
+    def __repr__(self):
+        return f"VirtualCharacter(positive={self.positive!r}, negative={self.negative!r})"
 
     @staticmethod
     def make(positive, negative=()) -> "VirtualCharacter":
@@ -291,7 +318,8 @@ class _Plan:
             st = s[:a] + t
             choices = []
             for first in itertools.combinations(range(a + b), a):
-                order = first + tuple(k for k in range(a + b) if k not in first)
+                chosen = set(first)
+                order = first + tuple(k for k in range(a + b) if k not in chosen)
                 choices.append((_moves(s[:a], [s[k] for k in first]),
                                 _moves(s[:b], [s[k] for k in order[a:]]),
                                 _moves(st, [st[k] for k in order]),

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -46,13 +45,27 @@ from .series import (FormalSeries, RationalFunction, _expand_raw, _u_digits, exp
                      split_poles, unit_value)
 
 
-@dataclass(frozen=True)
 class ResidueKind:
-    tag: str
+    """One of the tags ktheory, naive and cohomological; equal and hashed by
+    its tag."""
 
-    def __post_init__(self):
-        if self.tag not in ("ktheory", "naive", "cohomological"):
-            raise ValueError(f"unknown residue kind {self.tag!r}")
+    __slots__ = ("tag",)
+
+    def __init__(self, tag: str):
+        if tag not in ("ktheory", "naive", "cohomological"):
+            raise ValueError(f"unknown residue kind {tag!r}")
+        self.tag = tag
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.tag == other.tag
+
+    def __hash__(self):
+        return hash((self.tag,))
+
+    def __repr__(self):
+        return f"ResidueKind(tag={self.tag!r})"
 
 
 K_THEORY = ResidueKind("ktheory")

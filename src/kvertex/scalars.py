@@ -30,7 +30,7 @@ def exact(c):
     >>> exact(Fraction(4, 2)), exact(Fraction(1, 2)), exact(3)
     (2, Fraction(1, 2), 3)
     """
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
 
@@ -458,11 +458,15 @@ def scalar_inv(c):
     """Multiplicative inverse of an int, Fraction or Cyclo scalar."""
     if isinstance(c, Cyclo):
         return c.inverse()
+    if type(c) is int and (c == 1 or c == -1):
+        return c
     return exact(1 / Fraction(c))
 
 
 def scalar_pow(c, k: int):
     if isinstance(c, Cyclo):
+        return c ** k
+    if type(c) is int and k >= 0:
         return c ** k
     return exact(Fraction(c) ** k)
 

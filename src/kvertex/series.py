@@ -126,12 +126,12 @@ class RationalFunction:
         den = {k: max(self.den.get(k, 0), other.den.get(k, 0)) for k in keys}
 
         def lift(f):
-            extra = LP_ONE
+            extra = None
             for (a, m, n), e in den.items():
                 miss = e - f.den.get((a, m, n), 0)
                 if miss:
-                    extra = extra * (factor_poly(self.var, a, m, n) ** miss)
-            return f.num * extra
+                    extra = _times(extra, factor_poly(self.var, a, m, n) ** miss)
+            return _times(f.num, extra)
 
         return RationalFunction(self.var, lift(self) + lift(other),
                                 [(a, m, n, e) for (a, m, n), e in den.items()])

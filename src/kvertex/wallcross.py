@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .freelie import LieElement
@@ -35,28 +34,42 @@ class MissingEntryError(KeyError):
         return f"invariant table has no entry for class {self.alpha}"
 
 
-@dataclass(frozen=True)
 class StabilityData:
     """Rank/slope weights per vertex and positive framing functionals.
 
     rank r(alpha) = sum rho_i alpha_i with rho_i > 0 (so r > 0 off zero and
     additivity on equal slopes is automatic), slope tau(alpha) =
     (sum theta_i alpha_i) / r(alpha), framing lambda_k(alpha) =
-    sum L_{k,i} alpha_i with L_{k,i} > 0.
+    sum L_{k,i} alpha_i with L_{k,i} > 0.  frame_weights holds pairs
+    (name, weight tuple).  Immutable by convention, equal and hashed by value.
     """
 
-    rank_weights: tuple
-    slope_weights: tuple
-    frame_weights: tuple  # pairs (name, weight tuple)
+    __slots__ = ("rank_weights", "slope_weights", "frame_weights")
 
-    def __post_init__(self):
-        if any(w <= 0 for w in self.rank_weights):
+    def __init__(self, rank_weights: tuple, slope_weights: tuple, frame_weights: tuple):
+        if any(w <= 0 for w in rank_weights):
             raise ValueError("rank weights must be positive")
-        for _k, ws in self.frame_weights:
-            if len(ws) != len(self.rank_weights) or any(w <= 0 for w in ws):
+        for _k, ws in frame_weights:
+            if len(ws) != len(rank_weights) or any(w <= 0 for w in ws):
                 raise ValueError("framing weights must be positive, one per vertex")
-        if len(self.slope_weights) != len(self.rank_weights):
+        if len(slope_weights) != len(rank_weights):
             raise ValueError("slope weights must align with rank weights")
+        self.rank_weights = rank_weights
+        self.slope_weights = slope_weights
+        self.frame_weights = frame_weights
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.rank_weights, self.slope_weights, self.frame_weights)
+                == (other.rank_weights, other.slope_weights, other.frame_weights))
+
+    def __hash__(self):
+        return hash((self.rank_weights, self.slope_weights, self.frame_weights))
+
+    def __repr__(self):
+        return (f"StabilityData(rank_weights={self.rank_weights!r}, "
+                f"slope_weights={self.slope_weights!r}, frame_weights={self.frame_weights!r})")
 
     @staticmethod
     def make(rank, slope, frames: dict) -> "StabilityData":

@@ -3,8 +3,8 @@ argparse does or declines it; `main` builds the argparse parser of all nine
 verbs for declined lines alone, and prints argparse's help and errors.
 Also the usage errors `main` reports itself (`wallcross` options,
 `KVERTEX_SUITE_SEED`), the `suite --count` default, the positive `suite`
-sizes and expansion order, and what reading GOLDEN_CASES of test_cli.py
-imports.
+sizes and expansion order, what reading GOLDEN_CASES of test_cli.py
+imports, and what importing kvertex.cli imports.
 
 Kept apart from test_cli.py: perfbench/workloads.py executes that file to
 read its GOLDEN_CASES, so its imports count in the `cli` workload."""
@@ -378,3 +378,16 @@ def test_reading_golden_cases_imports_no_hypothesis():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "False\n"
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    # the classes of the command line's modules are plain __slots__ classes,
+    # so a cold start pays for neither module
+    code = ("import sys\n"
+            "import kvertex.cli\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    res = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"

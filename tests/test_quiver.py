@@ -449,6 +449,36 @@ class TestCosetPlan:
             vertex_shuffle(f, g)
         assert _plan.cache_info().currsize == 1
 
+    def test_plan_matches_the_tuple_scan_build(self):
+        # _Plan orders a coset's union slots by set membership; the build by
+        # a scan of the chosen tuple, which it replaced, gives the same moves
+        from kvertex.quiver import _moves, _offsets, _Plan, dim_add
+        from kvertex.suites import small_quivers
+
+        def tuple_scan(alpha, beta):
+            s_off, t_off = _offsets("s", dim_add(alpha, beta)), _offsets("t", beta)
+            per_vertex = []
+            for a, b, s, t in zip(alpha, beta, s_off, t_off):
+                st = s[:a] + t
+                choices = []
+                for first in itertools.combinations(range(a + b), a):
+                    order = first + tuple(k for k in range(a + b) if k not in first)
+                    choices.append((_moves(s[:a], [s[k] for k in first]),
+                                    _moves(s[:b], [s[k] for k in order[a:]]),
+                                    _moves(st, [st[k] for k in order]),
+                                    _moves(st, [s[k] for k in order])))
+                per_vertex.append(choices)
+            mf, mg, st, to_s = zip(*(tuple(sum(parts, ()) for parts in zip(*combo))
+                                     for combo in itertools.product(*per_vertex)))
+            to_t = _moves(sum(_offsets("s", beta), ()), sum(t_off, ()))
+            return list(zip(mf, mg)), st, to_s, to_t
+
+        for n in sorted({q.n for q in small_quivers()}):
+            grades = list(itertools.product(range(4), repeat=n))
+            for alpha, beta in itertools.product(grades, grades):
+                plan = _Plan(alpha, beta, "z", "substitution")
+                assert (plan.cosets, plan.st, plan.to_s, plan.to_t) == tuple_scan(alpha, beta)
+
     def test_overflow_is_raised(self):
         from kvertex.laurent import MAX_EXPONENT
         # the block degree 3 * MAX_EXPONENT does not fit the z field
