@@ -32,7 +32,7 @@ from . import laurent
 from .laurent import (_HALF, _MASK, LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial,
                       PolyFraction, _acc, _common, _field, _mono, _mul_into, _shift)
 from .residues import residue_k
-from .series import RationalFunction, USeries
+from .series import RationalFunction, USeries, _u_digits
 
 
 class Quiver:
@@ -559,11 +559,11 @@ def conner_floyd(e: VirtualCharacter, i: int):
     factor has one monomial per s-power, so W's coefficients w_j are sums
     of monomials, (-1)^j e_j of the x's (Macdonald, Symmetric Functions and
     Hall Polynomials), and place K = rank - i - val in u is (-1)^K
-    sum_(j >= K) binom(j, K) w_j.  With no negative chi left that place is
-    the value; else places 0..K go through one USeries.divide by
-    ((1 - x) + x u)^m per negative chi.  Each chi left is range-checked
-    once, at x^m, whatever the index; the products building W check their
-    keys; a chi that cancels is never checked.
+    sum_(j >= K) binom(j, K) w_j, a digit of series._u_digits.  With no
+    negative chi left that place is the value; else places 0..K go through
+    one USeries.divide by ((1 - x) + x u)^m per negative chi.  Each chi
+    left is range-checked once, at x^m, whatever the index; the products
+    building W check their keys; a chi that cancels is never checked.
 
     Returns a LaurentPoly when the value is polynomial, else a PolyFraction
     (its num/den depend on how the divisions are grouped, its value not).
@@ -595,26 +595,15 @@ def conner_floyd(e: VirtualCharacter, i: int):
             for j, wj in enumerate(w):
                 _mul_into(out[j + l], wj.items(), f)
         w = out
+    zpows = {j: LaurentPoly(wj, d) for j, wj in enumerate(w)}
     if not neg:
-        return _u_place(w, place, d)
-    ser = USeries(0, [_u_place(w, k, d) for k in range(place + 1)])
+        return next(_u_digits(zpows, place))
+    ser = USeries(0, list(itertools.islice(_u_digits(zpows), place + 1)))
     for x, den, m in neg:
         ser = ser.divide([LaurentPoly({0: 1, x: -1}, den), LaurentPoly({x: 1}, den)], m)
     fr = ser.coeff(place)
     p = fr.as_poly()
     return p if p is not None else fr
-
-
-def _u_place(w: list, k: int, d: int) -> LaurentPoly:
-    """Place k in u = 1 - s of sum_j w[j] s^j (term maps over the exponent
-    denominator d): s^j = (1 - u)^j gives (-1)^k sum_(j >= k) binom(j, k) w[j]."""
-    terms: dict = {}
-    sign = -1 if k % 2 else 1
-    for j in range(k, len(w)):
-        c = sign * math.comb(j, k)
-        for key, cw in w[j].items():
-            _acc(terms, key, c * cw)
-    return LaurentPoly(terms, d)
 
 
 def wedge_minus_one(e: VirtualCharacter):

@@ -676,14 +676,29 @@ def _pole_terms(N: dict, D: dict, pole, m: int) -> list:
 def partial_fractions(f: RationalFunction) -> PartialFractions:
     """Exact decomposition; recombining the output reproduces f.
 
-    The denominator D = prod (1 - a_i z)^(m_i) over the cover poles is
-    f.den_poly(), the product of the original factors (1 - c z^n)^e.  The
-    Laurent-polynomial part is extracted by exact long division in the
-    character ring (D has unit constant and leading terms).  The pole
-    coefficients A_(m_i - j), j < m_i, are read from the first 2 m_i digits
-    of D and the first m_i of the remainder N in w = 1 - a_i z
-    (_pole_terms).  So every output coefficient is a single fraction of
-    Laurent polynomials.
+    f = N / D, with D = prod (1 - a_i z)^(m_i) over the cover poles the
+    product of the original factors (1 - c z^n)^e, is
+    Q + sum_i sum_(j < m_i) A_(m_i - j) / (1 - a_i z)^(m_i - j).  Every
+    output is a coefficient of a local expansion of f: partial fractions
+    are the principal parts of its Laurent expansions (P. Henrici, Applied
+    and Computational Complex Analysis, vol. 1).
+
+    - Q, a Laurent polynomial: every pole term is regular at z = 0 and
+      vanishes at z = infinity, so Q's powers below z^0 are those of f's
+      expansion at zero, from min(N) on, and its powers from z^0 up to
+      max(N) - deg D those of f's expansion at infinity.  With no factor Q
+      is N.
+    - A_(m_i - j), j < m_i: read from the first 2 m_i digits of D and the
+      first m_i of N in w = 1 - a_i z (_pole_terms).  N = Q D + R and D has
+      w^(m_i) as a factor, so those digits of N are the remainder R's.
+
+    So every output coefficient is a single fraction of Laurent polynomials.
+    A polynomial part on both sides:
+
+    >>> z = LaurentPoly.var("z")
+    >>> print(partial_fractions(RationalFunction("z", z ** -2 + z ** 3, [(0, MONO_ONE, 1, 1)])))
+    polynomial part: (1)*z^-2 + (1)*z^-1 + (-1) + (-1)*z^1 + (-1)*z^2
+    + (2) / (1 - z)
 
     Galois orbits.  f is Galois-invariant when every factor angle is 0 or
     1/2 and every numerator coefficient is rational, as for every input the
@@ -704,7 +719,6 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
     polynomial part: 0
     + (1/2) / (1 - z)
     + (1/2) / (1 + z)
-    >>> z = LaurentPoly.var("z")
     >>> print(partial_fractions(RationalFunction("z", z, [(0, MONO_ONE, 3, 1)])))
     polynomial part: 0
     + (1/3) / (1 - z)
@@ -712,41 +726,16 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
     + (1/3*zeta3^1) / (1 - (-1 - zeta3^1)*z)
     """
     poles, D = _cover(f)
-    M = max(D) if D else 0
-    N = dict(f.num.split_var(f.var))
-    Q: dict = {}
-
-    def subtract_multiple(c, shift):
-        # N -= c * z^shift * (D - z^shift-part already removed by caller)
-        for k, dk in D.items():
-            key = shift + k
-            sub = c * dk
-            acc = N.get(key)
-            acc = -sub if acc is None else acc - sub
-            if acc.is_zero():
-                N.pop(key, None)
-            else:
-                N[key] = acc
-
-    # clear negative z-powers:  c z^lo / D = c z^lo + (N - c z^lo D)/D
-    while N and min(N) < 0:
-        lo = min(N)
-        c = N[lo]
-        Q[lo] = Q.get(lo, LP_ZERO) + c
-        subtract_multiple(c, lo)
-    # ordinary long division on the high side; lead(D) is a unit term
-    if M:
-        lc, lm = D[M].as_unit()
-        lead_inv = LaurentPoly.term(scalar_inv(lc), lm.inv())
-        while N and max(N) >= M:
-            hi = max(N)
-            q = N[hi] * lead_inv
-            Q[hi - M] = Q.get(hi - M, LP_ZERO) + q
-            subtract_multiple(q, hi - M)
+    N = f.num.split_var(f.var)
+    if not N or not f.den:
+        Q = N
     else:
-        for k, c in N.items():
-            Q[k] = Q.get(k, LP_ZERO) + c
-        N = {}
+        Q = {}
+        lo, hi = min(N), max(N) - f.total_pole_mult()
+        if lo < 0:
+            Q.update(_expand_raw(f, "zero", -lo)[0])
+        if hi >= 0:
+            Q.update((-k, c) for k, c in _expand_raw(_inverted(f), "zero", hi + 1)[0].items())
 
     # one orbit per (denominator, character) when f is Galois-invariant
     invariant = all(a.denominator <= 2 for a, _m, _n in f.den) and \
@@ -763,5 +752,4 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
         else:
             k = _galois_exponent(rep[0], angle, L)
             terms.extend(PoleTerm(angle, mono, t.mult, t.coeff.conjugate(k)) for t in rep[1])
-    poly_part = {k: c for k, c in Q.items() if not c.is_zero()}
-    return PartialFractions(f.var, poly_part, terms)
+    return PartialFractions(f.var, Q, terms)

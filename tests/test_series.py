@@ -668,7 +668,10 @@ def test_partial_fractions_large_cover(n):
 
 def _long_division(f, D):
     """(Q, N) with f.num = Q D + N and the z-powers of N in [0, deg D), by
-    the long division of partial_fractions."""
+    exact long division: the route by which partial_fractions computed Q
+    before it read Q from f's expansions at zero and infinity.  First the
+    negative z-powers are cleared from below, then D's unit leading term
+    divides from the top."""
     from kvertex.scalars import scalar_inv
 
     M = max(D) if D else 0
@@ -844,6 +847,58 @@ def _lifted_derivative_partial_fractions(f):
 
 def _term_keys(pf):
     return [(t.angle, t.mono, t.mult) for t in pf.terms]
+
+
+def _wide_inputs(seed, count):
+    """Seeded f wider than suites.random_rational: numerator powers
+    z^-6..z^14 with Fraction coefficients and characters up to t^(1/2);
+    factors at angles 0, 1/2, 1/3 and 1/4 (so most inputs are not
+    Galois-invariant) and with n = -1, 1, 2, 3.  At most 8 cover poles,
+    counted with multiplicity, keep the per-pole reference fast."""
+    rnd = random.Random(seed)
+    angles = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
+    chars = [MONO_ONE, T, T ** 2, Monomial.var("s") * T.inv(), Monomial.var("t", Fraction(1, 2))]
+    out = []
+    while len(out) < count:
+        factors = [(rnd.choice(angles), rnd.choice(chars), rnd.choice([-1, 1, 2, 3]), rnd.randint(1, 2))
+                   for _ in range(rnd.randint(1, 3))]
+        num = LaurentPoly.from_terms(
+            (Monomial.var("z", rnd.randint(-6, 14)) * rnd.choice(chars),
+             rnd.choice([1, -2, 3, Fraction(1, 3), Fraction(-5, 2)])) for _ in range(rnd.randint(1, 4)))
+        f = RationalFunction("z", num, factors)
+        if f.total_pole_mult() <= 8 and not num.is_zero():
+            out.append(f)
+    return out
+
+
+def test_polynomial_part_from_the_expansions_is_the_long_division_quotient(suite_seed):
+    """Q read from f's expansions at zero and infinity equals the quotient
+    of the long division, and the whole text that of the per-pole route,
+    which divides first and reads the pole terms from the remainder."""
+    from kvertex.series import _cover
+
+    fs = _wide_inputs(suite_seed, 60)
+    assert sum(min(f.num.split_var("z")) < 0 for f in fs) >= 10
+    assert sum(max(f.num.split_var("z")) >= f.total_pole_mult() for f in fs) >= 10
+    assert sum(a.denominator > 2 for f in fs for a, _m, _n in f.den) >= 10
+    for f in fs:
+        got = partial_fractions(f)
+        want_q, _rest = _long_division(f, _cover(f)[1])
+        assert sorted(got.poly_part) == sorted(want_q), str(f)
+        assert all(str(got.poly_part[k]) == str(want_q[k]) for k in want_q), str(f)
+        assert str(got) == str(_per_pole_partial_fractions(f)), str(f)
+        assert got.recombines_to(f), str(f)
+
+
+@pytest.mark.parametrize("factors", [[(0, MONO_ONE, 2, 1)],
+                                     [(Fraction(1, 3), T, 1, 2), (0, MONO_ONE, -1, 1)]])
+def test_partial_fractions_of_a_zero_numerator(factors):
+    # no z-power to expand: no pole terms and a zero polynomial part
+    f = RationalFunction("z", LP_ZERO, factors)
+    pf = partial_fractions(f)
+    assert not pf.terms and not pf.poly_part
+    assert str(pf) == "polynomial part: 0"
+    assert pf.recombines_to(f)
 
 
 def _invariant_inputs(seed, count):
