@@ -30,7 +30,7 @@ from .hopf import PhiElement, chern_character, coproduct, phi_pair, star, transl
 from .laurent import LP_ONE, PolyFraction
 from .quiver import (GradedElement, Quiver, axiom_check, lie_bracket,
                      vertex_kernel, vertex_shuffle)
-from .residues import COHOMOLOGICAL, K_THEORY, NAIVE, residue, residue_coh
+from .residues import K_THEORY, NAIVE, residue, residue_coh
 from .series import expand_at, partial_fractions
 from .suites import DEFAULT_SEED, SUITES
 from .wallcross import (StabilityData, forward_transform, invert_transform,

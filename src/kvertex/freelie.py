@@ -12,12 +12,15 @@ Antisymmetry and Jacobi identities hold exactly in this normal form; the
 embedding into the free associative algebra ([x, y] -> xy - yx on words)
 serves as an independent oracle in the tests.
 
-Trees are nested tuples; a leaf is the generator string itself.
+Trees are nested tuples; a leaf is the generator string itself.  Every
+sum (`LieElement` addition, the bracket, the rewrite and the embedding)
+adds its terms in place into one term map with `laurent._acc`.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
+from .laurent import _acc
 from .scalars import exact, signed_sum
 
 
@@ -54,23 +57,6 @@ def _right_factor_word(t):
     return tree_word(t[1]) if not isinstance(t, str) else None
 
 
-def _scale(d: dict, c) -> dict:
-    if not c:
-        return {}
-    return {k: v * c for k, v in d.items()}
-
-
-def _merge(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        c2 = out.get(k, 0) + c
-        if c2:
-            out[k] = c2
-        else:
-            out.pop(k, None)
-    return out
-
-
 @lru_cache(maxsize=None)
 def bracket_basis(p, q) -> tuple:
     """Normal form of [p, q] for basis trees p, q, as a tuple of
@@ -86,10 +72,10 @@ def bracket_basis(p, q) -> tuple:
     out: dict = {}
     for t, c in bracket_basis(p2, q):
         for t2, c2 in bracket_basis(p1, t):
-            out = _merge(out, {t2: c * c2})
+            _acc(out, t2, c * c2)
     for t, c in bracket_basis(p1, q):
         for t2, c2 in bracket_basis(t, p2):
-            out = _merge(out, {t2: c * c2})
+            _acc(out, t2, c * c2)
     return tuple(sorted(out.items(), key=lambda kv: _tree_sort_key(kv[0])))
 
 
@@ -121,13 +107,16 @@ class LieElement:
         return LieElement({})
 
     def __add__(self, other):
-        return LieElement(_merge(self.coeffs, other.coeffs))
+        out = dict(self.coeffs)
+        for t, c in other.coeffs.items():
+            _acc(out, t, c)
+        return LieElement(out)
 
     def __sub__(self, other):
-        return LieElement(_merge(self.coeffs, _scale(other.coeffs, -1)))
+        return self + other * -1
 
     def __mul__(self, c):
-        return LieElement(_scale(self.coeffs, c))
+        return LieElement({t: v * c for t, v in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -136,7 +125,7 @@ class LieElement:
         for p, cp in self.coeffs.items():
             for q, cq in other.coeffs.items():
                 for t, c in bracket_basis(p, q):
-                    out = _merge(out, {t: cp * cq * c})
+                    _acc(out, t, cp * cq * c)
         return LieElement(out)
 
     def is_zero(self) -> bool:
@@ -152,11 +141,7 @@ class LieElement:
         out: dict = {}
         for t, c in self.coeffs.items():
             for w, cw in _assoc_expand(t):
-                c2 = out.get(w, 0) + c * cw
-                if c2:
-                    out[w] = c2
-                else:
-                    out.pop(w, None)
+                _acc(out, w, c * cw)
         return out
 
     def __str__(self):
@@ -187,8 +172,8 @@ def _assoc_expand(t) -> tuple:
     out: dict = {}
     for wl, cl in left:
         for wr, cr in right:
-            out = _merge(out, {wl + wr: cl * cr})
-            out = _merge(out, {wr + wl: -cl * cr})
+            _acc(out, wl + wr, cl * cr)
+            _acc(out, wr + wl, -cl * cr)
     return tuple(sorted(out.items()))
 
 

@@ -6,76 +6,62 @@ is ordinary multiplication of the associated numerical polynomials in the
 degree variable; the coproduct is dual to multiplication of characters.
 The divided-power model (xi-basis, xi^m(x^n) = delta_mn n!) receives the
 phi-basis through the homology Chern character phi^k -> (-1)^k binom(xi, k).
+
+`PhiElement`, `NumericalPoly` and `XiElement` share one class body: an
+exact {k: c} map with sums, scalar multiples and text, equal only within
+one class.  `NumericalPoly` adds evaluation, the product and the finite
+differences; `XiElement` is a `NumericalPoly` in the variable xi, so the
+Chern character is `to_numerical` read in xi.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .laurent import LaurentPoly
 from .scalars import exact, generalized_binomial, signed_sum
 from .series import FormalSeries
 
 
-def _clean(d: dict) -> dict:
-    return {k: c for k, c in d.items() if c}
-
-
-def _power_sum_str(coeffs: dict, name: str) -> str:
-    """sum_k c_k name^k as text, the highest power first."""
-    if not coeffs:
-        return "0"
-    parts = []
-    for k in sorted(coeffs, reverse=True):
-        c = coeffs[k]
-        if not k:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(f"{name}^{k}")
-        elif c == -1:
-            parts.append(f"-{name}^{k}")
-        else:
-            parts.append(f"{c}*{name}^{k}")
-    return signed_sum(parts)
-
-
-class PhiElement:
-    """Finite combination sum c_k phi^k with exact rational coefficients."""
+class _Combination:
+    """sum_k c_k VAR^k as an exact {k: c} map with the zero terms dropped,
+    built from such a map or from a coefficient list [c_0, c_1, ...].  The
+    one body of the three classes below: sums, scalar multiples, text with
+    the highest power first, and equality within one class only."""
 
     __slots__ = ("coeffs",)
+    VAR: str
+    BARE_LINEAR = False  # print VAR^1 as VAR
 
-    def __init__(self, coeffs: dict):
-        self.coeffs = _clean({k: exact(c) for k, c in coeffs.items()})
+    def __init__(self, coeffs=()):
+        items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
+        self.coeffs = {k: exact(c) for k, c in items if c}
 
-    @staticmethod
-    def basis(k: int) -> "PhiElement":
+    @classmethod
+    def basis(cls, k: int):
         if k < 0:
-            raise ValueError("phi index must be nonnegative")
-        return PhiElement({k: 1})
+            raise ValueError(f"{cls.VAR} index must be nonnegative")
+        return cls({k: 1})
 
-    @staticmethod
-    def zero() -> "PhiElement":
-        return PhiElement({})
+    @classmethod
+    def zero(cls):
+        return cls()
 
     def __add__(self, other):
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0) + c
-        return PhiElement(out)
+        return type(self)(out)
 
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) - c
-        return PhiElement(out)
+        return self + other * -1
 
     def __mul__(self, c):
-        return PhiElement({k: v * c for k, v in self.coeffs.items()})
+        return type(self)({k: v * c for k, v in self.coeffs.items()})
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return isinstance(other, PhiElement) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self.coeffs == other.coeffs
 
     __hash__ = None
 
@@ -83,10 +69,29 @@ class PhiElement:
         return bool(self.coeffs)
 
     def __str__(self):
-        return _power_sum_str(self.coeffs, "phi")
+        parts = []
+        for k in sorted(self.coeffs, reverse=True):
+            c = self.coeffs[k]
+            body = self.VAR if k == 1 and self.BARE_LINEAR else f"{self.VAR}^{k}"
+            if not k:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(body)
+            elif c == -1:
+                parts.append("-" + body)
+            else:
+                parts.append(f"{c}*{body}")
+        return signed_sum(parts) if parts else "0"
 
     def __repr__(self):
-        return f"<PhiElement {self}>"
+        return f"<{type(self).__name__} {self}>"
+
+
+class PhiElement(_Combination):
+    """Finite combination sum c_k phi^k with exact rational coefficients."""
+
+    __slots__ = ()
+    VAR = "phi"
 
 
 def phi_pair(a: PhiElement, n: int):
@@ -139,100 +144,57 @@ def pair_tensor(pairs, m: int, n: int):
     return exact(sum(phi_pair(l, m) * phi_pair(r, n) for l, r in pairs))
 
 
-class NumericalPoly:
+class NumericalPoly(_Combination):
     """Polynomial in the degree variable with rational coefficients.
 
     Integer-valuedness on all of Z (the numerical condition) is equivalent
     to integrality of the finite differences at 0.
     """
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = [exact(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    __slots__ = ()
+    VAR = "deg"
+    BARE_LINEAR = True
 
     def eval(self, n):
         out = 0
-        for c in reversed(self.coeffs):
-            out = out * n + c
+        for k in range(max(self.coeffs, default=0), -1, -1):
+            out = out * n + self.coeffs.get(k, 0)
         return exact(out)
 
     def __mul__(self, other):
         if not isinstance(other, NumericalPoly):
-            return NumericalPoly([c * other for c in self.coeffs])
-        out = [0] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return NumericalPoly(out)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return NumericalPoly([(self.coeffs[i] if i < len(self.coeffs) else 0)
-                              + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                              for i in range(n)])
+            return super().__mul__(other)
+        out: dict = {}
+        for i, a in self.coeffs.items():
+            for j, b in other.coeffs.items():
+                out[i + j] = out.get(i + j, 0) + a * b
+        return type(self)(out)
 
     def finite_differences_at_zero(self):
-        vals = [self.eval(n) for n in range(len(self.coeffs) + 1)]
+        """Delta^k p(0) for k = 0..deg p (one zero for p = 0)."""
+        vals = [self.eval(n) for n in range(max(self.coeffs, default=0) + 1)]
         out = []
         while vals:
             out.append(vals[0])
-            vals = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
-        return out[:max(1, len(self.coeffs) + (0 if self.coeffs else 1))]
+            vals = [b - a for a, b in zip(vals, vals[1:])]
+        return out
 
     def is_numerical(self) -> bool:
         return all(d.denominator == 1 for d in self.finite_differences_at_zero())
 
-    def __eq__(self, other):
-        return isinstance(other, NumericalPoly) and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            body = "deg" + (f"^{i}" if i > 1 else "") if i else ""
-            if i == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append("-" + body)
-            else:
-                parts.append(f"{c}*{body}")
-        return signed_sum(parts)
-
 
 def _binomial_poly(k: int) -> NumericalPoly:
-    # binom(X, k) = X(X-1)...(X-k+1)/k!
+    """binom(deg, k) = deg (deg - 1) ... (deg - k + 1) / k!."""
     coeffs = [1]
-    for i in range(k):
-        # multiply by (X - i)
-        new = [0] * (len(coeffs) + 1)
-        for d, c in enumerate(coeffs):
-            new[d + 1] += c
-            new[d] -= c * i
-        coeffs = new
-    inv = Fraction(1, math.factorial(k))
-    return NumericalPoly([c * inv for c in coeffs])
+    for i in range(k):  # times (deg - i), in integers
+        coeffs = [a - i * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return NumericalPoly([Fraction(c, math.factorial(k)) for c in coeffs])
 
 
 def to_numerical(a: PhiElement) -> NumericalPoly:
     """phi^k -> (-1)^k binom(deg, k) as an honest rational polynomial."""
-    out = NumericalPoly([])
-    for k, c in a.coeffs.items():
-        out = out + (c * (-1) ** k) * _binomial_poly(k)
-    return out
+    return sum(((-1) ** k * c * _binomial_poly(k) for k, c in a.coeffs.items()),
+               NumericalPoly())
 
 
 def from_numerical(p: NumericalPoly) -> PhiElement:
@@ -245,45 +207,19 @@ def from_numerical(p: NumericalPoly) -> PhiElement:
     diffs = p.finite_differences_at_zero()
     if any(d.denominator != 1 for d in diffs):
         raise ValueError("polynomial is not numerical (integer-valued)")
-    out = {k: (-1) ** k * d for k, d in enumerate(diffs)}
-    elem = PhiElement(out)
+    elem = PhiElement({k: (-1) ** k * d for k, d in enumerate(diffs)})
     # exactness guard: the two bases span the same space
     assert to_numerical(elem) == p
     return elem
 
 
-class XiElement:
+class XiElement(NumericalPoly):
     """Polynomial in the divided-power generator: sum c_k xi^k with
     xi^m(x^n) = delta_mn n!, i.e. evaluation at xi = n pairs with e^(n x)."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict):
-        self.coeffs = _clean({k: exact(c) for k, c in coeffs.items()})
-
-    @staticmethod
-    def basis(k: int) -> "XiElement":
-        return XiElement({k: 1})
-
-    def eval(self, n):
-        return exact(sum(c * n ** k for k, c in self.coeffs.items()))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return XiElement(out)
-
-    def __mul__(self, other):
-        if isinstance(other, XiElement):
-            out: dict = {}
-            for i, a in self.coeffs.items():
-                for j, b in other.coeffs.items():
-                    out[i + j] = out.get(i + j, 0) + a * b
-            return XiElement(out)
-        return XiElement({k: c * other for k, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
+    __slots__ = ()
+    VAR = "xi"
+    BARE_LINEAR = False
 
     def to_divided(self) -> dict:
         """Coefficients in the divided-power basis xi^[k] = xi^k / k!."""
@@ -293,26 +229,11 @@ class XiElement:
     def from_divided(coeffs: dict) -> "XiElement":
         return XiElement({k: Fraction(c) / math.factorial(k) for k, c in coeffs.items()})
 
-    def __eq__(self, other):
-        return isinstance(other, XiElement) and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __str__(self):
-        return _power_sum_str(self.coeffs, "xi")
-
-    def __repr__(self):
-        return f"<XiElement {self}>"
-
 
 def chern_character(a: PhiElement) -> XiElement:
-    """phi^k -> (-1)^k binom(xi, k); pairs with e^(nx) the same way phi^k
-    pairs with s^n for every integer n."""
-    out = XiElement({})
-    for k, c in a.coeffs.items():
-        p = _binomial_poly(k)
-        out = out + (c * (-1) ** k) * XiElement({d: cc for d, cc in enumerate(p.coeffs)})
-    return out
+    """phi^k -> (-1)^k binom(xi, k), that is to_numerical(a) read in xi;
+    pairs with e^(nx) the same way phi^k pairs with s^n for every integer n."""
+    return XiElement(to_numerical(a).coeffs)
 
 
 def divided_product(a: dict, b: dict) -> dict:
@@ -322,7 +243,7 @@ def divided_product(a: dict, b: dict) -> dict:
         for j, cb in b.items():
             w = generalized_binomial(i + j, i)
             out[i + j] = out.get(i + j, 0) + ca * cb * w
-    return _clean(out)
+    return {k: c for k, c in out.items() if c}
 
 
 def translation_pairing(n: int, order: int) -> FormalSeries:

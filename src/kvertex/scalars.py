@@ -23,6 +23,10 @@ from functools import lru_cache
 
 RATIONAL = (int, Fraction)
 
+# scalar_pow's bound on the bits of a rational power; the largest power it
+# allows takes milliseconds
+MAX_POWER_BITS = 1 << 20
+
 
 def exact(c):
     """c with an integral Fraction demoted to int; other scalars unchanged.
@@ -464,8 +468,19 @@ def scalar_inv(c):
 
 
 def scalar_pow(c, k: int):
+    """c^k.  A rational c other than 0 and +-1 raises OverflowError, before
+    any work, when |k| times the larger bit length of its numerator and
+    denominator (a bound on the bits of c^k) exceeds MAX_POWER_BITS.
+
+    >>> scalar_pow(Fraction(2, 3), -2), scalar_pow(-1, 2 ** 40)
+    (Fraction(9, 4), 1)
+    """
     if isinstance(c, Cyclo):
         return c ** k
+    bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+    if bits > 1 and abs(k) * bits > MAX_POWER_BITS:
+        raise OverflowError(f"constant power too large: {c} to the power {k} "
+                            f"exceeds 2^20 bits")
     if type(c) is int and k >= 0:
         return c ** k
     return exact(Fraction(c) ** k)

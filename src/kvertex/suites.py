@@ -11,22 +11,20 @@ import itertools
 import random
 from fractions import Fraction
 
-from .hopf import (NumericalPoly, PhiElement, chern_character, coproduct,
-                   from_numerical, pair_tensor, phi_pair, star, to_numerical,
-                   translation_pairing)
+from .hopf import (PhiElement, chern_character, coproduct, from_numerical,
+                   pair_tensor, phi_pair, star, to_numerical, translation_pairing)
 from .laurent import LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction
 from .quiver import (GradedElement, Quiver, VirtualCharacter, a2_quiver,
                      axiom_check, conner_floyd, jordan_quiver, lie_bracket,
                      reduced_pole_shape, symmetrized_wedge, vertex_kernel,
                      wedge_minus_one)
-from .residues import (K_THEORY, NAIVE, diagonal_w_side_residue,
+from .residues import (K_THEORY, diagonal_w_side_residue,
                        diagonal_z_side_residues, constraint_suite,
                        iadic_valuation_at_least, local_residue_at_root,
                        residue_k, residue_k_oracle, residue_naive)
 from .series import RationalFunction, expand_at
 from .wallcross import (StabilityData, forward_transform, free_table,
-                        invert_transform, master_identity_residual,
-                        ordered_partitions)
+                        invert_transform, master_identity_residual)
 
 DEFAULT_SEED = 0
 

@@ -3,12 +3,16 @@ reruns, and golden files (regenerate with `python tests/test_cli.py`)."""
 import io
 import os
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from kvertex.cli import main, parse_quiver_text
-from kvertex.laurent import MAX_EXPONENT
+from kvertex.exprparse import parse_rational
+from kvertex.laurent import LP_ONE, MAX_EXPONENT, LaurentPoly, PolyFraction
+from kvertex.series import expand_at
+from kvertex.suites import SUITES
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -261,3 +265,57 @@ def regenerate():
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
     regenerate()
+
+
+# sizes at which every suite runs in well under a second
+SMALL_SUITE_ARGS = {
+    "residue-constraints": ["--nmax", "2", "--kmax", "2"],
+    "residue-oracle": ["--count", "3"],
+    "diagonal-expansion": ["--order", "2"],
+    "vertex-axioms": ["--count", "1"],
+    "reduced": ["--count", "1"],
+    "conner-floyd": ["--count", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_suite_passes_through_the_cli(name, suite_seed):
+    code, out = run_cli(["suite", name, "--seed", str(suite_seed)]
+                        + SMALL_SUITE_ARGS.get(name, []))
+    last = out.strip().splitlines()[-1]
+    n = len(out.strip().splitlines()) - 1
+    assert (code, last) == (0, f"PASS {n}/{n}"), out
+
+
+def test_unknown_suite_exits_one():
+    code, err = run_cli_error(["suite", "no-such-suite"])
+    assert code == 1
+    assert err.startswith("error: unknown suite 'no-such-suite'")
+
+
+@pytest.mark.parametrize("point", ["zero", "infinity", "one"])
+def test_expand_divides_by_z_free_content(point):
+    # 1/((1-t)(1-z)) has the z-free content 1 - t, which cmd_expand divides out
+    code, out = run_cli(["expand", "1/((1-t)*(1-z))", "--point", point, "--order", "3"])
+    f, content = parse_rational("1/((1-t)*(1-z))", "z")
+    assert content == LP_ONE - LaurentPoly.var("t")
+    got = expand_at(f, point, 3) * PolyFraction(LP_ONE, content)
+    ref = expand_at(parse_rational("1/(1-z)", "z")[0], point, 3)
+    over = PolyFraction.of(LP_ONE - LaurentPoly.var("t"))
+    assert set(got.coeffs) == set(ref.coeffs) and got.trunc == ref.trunc
+    for k, c in ref.coeffs.items():
+        assert got.coeffs[k] == PolyFraction.of(c) / over
+    assert (code, out) == (0, f"{got}\n")
+    if point == "zero":
+        assert out == ("((1)/(1 - t)) + ((1)/(1 - t))*z + ((1)/(1 - t))*z^2 + O(z^3)\n")
+
+
+@pytest.mark.parametrize("argv", [["residue", "--kind", "k", "3^100000000"],
+                                  ["residue", "2^-1073741824"],
+                                  ["expand", "(1/3)^-100000000/(1-z)", "--point", "zero",
+                                   "--order", "2"]])
+def test_large_constant_power_exits_cleanly(argv):
+    t0 = time.perf_counter()
+    code, err = run_cli_error(argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 1 and err.startswith("error: constant power too large"), err

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -354,3 +355,13 @@ def test_one_pass_evaluator_matches_the_per_node_evaluator():
         errors += isinstance(ref[0], type)
         assert new == ref, text
     assert 400 < errors < len(texts) - 1500
+
+
+def test_large_constant_power_is_refused_before_it_is_computed():
+    for text in ("2^-1073741824", "1/(3/2)^100000000", "(1-z)*5^1048576"):
+        t0 = time.perf_counter()
+        with pytest.raises(OverflowError, match="constant power too large"):
+            parse_rational(text)
+        assert time.perf_counter() - t0 < 1, text
+    # the exponent of 0 or +-1 is not bounded
+    assert parse_rational("(-1)^1073741823*1^-1073741824/(1-z)")[0].num == -LP_ONE

@@ -132,3 +132,44 @@ class TestTranslationPairing:
             tp = translation_pairing(n, 25)
             ser = expand_at(RationalFunction.from_poly(LaurentPoly.var("z", n)), "one", 25)
             assert tp.same_up_to(ser, 25)
+
+
+class TestSharedBody:
+    """Text, equality, reprs and products of the three coefficient classes."""
+
+    def test_numerical_poly_text(self):
+        assert str(NumericalPoly([0, 0, 1])) == "deg^2"
+        assert str(NumericalPoly([1, -1])) == "-deg + 1"
+        assert str(NumericalPoly([])) == "0"
+        assert str(NumericalPoly([0, 0, 0])) == "0"
+        assert str(NumericalPoly([Fraction(1, 2), 0, -3])) == "-3*deg^2 + 1/2"
+        assert str(to_numerical(phi(3))) == "-1/6*deg^3 + 1/2*deg^2 - 1/3*deg"
+
+    def test_xi_product_against_numerical_product(self):
+        for a in range(5):
+            for b in range(5):
+                xa, xb = chern_character(phi(a)), chern_character(phi(b))
+                pa, pb = to_numerical(phi(a)), to_numerical(phi(b))
+                x, p = xa * xb, pa * pb
+                assert type(x) is XiElement and type(p) is NumericalPoly
+                assert all(x.eval(n) == p.eval(n) for n in range(-6, 7))
+        assert XiElement({1: 1}) * XiElement({1: -1, 0: 2}) == XiElement({2: -1, 1: 2})
+
+    def test_phi_zero_and_basis_range(self):
+        zero = PhiElement.zero()
+        assert not zero and str(zero) == "0" and zero == PhiElement({})
+        assert phi(2) and not (phi(2) - phi(2))
+        with pytest.raises(ValueError):
+            PhiElement.basis(-1)
+
+    def test_reprs(self):
+        assert repr(2 * phi(1) - phi(0)) == "<PhiElement 2*phi^1 - 1>"
+        assert repr(PhiElement.zero()) == "<PhiElement 0>"
+        assert repr(chern_character(phi(2))) == "<XiElement 1/2*xi^2 - 1/2*xi^1>"
+        assert repr(XiElement({})) == "<XiElement 0>"
+
+    def test_equality_is_per_class(self):
+        assert NumericalPoly([0, 1]) != XiElement({1: 1})
+        assert XiElement({1: 1}) != NumericalPoly([0, 1])
+        assert NumericalPoly([0, 1]) == NumericalPoly([0, 1, 0])
+        assert XiElement({0: 1}) != PhiElement({0: 1})

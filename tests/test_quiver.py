@@ -747,6 +747,21 @@ class TestSymmetrizedWedge:
     def test_empty(self):
         assert symmetrized_wedge(VirtualCharacter.make([])) == LP_ONE
 
+    def test_negative_character(self):
+        # wedge_{-1}(-l) = 1/(1 - l), and (1 - l^2)/(1 - l) = 1 + l divides out
+        l = Monomial.var("l")
+        one_minus_l = LP_ONE - LaurentPoly.var("l")
+        assert wedge_minus_one(VirtualCharacter.make([], [l])) == PolyFraction(LP_ONE, one_minus_l)
+        assert wedge_minus_one(VirtualCharacter.make([l ** 2], [l])) == LP_ONE + LaurentPoly.var("l")
+
+    def test_of_a_fraction(self):
+        # det(-l) = l^-1, so the symmetrized wedge of -l is l^(-1/2)/(1 - l)
+        l = Monomial.var("l")
+        out = symmetrized_wedge(VirtualCharacter.make([], [l]))
+        assert isinstance(out, PolyFraction)
+        assert out == PolyFraction(LaurentPoly.term(1, l ** Fraction(-1, 2)),
+                                   LP_ONE - LaurentPoly.var("l"))
+
     def test_duality_bookkeeping(self):
         # literal definition: dualizing costs (-1)^rank det^-2
         l = Monomial.var("l")

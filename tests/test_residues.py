@@ -225,6 +225,12 @@ class TestComparison:
                 total = total - local_residue_at_root(f, pang)
             assert PolyFraction.of(residue_k(f)) == PolyFraction.of(total)
 
+    def test_residue_theorem_suite(self, suite_seed):
+        from kvertex.suites import suite_residue_theorem
+        cases = suite_residue_theorem(seed=suite_seed)
+        assert len(cases) == 24
+        assert [name for name, ok, _detail in cases if not ok] == []
+
     def test_local_residue_rejects_character_poles(self):
         with pytest.raises(ValueError):
             local_residue_at_root(rf(one(), [(0, T, 1, 1)]), Fraction(1, 2))

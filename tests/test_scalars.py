@@ -8,7 +8,7 @@ import pytest
 
 from kvertex.laurent import MONO_ONE, Monomial
 from kvertex.scalars import (RATIONAL, Cyclo, _cyclo, _reduce_mod_cyclo, cyclo_root,
-                             cyclotomic_poly, generalized_binomial, root_of_unity)
+                             cyclotomic_poly, generalized_binomial, root_of_unity, scalar_pow)
 from kvertex.series import unit_value
 
 
@@ -18,6 +18,28 @@ def test_generalized_binomial_values():
     assert generalized_binomial(0, 0) == 1
     with pytest.raises(ValueError):
         generalized_binomial(3, -1)
+
+
+def test_generalized_binomial_at_a_rational_top():
+    # binom(1/2, k) = (1/2)(-1/2)...(1/2 - k + 1)/k!
+    assert generalized_binomial(Fraction(1, 2), 2) == Fraction(-1, 8)
+    assert generalized_binomial(Fraction(1, 2), 3) == Fraction(1, 16)
+    assert generalized_binomial(Fraction(-3, 2), 2) == Fraction(15, 8)
+    # an integral Fraction takes the integer route and gives an int
+    assert type(generalized_binomial(Fraction(4, 2), 2)) is int
+
+
+def test_constant_power_bound():
+    from kvertex.scalars import MAX_POWER_BITS
+    # |k| times the bit length of a constant other than 0 and +-1 is bounded
+    assert scalar_pow(2, MAX_POWER_BITS // 2) == 2 ** (MAX_POWER_BITS // 2)
+    assert scalar_pow(Fraction(1, 3), -(MAX_POWER_BITS // 2)) == 3 ** (MAX_POWER_BITS // 2)
+    for c, k in ((2, MAX_POWER_BITS // 2 + 1), (3, 100000000), (2, -2 ** 30),
+                 (Fraction(2, 3), -MAX_POWER_BITS)):
+        with pytest.raises(OverflowError, match="constant power too large"):
+            scalar_pow(c, k)
+    assert (scalar_pow(1, 10 ** 12), scalar_pow(-1, 10 ** 12 + 1), scalar_pow(0, 10 ** 12)) \
+        == (1, -1, 0)
 
 
 def test_generalized_binomial_matches_falling_factorial():
