@@ -14,9 +14,12 @@ Three functionals:
 
 By the residue theorem on P^1, residue_k = residue_naive minus the local
 residues Res_{z=gamma}(z^-1 f dz) at the other roots of unity.
-local_residue_at_root takes each from the same (1-z)-adic expansion as
-residue_naive: the rotation z -> gamma z leaves z^-1 dz unchanged, so
-Res_{z=gamma}(z^-1 f(z) dz) = Res_{z=1}(z^-1 f(gamma z) dz).
+local_residue_at_root rotates z -> gamma z, which leaves z^-1 dz
+unchanged, and reads the residue at z=1 as one dot product: the first
+u-digits of the rotated numerator (series._u_digits, u = 1-z) against the
+scalar digits of the reciprocal of z times the rotated denominator.  It
+does not call residue_naive, which divides the numerator's u-series by the
+factors (series._expand_raw), so the theorem checks one against the other.
 
 residue_k_oracle implements the defining series prescription directly: per
 side it expands 1/D with series.expand_at only up to z^0, the one place it
@@ -40,7 +43,7 @@ from itertools import islice
 
 from .laurent import (LP_ONE, LP_ZERO, MONO_ONE, LaurentPoly, Monomial, PolyFraction, _acc,
                       _mul_into, _terms_over)
-from .scalars import generalized_binomial
+from .scalars import exact, generalized_binomial, root_of_unity, scalar_inv
 from .series import (FormalSeries, RationalFunction, _expand_raw, _u_digits, expand_at,
                      split_poles, unit_value)
 
@@ -233,26 +236,69 @@ def local_residue_at_root(f: RationalFunction, angle: Fraction):
     """Res_{z=gamma}(z^-1 f dz) at gamma = root(angle); f may only have
     root-of-unity poles (trivial character parts).
 
-    The rotation z -> gamma z leaves z^-1 dz unchanged, so
-    Res_{z=gamma}(z^-1 f(z) dz) = Res_{z=1}(z^-1 f(gamma z) dz), which is
-    -residue_naive of the rotated function: its z^k coefficient is
-    multiplied by gamma^k, and each factor 1 - root(a) z^n becomes
-    1 - root(a + n angle) z^n.
+    The rotation z -> gamma z leaves z^-1 dz unchanged, so the residue is
+    Res_{z=1}(z^-1 f(gamma z) dz): the z^k coefficient p_k of the numerator
+    becomes p_k gamma^k, and a factor 1 - root(a) z^n becomes
+    1 - root(a + n angle) z^n.  In u = 1 - z (dz = -du) that residue is
+    minus the u^-1 coefficient.  The D factors with a + n angle = 0 (mod 1),
+    counted with multiplicity, vanish to first order at u = 0, so with d_j
+    the u-digits of the rotated numerator and s_j those of the scalar series
+    u^D / (z prod (1 - root(a + n angle) z^n)^e) the residue is
+    -sum_(j < D) d_j s_(D-1-j).  A call costs D digits of series._u_digits,
+    the D places of s (_reciprocal_digits: one scalar_inv) and the dot
+    product; it builds no RationalFunction and no series.  D = 0 gives 0.
 
     >>> f = RationalFunction("z", LP_ONE, [(0, MONO_ONE, 2, 1)])
     >>> str(local_residue_at_root(f, Fraction(1, 2)))
+    '-1/2'
+    >>> g = RationalFunction("z", LP_ONE, [(0, MONO_ONE, 2, 2)])
+    >>> str(local_residue_at_root(g, Fraction(1, 2)))
     '-1/2'
     """
     for (_a, m, _n), _e in f.den.items():
         if not m.is_one():
             raise ValueError("local residues are computed only at root-of-unity poles")
-    z = Monomial.var(f.var)
-    num = LP_ZERO
-    for k, p in f.num.split_var(f.var).items():
-        num = num + p * unit_value(angle, z, k)
-    rotated = RationalFunction(f.var, num, [(a + n * angle, m, n, e)
-                                            for (a, m, n), e in f.den.items()])
-    return -residue_naive(rotated)
+    rotated = [((a + n * angle) % 1, n, e) for (a, _m, n), e in f.den.items()]
+    depth = sum(e for b, _n, e in rotated if not b)
+    if depth == 0:
+        return LP_ZERO
+    step, order = angle.numerator, angle.denominator
+    num = {k: p * root_of_unity(order, step * k) if step else p
+           for k, p in f.num.split_var(f.var).items()}
+    out = {}
+    for d, s in zip(islice(_u_digits(num), depth), reversed(_reciprocal_digits(rotated, depth))):
+        _mul_into(out, d.terms.items(), ((0, s),))
+    # the digits share one exponent denominator
+    return LaurentPoly({m: exact(-c) for m, c in out.items()}, d.exp_den)
+
+
+def _reciprocal_digits(rotated, depth: int) -> list:
+    """The first depth u-digits, all scalars, of
+    u^D / (z prod (1 - root(b) z^n)^e) for rotated = [(b, n, e)], 0 <= b < 1,
+    u = 1 - z and D the multiplicity of the factors with b = 0.  Such a
+    factor is u times sum_(j >= 1) (-1)^(j+1) binom(n, j) u^(j-1), and
+    another one is 1 - root(b) (1 - u)^n.  The product q of these digit
+    lists with 1 - u, truncated to depth places, is inverted by the division
+    recurrence s_i = -q_0^-1 sum_(1 <= j <= i) q_j s_(i-j) from s_0 = q_0^-1."""
+    q = [1, -1][:depth]
+    for b, n, e in rotated:
+        signed = [(-1) ** (j + 1) * math.comb(n, j) for j in range(1, min(n, depth) + 1)]
+        if b:
+            c = root_of_unity(b.denominator, b.numerator)
+            base = [1 - c] + [c * x for x in signed[:depth - 1]]
+        else:
+            base = signed
+        for _ in range(e):
+            prod = [0] * depth
+            for i, x in enumerate(q):
+                for k, y in enumerate(base[:depth - i], i):
+                    prod[k] += x * y
+            q = [exact(x) for x in prod]
+    inv = scalar_inv(q[0])
+    s = [inv]
+    for i in range(1, depth):
+        s.append(exact(-inv * sum(q[j] * s[i - j] for j in range(1, i + 1))))
+    return s
 
 
 def residue(f: RationalFunction, kind: ResidueKind = K_THEORY):

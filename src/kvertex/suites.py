@@ -79,29 +79,37 @@ def suite_residue_oracle(count: int = 200, seed: int = DEFAULT_SEED):
     return cases
 
 
+def random_root_rational(rnd: random.Random, var: str = "z") -> RationalFunction:
+    """Random function with poles only at roots of unity of order <= 6: one
+    or two factors (1 - root(a) z^n)^e with n, e <= 2 over a monomial z^k,
+    0 <= k <= 2."""
+    factors = []
+    for _ in range(rnd.randint(1, 2)):
+        n = rnd.randint(1, 6)
+        factors.append((Fraction(rnd.randint(0, n - 1), n), MONO_ONE,
+                        rnd.randint(1, 2), rnd.randint(1, 2)))
+    return RationalFunction(var, LaurentPoly.var(var, rnd.randint(0, 2)), factors)
+
+
+def pole_angles(f: RationalFunction) -> list:
+    """The angles theta in [0, 1), ascending, with root(a + n theta) = 1 for
+    a factor (1 - root(a) c z^n)^e of f: the angles of the poles of f when
+    every character c is 1."""
+    return sorted({(Fraction(j) - a) / n % 1 for (a, _m, n) in f.den for j in range(n)})
+
+
 def suite_residue_theorem(count: int = 24, seed: int = DEFAULT_SEED):
     """rho_K = rho_naive - sum of the finite local residues, on inputs with
     poles only at roots of unity of order <= 6."""
     rnd = random.Random(seed)
     cases = []
     for i in range(count):
-        nf = rnd.randint(1, 2)
-        factors = []
-        for _ in range(nf):
-            n = rnd.randint(1, 6)
-            factors.append((Fraction(rnd.randint(0, n - 1), n), MONO_ONE,
-                            rnd.randint(1, 2), rnd.randint(1, 2)))
-        f = RationalFunction("z", LaurentPoly.var("z", rnd.randint(0, 2)), factors)
+        f = random_root_rational(rnd)
         lhs = residue_k(f)
         rhs = residue_naive(f)
-        pole_angles = set()
-        for (a, _m, n), _e in f.den.items():
-            for j in range(n):
-                pang = (Fraction(j) - Fraction(a)) / n % 1
-                if pang != 0:
-                    pole_angles.add(pang)
-        for pang in sorted(pole_angles):
-            rhs = rhs - local_residue_at_root(f, pang)
+        for pang in pole_angles(f):
+            if pang:
+                rhs = rhs - local_residue_at_root(f, pang)
         ok = PolyFraction.of(lhs) == PolyFraction.of(rhs)
         cases.append((f"residue-theorem[{i}]", ok, f"value {lhs}"))
     return cases

@@ -21,9 +21,11 @@ import pytest
 from kvertex.laurent import Monomial
 from kvertex.quiver import (a2_quiver, conner_floyd, jordan_quiver, lie_bracket,
                             vertex_kernel, vertex_shuffle)
-from kvertex.residues import diagonal_w_side_residue, diagonal_z_side_residues, residue_k
-from kvertex.suites import (_degree_zero_states, _random_grades, random_graded_element,
-                            random_rational, random_virtual_character, small_quivers)
+from kvertex.residues import (diagonal_w_side_residue, diagonal_z_side_residues,
+                              local_residue_at_root, residue_k, residue_naive)
+from kvertex.suites import (_degree_zero_states, _random_grades, pole_angles,
+                            random_graded_element, random_rational, random_root_rational,
+                            random_virtual_character, small_quivers)
 
 DIGESTS = os.path.join(os.path.dirname(__file__), "data", "library_digests.json")
 SEED = 20
@@ -73,6 +75,26 @@ def _residue_k():
         yield residue_k(random_rational(rnd))
 
 
+def _root_rationals():
+    """The inputs of suite_residue_theorem, one pass."""
+    rnd = random.Random(SEED)
+    return [random_root_rational(rnd) for _ in range(24)]
+
+
+def _local_residue():
+    for f in _root_rationals():
+        for angle in pole_angles(f):
+            yield local_residue_at_root(f, angle)
+
+
+def _residue_naive():
+    for f in _root_rationals():
+        yield residue_naive(f)
+    rnd = random.Random(SEED)
+    for _ in range(200):
+        yield residue_naive(random_rational(rnd))
+
+
 def _diagonal_cases():
     """The cases of suite_diagonal_expansion."""
     s = Monomial.var("s")
@@ -103,6 +125,8 @@ KINDS = {
     "vertex_kernel": _vertex_kernel,
     "lie_bracket": _lie_bracket,
     "residue_k": _residue_k,
+    "local_residue": _local_residue,
+    "residue_naive": _residue_naive,
     "diagonal_z_side": _diagonal_z_side,
     "diagonal_w_side": _diagonal_w_side,
 }

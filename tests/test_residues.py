@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -818,3 +819,127 @@ def test_zero_numerator_with_a_pole_at_one_has_zero_residues():
     assert residue_naive(f) == LP_ZERO
     assert local_residue_at_root(f, Fraction(0)) == LP_ZERO
     assert local_residue_at_root(f, Fraction(1, 3)) == LP_ZERO
+
+
+def _rotated_route(f: RationalFunction, angle) -> LaurentPoly:
+    """The local residue by rotation: Res_{z=gamma}(z^-1 f dz) is
+    -residue_naive of f(gamma z), whose z^k coefficient is multiplied by
+    gamma^k and whose factors 1 - root(a) z^n become 1 - root(a + n angle) z^n."""
+    for (_a, m, _n), _e in f.den.items():
+        if not m.is_one():
+            raise ValueError("local residues are computed only at root-of-unity poles")
+    z = Monomial.var(f.var)
+    num = LP_ZERO
+    for k, p in f.num.split_var(f.var).items():
+        num = num + p * unit_value(angle, z, k)
+    rotated = RationalFunction(f.var, num, [(a + n * angle, m, n, e)
+                                            for (a, m, n), e in f.den.items()])
+    return -residue_naive(rotated)
+
+
+def _pole_order(f: RationalFunction, angle) -> int:
+    return sum(e for (a, _m, n), e in f.den.items() if (a + n * angle) % 1 == 0)
+
+
+_HALF_T = Monomial.var("t", Fraction(1, 2))
+_ONE_MINUS_Z = LP_ONE - LaurentPoly.var("z")
+
+
+def _local_cases(seed: int, count: int):
+    """Seeded (f, angle): up to three root-of-unity factors (1 - root(a) z^n)^e,
+    n <= 4, e <= 3, of order <= 8, most of them vanishing at root(angle), so
+    the pole order reaches 9; numerators of up to four terms with int,
+    Fraction, Cyclo and t^(1/2) coefficients, some times (1 - z)^30; one
+    angle in eight is not a pole."""
+    rnd = random.Random(seed)
+    monos = [MONO_ONE, T, _HALF_T, S * T.inv()]
+    cases = []
+    while len(cases) < count:
+        q = rnd.randint(1, 8)
+        angle = Fraction(rnd.randrange(q), q)
+        factors = []
+        for _ in range(rnd.randint(1, 3)):
+            n = rnd.randint(1, 4)
+            if rnd.random() < 0.7:
+                a = -n * angle % 1
+            else:
+                qa = rnd.randint(1, 8)
+                a = Fraction(rnd.randrange(qa), qa)
+            factors.append((a, MONO_ONE, n, rnd.randint(1, 3)))
+        num = LP_ZERO
+        for _ in range(rnd.randint(1, 4)):
+            c = rnd.choice([rnd.randint(-5, 5), Fraction(rnd.randint(-5, 5), rnd.randint(1, 6)),
+                            root_of_unity(rnd.randint(1, 8), rnd.randint(0, 7))])
+            num = num + LaurentPoly.term(c, rnd.choice(monos) * Monomial.var("z", rnd.randint(-3, 6)))
+        if rnd.random() < 0.125:
+            num = num * _ONE_MINUS_Z ** 30
+        f = rf(num, factors)
+        if rnd.random() < 0.125:
+            qa = rnd.randint(1, 9)
+            angle = Fraction(rnd.randrange(qa), qa)
+        cases.append((f, angle))
+    return cases
+
+
+def _same(got, want):
+    assert got == want and str(got) == str(want) and repr(got) == repr(want), (got, want)
+
+
+class TestLocalResidue:
+    def test_matches_the_rotated_route(self):
+        cases = _local_cases(7, 2000)
+        cases += [(rf(LP_ZERO, [(0, MONO_ONE, 1, 2), (0, MONO_ONE, 3, 1)]), Fraction(1, 3)),
+                  (rf(_ONE_MINUS_Z ** 400, [(0, MONO_ONE, 1, 2)]), Fraction(0))]
+        depths = Counter(_pole_order(f, angle) for f, angle in cases)
+        assert max(depths) == 9 and depths[0] > 0
+        for f, angle in cases:
+            _same(local_residue_at_root(f, angle), _rotated_route(f, angle))
+
+    def test_angle_is_read_mod_one(self):
+        for f, angle in _local_cases(8, 60):
+            want = local_residue_at_root(f, angle)
+            for other in (angle + 1, angle - 1, angle - 3):
+                _same(local_residue_at_root(f, other), want)
+            minus = local_residue_at_root(f, -angle % 1)
+            _same(local_residue_at_root(f, -angle), minus)
+            _same(local_residue_at_root(f, 0), local_residue_at_root(f, Fraction(0)))
+
+    def test_a_non_pole_angle_gives_zero(self):
+        f = rf(LaurentPoly.var("z", 2) + 3, [(Fraction(1, 3), MONO_ONE, 2, 2), (0, MONO_ONE, 1, 1)])
+        assert local_residue_at_root(f, Fraction(1, 4)) == LP_ZERO
+        assert local_residue_at_root(f, Fraction(1, 2)) == LP_ZERO
+        assert local_residue_at_root(f, Fraction(1, 3)) != LP_ZERO
+
+    def test_needs_neither_residue_naive_nor_the_series_expansions(self, monkeypatch):
+        from kvertex import residues, series
+        cases = _local_cases(9, 150)
+        want = [_rotated_route(f, angle) for f, angle in cases]
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the local residue took another route")
+
+        for target, name in ((residues, "residue_naive"), (residues, "_expand_raw"),
+                             (series, "_expand_raw"), (series.USeries, "divide"),
+                             (RationalFunction, "__init__")):
+            monkeypatch.setattr(target, name, refuse)
+        for (f, angle), w in zip(cases, want):
+            _same(local_residue_at_root(f, angle), w)
+
+    def test_residue_naive_is_minus_the_local_residue_at_one(self):
+        for f, _angle in _local_cases(10, 200):
+            _same(residue_naive(f), -local_residue_at_root(f, 0))
+
+    def test_residue_theorem_suite_catches_wrong_local_residues(self, monkeypatch):
+        from kvertex import suites
+
+        def failures():
+            return [name for name, ok, _detail in suites.suite_residue_theorem()
+                    if not ok]
+
+        assert failures() == []
+        right = suites.local_residue_at_root
+        faults = (lambda f, angle: -right(f, angle),
+                  lambda f, angle: right(f, angle + Fraction(1, angle.denominator)))
+        for fault in faults:
+            monkeypatch.setattr(suites, "local_residue_at_root", fault)
+            assert failures() != []
